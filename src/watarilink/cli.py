@@ -7,12 +7,11 @@ Exit codes: 0 success, 1 usage or parse failure, 2 negative result
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path as FilePath
-from typing import Optional
+from typing import Any, Optional, Tuple
 
-from . import lifting, numberlink, reduction, render, wataridori
+from . import documents, lifting, numberlink, reduction, render, wataridori
 from .errors import PuzzleError
 
 EXIT_OK = 0
@@ -45,29 +44,27 @@ def _write(path: Optional[str], text: str) -> None:
         raise PuzzleError("IO_ERROR", f"cannot write {path}: {exc}")
 
 
-def _puzzle_kind(text: str) -> str:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PuzzleError("MALFORMED_JSON", f"not valid JSON: {exc.msg}")
+def _read_puzzle(path: str) -> Tuple[str, Any]:
+    """The kind of a puzzle file and its decoded document, which the
+    parsers take as is, so each puzzle file is decoded once."""
+    doc = documents.loads(_read(path))
     if not isinstance(doc, dict) or "puzzle" not in doc:
         raise PuzzleError("MISSING_FIELD", "document has no 'puzzle' field")
     kind = doc["puzzle"]
     if kind not in ("numberlink", "wataridori"):
         raise PuzzleError("WRONG_PUZZLE", f"unknown puzzle kind {kind!r}")
-    return kind
+    return kind, doc
 
 
 def cmd_solve(args) -> int:
-    text = _read(args.puzzle)
-    kind = _puzzle_kind(text)
+    kind, doc = _read_puzzle(args.puzzle)
     if kind == "numberlink":
-        inst = numberlink.parse_instance(text)
+        inst = numberlink.parse_instance(doc)
         result = numberlink.solve(numberlink.validate_instance(inst),
                                   budget=args.budget)
         serialize = numberlink.serialize_solution
     else:
-        inst = wataridori.parse_instance(text)
+        inst = wataridori.parse_instance(doc)
         result = wataridori.solve(inst, budget=args.budget)
         serialize = wataridori.serialize_solution
     if result.status == "budget_exceeded":
@@ -81,16 +78,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    text = _read(args.puzzle)
-    kind = _puzzle_kind(text)
+    kind, doc = _read_puzzle(args.puzzle)
     sol_text = _read(args.solution)
     if kind == "numberlink":
-        inst = numberlink.validate_instance(numberlink.parse_instance(text))
+        inst = numberlink.validate_instance(numberlink.parse_instance(doc))
         sol = numberlink.parse_solution(sol_text)
         verdict = numberlink.verify_solution(
             inst, sol, require_full_coverage=args.require_coverage)
     else:
-        inst = wataridori.parse_instance(text)
+        inst = wataridori.parse_instance(doc)
         sol = wataridori.parse_solution(sol_text)
         verdict = wataridori.verify_solution(inst, sol)
     print(str(verdict))
@@ -129,18 +125,17 @@ def cmd_unlift(args) -> int:
 
 
 def cmd_render(args) -> int:
-    text = _read(args.puzzle)
-    kind = _puzzle_kind(text)
+    kind, doc = _read_puzzle(args.puzzle)
     sol_text = _read(args.solution) if args.solution else None
     if kind == "numberlink":
-        inst = numberlink.parse_instance(text)
+        inst = numberlink.parse_instance(doc)
         sol = (numberlink.parse_solution(sol_text)
                if sol_text is not None else None)
         out = (render.render_numberlink_ascii(inst, sol)
                if args.format == "ascii"
                else render.render_numberlink_svg(inst, sol))
     else:
-        inst = wataridori.parse_instance(text)
+        inst = wataridori.parse_instance(doc)
         sol = (wataridori.parse_solution(sol_text)
                if sol_text is not None else None)
         out = (render.render_wataridori_ascii(inst, sol)

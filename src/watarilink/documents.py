@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import json
-from typing import Any, List, Sequence, Tuple
+from itertools import chain
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ParseError
 
 Cell = Tuple[int, int]
+
+# The package-internal bulk checks below compare the set of types (or
+# lengths) in a whole list with these in one C-level pass.  They only ever
+# accept: on any miss the caller takes the per-value path, which names the
+# first offending value, so error codes and locations do not depend on
+# which path ran.
+_INT = {int}        # excludes bool, whose type is not int
+_LIST = {list}
+_DICT = {dict}
 
 
 def loads(text: str) -> Any:
@@ -16,6 +26,13 @@ def loads(text: str) -> Any:
     except json.JSONDecodeError as exc:
         raise ParseError("MALFORMED_JSON", exc.msg,
                          location=f"line {exc.lineno} column {exc.colno}")
+
+
+def _document(source: Any) -> dict:
+    """The top-level object of a document, given as JSON text or already
+    decoded."""
+    return require_object(loads(source) if isinstance(source, str)
+                          else source, "document")
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -57,7 +74,47 @@ def as_cell(value: Any, location: str) -> Cell:
             as_int(value[1], location + "[1]"))
 
 
+def _all_ints(values: Iterable[Any]) -> bool:
+    """True iff every value is an integer (not a bool)."""
+    return set(map(type, values)) <= _INT
+
+
+def _all_objects(entries: Sequence[Any], required: Sequence[str],
+                optional: Sequence[str] = ()) -> bool:
+    """True iff every entry is an object with all `required` fields and no
+    field outside `required` and `optional`."""
+    if not set(map(type, entries)) <= _DICT:
+        return False
+    need = set(required)
+    allowed = need | set(optional)
+    return all(need <= keys <= allowed
+               for keys in set(map(frozenset, entries)))
+
+
+def _int_rows(rows: Sequence[Any], width: int) -> bool:
+    """True iff every row is a list of `width` integers."""
+    return (set(map(type, rows)) <= _LIST and set(map(len, rows)) <= {width}
+            and _all_ints(chain.from_iterable(rows)))
+
+
+def _is_cell_list(value: Any) -> bool:
+    return type(value) is list and _int_rows(value, 2)
+
+
+def _cell_lists(values: Sequence[Any], size: Optional[int] = None
+                ) -> Optional[List[Tuple[Cell, ...]]]:
+    """Each value as a tuple of cells when every value is a list of
+    [x, y] integer lists (of `size` cells, if given), else None."""
+    if set(map(type, values)) <= _LIST \
+            and (size is None or set(map(len, values)) <= {size}) \
+            and _is_cell_list(list(chain.from_iterable(values))):
+        return [tuple(map(tuple, v)) for v in values]
+    return None
+
+
 def as_cells(value: Any, location: str) -> List[Cell]:
+    if _is_cell_list(value):
+        return list(map(tuple, value))
     if not isinstance(value, list):
         raise ParseError("NOT_A_LIST", "expected a list of cells", location)
     return [as_cell(v, f"{location}[{i}]") for i, v in enumerate(value)]

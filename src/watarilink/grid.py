@@ -7,7 +7,9 @@ bottom-left cell of a grid is (0, 0).  All values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Sequence, Set, Tuple
+from itertools import chain
+from operator import eq
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -92,10 +94,6 @@ class RegionMap:
         x, y = cell
         return self.ids[y][x]
 
-    def in_bounds(self, cell: Cell) -> bool:
-        x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.height
-
 
 def _check_wall(wall: Wall, width: int, height: int) -> None:
     kind, x, y = wall
@@ -111,6 +109,56 @@ def _check_wall(wall: Wall, width: int, height: int) -> None:
                           f"wall {wall} off the {width}x{height} lattice")
 
 
+def _flood(width: int, height: int, right: bytearray,
+           up: bytearray) -> RegionMap:
+    """The canonical RegionMap of a grid given by its joins.
+
+    Cell (x, y) has index i = y*width + x.  It shares a region with cell
+    i+1 when right[i] is set and with cell i+width when up[i] is set; both
+    arrays hold width*height bytes.  The last byte of every row of `right`
+    and the top row of `up` would join across the grid's edge, so they are
+    cleared here.  Callers may therefore write any of them: in particular,
+    a wall on the outer boundary stamped at a negative index lands on one.
+    """
+    n = width * height
+    right[width - 1::width] = bytes(height)
+    up[n - width:] = bytes(width)
+    ids = [-1] * n
+    count = 0
+    # Scan the top row first so first-seen order matches the canonical rule.
+    for row in range(n - width, -1, -width):
+        for start in range(row, row + width):
+            if ids[start] >= 0:
+                continue
+            ids[start] = count
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                # Off-grid neighbors sit behind cleared bytes: i - 1 and
+                # i - width index a row end or the top row when negative.
+                j = i + 1
+                if right[i] and ids[j] < 0:
+                    ids[j] = count
+                    stack.append(j)
+                j = i - 1
+                if right[j] and ids[j] < 0:
+                    ids[j] = count
+                    stack.append(j)
+                j = i + width
+                if up[i] and ids[j] < 0:
+                    ids[j] = count
+                    stack.append(j)
+                j = i - width
+                if up[j] and ids[j] < 0:
+                    ids[j] = count
+                    stack.append(j)
+            count += 1
+    return RegionMap(width=width, height=height,
+                     ids=tuple(tuple(ids[r:r + width])
+                               for r in range(0, n, width)),
+                     region_count=count)
+
+
 def regions_from_walls(walls: Iterable[Wall], width: int,
                        height: int) -> RegionMap:
     """Flood-fill the grid into regions separated by `walls`.
@@ -121,44 +169,17 @@ def regions_from_walls(walls: Iterable[Wall], width: int,
     if width < 1 or height < 1:
         raise ValidationError("BAD_DIMENSIONS",
                               f"grid must be non-empty, got {width}x{height}")
-    hset: Set[Tuple[int, int]] = set()
-    vset: Set[Tuple[int, int]] = set()
+    n = width * height
+    right = bytearray(b"\x01") * n
+    up = bytearray(b"\x01") * n
     for wall in walls:
         _check_wall(wall, width, height)
-        if wall.kind == HORIZONTAL:
-            hset.add((wall.x, wall.y))
+        kind, x, y = wall
+        if kind == HORIZONTAL:
+            up[(y - 1) * width + x] = 0
         else:
-            vset.add((wall.x, wall.y))
-
-    ids = [[-1] * width for _ in range(height)]
-    count = 0
-    # Scan top row first so first-seen order matches the canonical id rule.
-    for sy in range(height - 1, -1, -1):
-        for sx in range(width):
-            if ids[sy][sx] != -1:
-                continue
-            stack = [(sx, sy)]
-            ids[sy][sx] = count
-            while stack:
-                x, y = stack.pop()
-                if y + 1 < height and ids[y + 1][x] == -1 \
-                        and (x, y + 1) not in hset:
-                    ids[y + 1][x] = count
-                    stack.append((x, y + 1))
-                if y > 0 and ids[y - 1][x] == -1 and (x, y) not in hset:
-                    ids[y - 1][x] = count
-                    stack.append((x, y - 1))
-                if x > 0 and ids[y][x - 1] == -1 and (x, y) not in vset:
-                    ids[y][x - 1] = count
-                    stack.append((x - 1, y))
-                if x + 1 < width and ids[y][x + 1] == -1 \
-                        and (x + 1, y) not in vset:
-                    ids[y][x + 1] = count
-                    stack.append((x + 1, y))
-            count += 1
-    return RegionMap(width=width, height=height,
-                     ids=tuple(tuple(row) for row in ids),
-                     region_count=count)
+            right[y * width + x - 1] = 0
+    return _flood(width, height, right, up)
 
 
 def region_map_from_rows(rows: Sequence[Sequence[int]]) -> RegionMap:
@@ -174,41 +195,36 @@ def region_map_from_rows(rows: Sequence[Sequence[int]]) -> RegionMap:
     if any(len(r) != width for r in rows):
         raise ValidationError("RAGGED_ROWS",
                               "region rows have differing lengths")
-    labels = {v for row in rows for v in row}
+    flat = list(chain.from_iterable(rows))
+    labels = set(flat)
     if labels != set(range(len(labels))):
         raise ValidationError("IDS_NOT_DENSE",
                               f"region ids must be 0..{len(labels) - 1}")
-    # Connectivity: flood the walls implied by id boundaries and compare.
-    walls = walls_between_regions(rows)
-    rebuilt = regions_from_walls(walls, width, height)
+    # Connectivity: join equal neighbors, flood, and count the regions.
+    right = bytearray(map(eq, flat, flat[1:]))
+    right.append(0)
+    up = bytearray(map(eq, flat, flat[width:]))
+    up += bytes(width)
+    rebuilt = _flood(width, height, right, up)
     if rebuilt.region_count != len(labels):
         raise ValidationError("REGION_NOT_CONNECTED",
                               "some region id labels a disconnected set")
     return rebuilt
 
 
-def walls_between_regions(rows: Sequence[Sequence[int]]) -> List[Wall]:
-    """Wall segments separating cells with different region ids."""
-    height = len(rows)
-    width = len(rows[0])
-    walls = []
-    for y in range(height):
-        for x in range(width):
-            if x + 1 < width and rows[y][x] != rows[y][x + 1]:
-                walls.append(Wall(VERTICAL, x + 1, y))
-            if y + 1 < height and rows[y][x] != rows[y + 1][x]:
-                walls.append(Wall(HORIZONTAL, x, y + 1))
-    return walls
-
-
 def region_runs(path: Sequence[Cell], rmap: RegionMap) -> List[int]:
     """Per-cell region ids along `path` with consecutive duplicates collapsed."""
+    ids = rmap.ids
+    width, height = rmap.width, rmap.height
     runs: List[int] = []
+    last = None
     for cell in path:
-        if not rmap.in_bounds(cell):
+        x, y = cell
+        if not (0 <= x < width and 0 <= y < height):
             raise ValidationError("OUT_OF_BOUNDS",
                                   f"path cell {cell} outside region map")
-        rid = rmap.id_at(cell)
-        if not runs or runs[-1] != rid:
+        rid = ids[y][x]
+        if rid != last:
             runs.append(rid)
+            last = rid
     return runs

@@ -18,7 +18,8 @@ from .errors import ValidationError
 from .grid import Cell, Path
 from .numberlink import (NumberlinkInstance, NumberlinkSolution,
                          normalize_solution, verify_solution)
-from .reduction import NUMBER, ReductionMap, source_instance_from_map
+from .reduction import (NUMBER, ReductionMap, _rot_cell,
+                        source_instance_from_map)
 from .wataridori import WataridoriSolution
 
 EAST = "east"
@@ -46,11 +47,6 @@ def zigzag_split(label: int, k: int) -> Tuple[int, int]:
                               f"label {label} outside 1..{2 * k + 1}")
     za = min(label - 1, k)
     return za, label - 1 - za
-
-
-def _rot_cell(cell: Cell, size: int) -> Cell:
-    x, y = cell
-    return (size - 1 - y, x)
 
 
 def route_arm(k: int, arm: str, zigzags: int) -> ArmRoute:

@@ -8,7 +8,7 @@ Full coverage can be demanded at verification time with a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import documents as docs
 from . import errors
@@ -263,8 +263,9 @@ def normalize_solution(sol: NumberlinkSolution) -> NumberlinkSolution:
 
 # ------------------------------------------------------------- documents
 
-def parse_instance(text: str) -> NumberlinkInstance:
-    doc = docs.require_object(docs.loads(text), "document")
+def parse_instance(text: Any) -> NumberlinkInstance:
+    """Parse an instance document, given as JSON text or already decoded."""
+    doc = docs._document(text)
     docs.check_fields(doc, ["puzzle", "width", "height", "terminals"], [],
                       "document")
     if doc["puzzle"] != "numberlink":
@@ -301,8 +302,9 @@ def serialize_instance(inst: NumberlinkInstance) -> str:
     return docs.dumps_canonical(doc)
 
 
-def parse_solution(text: str) -> NumberlinkSolution:
-    doc = docs.require_object(docs.loads(text), "document")
+def parse_solution(text: Any) -> NumberlinkSolution:
+    """Parse a solution document, given as JSON text or already decoded."""
+    doc = docs._document(text)
     docs.check_fields(doc, ["paths"], [], "document")
     paths = []
     for i, entry in enumerate(docs.as_list(doc["paths"], "paths")):

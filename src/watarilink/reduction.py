@@ -24,11 +24,11 @@ pairing of the source puzzle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import documents as docs
 from .errors import ParseError, ValidationError
-from .grid import (Cell, HORIZONTAL, VERTICAL, RegionMap, Wall,
+from .grid import (Cell, HORIZONTAL, VERTICAL, RegionMap, Wall, _flood,
                    regions_from_walls)
 from .numberlink import NumberlinkInstance, validate_instance
 from .wataridori import Circle, WataridoriInstance
@@ -249,6 +249,19 @@ def block_region_map(block: BlockTemplate) -> RegionMap:
     return regions_from_walls(block.walls, block.size, block.size)
 
 
+def _cut_offsets(tpl: BlockTemplate,
+                width: int) -> Tuple[List[int], List[int]]:
+    """The joins the block's walls cut, as flat index offsets from the
+    block's bottom-left cell in a grid `width` cells wide: (right, up)."""
+    right, up = [], []
+    for kind, x, y in tpl.walls:
+        if kind == HORIZONTAL:
+            up.append((y - 1) * width + x)
+        else:
+            right.append(y * width + x - 1)
+    return right, up
+
+
 def reduce_instance(g: NumberlinkInstance
                     ) -> Tuple[WataridoriInstance, ReductionMap]:
     """Build the equivalent Wataridori instance plus the relating map."""
@@ -256,17 +269,23 @@ def reduce_instance(g: NumberlinkInstance
     p = g.pair_count
     k = choose_k(p)
     s = 4 * k + 5
+    width, height = s * g.width, s * g.height
 
     label_at: Dict[Cell, int] = {}
     for label, a, b in g.terminals:
         label_at[a] = label
         label_at[b] = label
 
-    empty_tpl = build_empty_block(k)
-    number_tpls: Dict[int, BlockTemplate] = {}
+    # Center number (None for an empty block) -> template and its cuts.
+    templates: Dict[Optional[int],
+                    Tuple[BlockTemplate, List[int], List[int]]] = {}
 
-    walls: Set[Wall] = set()
-    circles: List[Circle] = []
+    # Every join starts open; each placed block cuts its own walls.  A
+    # block wall on the outer boundary cuts a join across the grid's edge,
+    # which _flood ignores.
+    right = bytearray(b"\x01") * (width * height)
+    up = bytearray(b"\x01") * (width * height)
+    circle_at: List[Optional[Circle]] = [None] * (width * height)
     placements: List[BlockPlacement] = []
     filler_pairs: List[Tuple[Cell, Cell]] = []
 
@@ -274,29 +293,33 @@ def reduce_instance(g: NumberlinkInstance
         for gx in range(g.width):
             ox, oy = s * gx, s * gy
             label = label_at.get((gx, gy))
+            num = None if label is None else assigned_number(k, label)
+            if num not in templates:
+                tpl = (build_empty_block(k) if num is None
+                       else build_number_block(k, num))
+                templates[num] = (tpl, *_cut_offsets(tpl, width))
+            tpl, right_cuts, up_cuts = templates[num]
             if label is None:
-                tpl = empty_tpl
                 placements.append(BlockPlacement(gx, gy, EMPTY))
             else:
-                num = assigned_number(k, label)
-                tpl = number_tpls.get(num)
-                if tpl is None:
-                    tpl = build_number_block(k, num)
-                    number_tpls[num] = tpl
                 placements.append(BlockPlacement(
                     gx, gy, NUMBER, label=label,
                     center=(tpl.center[0] + ox, tpl.center[1] + oy)))
-            for wall in tpl.walls:
-                walls.add(Wall(wall.kind, wall.x + ox, wall.y + oy))
-            for circ in tpl.circles:
-                circles.append(Circle(circ.x + ox, circ.y + oy, circ.number))
+            base = oy * width + ox
+            for i in right_cuts:
+                right[base + i] = 0
+            for i in up_cuts:
+                up[base + i] = 0
+            for x, y, number in tpl.circles:
+                circle_at[(y + oy) * width + x + ox] = Circle(x + ox, y + oy,
+                                                              number)
             for a, b in tpl.filler_pairs:
                 filler_pairs.append(((a[0] + ox, a[1] + oy),
                                      (b[0] + ox, b[1] + oy)))
 
-    rmap = regions_from_walls(walls, s * g.width, s * g.height)
-    circles.sort(key=lambda circ: (circ.y, circ.x))
-    h = WataridoriInstance(rmap, tuple(circles))
+    # Cell index order is (y, x) order, the order circles are kept in.
+    h = WataridoriInstance(_flood(width, height, right, up),
+                           tuple(filter(None, circle_at)))
     rmap_doc = ReductionMap(
         k=k, block_size=s, g_width=g.width, g_height=g.height,
         blocks=tuple(placements),
@@ -336,8 +359,9 @@ def reconstruct(rmap: ReductionMap
 
 # ------------------------------------------------------------- documents
 
-def parse_map(text: str) -> ReductionMap:
-    doc = docs.require_object(docs.loads(text), "document")
+def parse_map(text: Any) -> ReductionMap:
+    """Parse a map document, given as JSON text or already decoded."""
+    doc = docs._document(text)
     docs.check_fields(doc, ["k", "block_size", "g_width", "g_height",
                             "blocks", "number_assignment", "filler_pairs"],
                       [], "document")
@@ -373,14 +397,17 @@ def parse_map(text: str) -> ReductionMap:
         assignment.append((label,
                            docs.as_int(value, f"number_assignment[{key}]")))
     assignment.sort()
-    fillers = []
-    for i, entry in enumerate(docs.as_list(doc["filler_pairs"],
-                                           "filler_pairs")):
-        loc = f"filler_pairs[{i}]"
-        cells = docs.as_cells(entry, loc)
-        if len(cells) != 2:
-            raise ParseError("BAD_PAIR", "filler pair needs two cells", loc)
-        fillers.append((cells[0], cells[1]))
+    entries = docs.as_list(doc["filler_pairs"], "filler_pairs")
+    fillers = docs._cell_lists(entries, 2)
+    if fillers is None:
+        fillers = []
+        for i, entry in enumerate(entries):
+            loc = f"filler_pairs[{i}]"
+            cells = docs.as_cells(entry, loc)
+            if len(cells) != 2:
+                raise ParseError("BAD_PAIR", "filler pair needs two cells",
+                                 loc)
+            fillers.append((cells[0], cells[1]))
     return ReductionMap(
         k=docs.as_int(doc["k"], "k"),
         block_size=docs.as_int(doc["block_size"], "block_size"),

@@ -6,48 +6,51 @@ printed first, while all document coordinates stay y-up.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import ne
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .grid import Cell, HORIZONTAL, VERTICAL, Wall, walls_between_regions
+from .grid import Cell
 from .numberlink import NumberlinkInstance, NumberlinkSolution
 from .wataridori import WataridoriInstance, WataridoriSolution
 
 _SVG_UNIT = 40
 
-
-def _wall_sets(walls: Sequence[Wall], width: int,
-               height: int) -> Tuple[Set[Tuple[int, int]],
-                                     Set[Tuple[int, int]]]:
-    hset = {(w.x, w.y) for w in walls if w.kind == HORIZONTAL}
-    vset = {(w.x, w.y) for w in walls if w.kind == VERTICAL}
-    for x in range(width):
-        hset.add((x, 0))
-        hset.add((x, height))
-    for y in range(height):
-        vset.add((0, y))
-        vset.add((width, y))
-    return hset, vset
+# hwalls[y][x] marks the unit wall along the bottom of cell (x, y), so
+# y == height is the top edge; vwalls[y][x] marks the wall along the left
+# of cell (x, y), so x == width is the right edge.
+WallFlags = Tuple[List[List[bool]], List[List[bool]]]
 
 
-def _ascii_board(width: int, height: int, hset: Set[Tuple[int, int]],
-                 vset: Set[Tuple[int, int]],
+def _walls(ids: Sequence[Sequence[int]], width: int,
+           height: int) -> WallFlags:
+    """Walls of a board whose cells carry region ids: the outer boundary
+    plus every unit segment between cells with different ids."""
+    edge = [True] * width
+    hwalls = [edge]
+    hwalls += [list(map(ne, ids[y - 1], ids[y])) for y in range(1, height)]
+    hwalls.append(edge)
+    vwalls = [[True, *map(ne, row, row[1:]), True] for row in ids]
+    return hwalls, vwalls
+
+
+def _ascii_board(width: int, height: int, walls: WallFlags,
                  content: Dict[Cell, str], cell_w: int) -> str:
+    hwalls, vwalls = walls
+    dash, blank = "-" * cell_w, " " * cell_w
     lines = []
     for y in range(height, -1, -1):
-        top = []
-        for x in range(width):
-            top.append("+")
-            top.append(("-" * cell_w) if (x, y) in hset else (" " * cell_w))
-        top.append("+")
-        lines.append("".join(top))
+        lines.append("+" + "+".join([dash if w else blank
+                                     for w in hwalls[y]]) + "+")
         if y == 0:
             break
-        row = []
         cy = y - 1
+        left = vwalls[cy]
+        row = []
         for x in range(width):
-            row.append("|" if (x, cy) in vset else " ")
-            row.append(content.get((x, cy), "").center(cell_w))
-        row.append("|" if (width, cy) in vset else " ")
+            row.append("|" if left[x] else " ")
+            text = content.get((x, cy))
+            row.append(blank if text is None else text.center(cell_w))
+        row.append("|" if left[width] else " ")
         lines.append("".join(row).rstrip())
     return "\n".join(lines) + "\n"
 
@@ -55,8 +58,6 @@ def _ascii_board(width: int, height: int, hset: Set[Tuple[int, int]],
 def render_wataridori_ascii(inst: WataridoriInstance,
                             sol: Optional[WataridoriSolution] = None) -> str:
     rmap = inst.regions
-    walls = walls_between_regions(rmap.ids)
-    hset, vset = _wall_sets(walls, rmap.width, rmap.height)
     content: Dict[Cell, str] = {}
     if sol is not None:
         for path in sol.paths:
@@ -64,17 +65,15 @@ def render_wataridori_ascii(inst: WataridoriInstance,
                 content[cell] = "*"
     numbers = [c.number for c in inst.circles if c.number is not None]
     cell_w = max(3, (max(map(len, map(str, numbers))) if numbers else 1) + 2)
-    for c in sorted(inst.circles, key=lambda c: (c.y, c.x)):
-        content[c.cell] = f"({c.number})" if c.number is not None else "( )"
-    return _ascii_board(rmap.width, rmap.height, hset, vset, content, cell_w)
+    for x, y, number in inst.circles:
+        content[x, y] = f"({number})" if number is not None else "( )"
+    return _ascii_board(rmap.width, rmap.height,
+                        _walls(rmap.ids, rmap.width, rmap.height), content,
+                        cell_w)
 
 
 def render_numberlink_ascii(inst: NumberlinkInstance,
                             sol: Optional[NumberlinkSolution] = None) -> str:
-    hset = {(x, y) for x in range(inst.width)
-            for y in range(inst.height + 1)}
-    vset = {(x, y) for x in range(inst.width + 1)
-            for y in range(inst.height)}
     content: Dict[Cell, str] = {}
     if sol is not None:
         for _, path in sol.paths:
@@ -84,7 +83,10 @@ def render_numberlink_ascii(inst: NumberlinkInstance,
         content[a] = str(label)
         content[b] = str(label)
     cell_w = max(3, max(len(str(label)) for label, _, _ in inst.terminals) + 2)
-    return _ascii_board(inst.width, inst.height, hset, vset, content, cell_w)
+    # Every cell is a region of its own, so every grid line is drawn.
+    w, h = inst.width, inst.height
+    cells = [range(y * w, y * w + w) for y in range(h)]
+    return _ascii_board(w, h, _walls(cells, w, h), content, cell_w)
 
 
 def _svg_open(width: int, height: int) -> List[str]:
@@ -110,18 +112,22 @@ def _svg_grid(width: int, height: int) -> List[str]:
     return parts
 
 
-def _svg_walls(walls: Sequence[Wall], height: int) -> List[str]:
+def _svg_walls(walls: WallFlags, width: int, height: int) -> List[str]:
     u = _SVG_UNIT
+    hwalls, vwalls = walls
     parts = []
-    for wall in sorted(set(walls)):
-        if wall.kind == HORIZONTAL:
-            x1, y1 = wall.x * u, (height - wall.y) * u
-            x2, y2 = (wall.x + 1) * u, (height - wall.y) * u
-        else:
-            x1, y1 = wall.x * u, (height - wall.y) * u
-            x2, y2 = wall.x * u, (height - wall.y - 1) * u
-        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                     f'stroke="black" stroke-width="4"/>')
+    for x in range(width):
+        for y in range(height + 1):
+            if hwalls[y][x]:
+                parts.append(f'<line x1="{x * u}" y1="{(height - y) * u}" '
+                             f'x2="{(x + 1) * u}" y2="{(height - y) * u}" '
+                             f'stroke="black" stroke-width="4"/>')
+    for x in range(width + 1):
+        for y in range(height):
+            if vwalls[y][x]:
+                parts.append(f'<line x1="{x * u}" y1="{(height - y) * u}" '
+                             f'x2="{x * u}" y2="{(height - y - 1) * u}" '
+                             f'stroke="black" stroke-width="4"/>')
     return parts
 
 
@@ -154,9 +160,7 @@ def render_wataridori_svg(inst: WataridoriInstance,
     w, h = rmap.width, rmap.height
     parts = _svg_open(w, h)
     parts += _svg_grid(w, h)
-    boundary = [Wall(HORIZONTAL, x, y) for x in range(w) for y in (0, h)]
-    boundary += [Wall(VERTICAL, x, y) for x in (0, w) for y in range(h)]
-    parts += _svg_walls(list(walls_between_regions(rmap.ids)) + boundary, h)
+    parts += _svg_walls(_walls(rmap.ids, w, h), w, h)
     if sol is not None:
         parts += _svg_paths(sol.paths, h)
     for c in sorted(inst.circles, key=lambda c: (c.y, c.x)):
@@ -171,9 +175,8 @@ def render_numberlink_svg(inst: NumberlinkInstance,
     w, h = inst.width, inst.height
     parts = _svg_open(w, h)
     parts += _svg_grid(w, h)
-    boundary = [Wall(HORIZONTAL, x, y) for x in range(w) for y in (0, h)]
-    boundary += [Wall(VERTICAL, x, y) for x in (0, w) for y in range(h)]
-    parts += _svg_walls(boundary, h)
+    # One region covering the board leaves only its outer boundary.
+    parts += _svg_walls(_walls([[0] * w] * h, w, h), w, h)
     if sol is not None:
         parts += _svg_paths([path for _, path in sol.paths], h)
     u = _SVG_UNIT

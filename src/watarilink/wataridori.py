@@ -9,7 +9,8 @@ number on its endpoint circles (wildcard circles accept any total).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import documents as docs
 from . import errors
@@ -61,19 +62,21 @@ class SolveResult:
 
 
 def validate_instance(inst: WataridoriInstance) -> WataridoriInstance:
+    width, height = inst.width, inst.height
     seen = set()
-    for circle in inst.circles:
-        if not inst.regions.in_bounds(circle.cell):
+    for x, y, number in inst.circles:
+        cell = (x, y)
+        if not (0 <= x < width and 0 <= y < height):
             raise ValidationError("OUT_OF_BOUNDS",
-                                  f"circle at {circle.cell} outside grid")
-        if circle.cell in seen:
+                                  f"circle at {cell} outside grid")
+        if cell in seen:
             raise ValidationError("DUPLICATE_CIRCLE",
-                                  f"two circles on cell {circle.cell}")
-        seen.add(circle.cell)
-        if circle.number is not None and circle.number < 1:
+                                  f"two circles on cell {cell}")
+        seen.add(cell)
+        if number is not None and number < 1:
             raise ValidationError("BAD_NUMBER",
                                   f"circle number must be positive, got "
-                                  f"{circle.number}")
+                                  f"{number}")
     return inst
 
 
@@ -85,48 +88,53 @@ def verify_solution(inst: WataridoriInstance,
     exactly once, cell-disjointness, no region re-entry, run counts.
     """
     rmap = inst.regions
-    circle_at: Dict[Cell, Circle] = {c.cell: c for c in inst.circles}
+    paths = sol.paths
+    circle_at: Dict[Cell, Circle] = {c[:2]: c for c in inst.circles}
 
-    for idx, path in enumerate(sol.paths):
+    for idx, path in enumerate(paths):
         if not is_simple_orthogonal_path(path, rmap.width, rmap.height):
             cell = path[0] if path else None
             return reject(errors.BAD_PATH, path_index=idx, cell=cell,
                           detail="not a simple orthogonal path")
 
-    for idx, path in enumerate(sol.paths):
+    for idx, path in enumerate(paths):
         for end in (path[0], path[-1]):
             if end not in circle_at:
                 return reject(errors.ENDPOINT_NOT_CIRCLE, path_index=idx,
                               cell=end)
 
-    degree: Dict[Cell, int] = {c.cell: 0 for c in inst.circles}
-    for path in sol.paths:
+    degree: Dict[Cell, int] = dict.fromkeys(circle_at, 0)
+    for path in paths:
         degree[path[0]] += 1
         degree[path[-1]] += 1
-    for circle in inst.circles:
-        if degree[circle.cell] != 1:
-            return reject(errors.UNPAIRED_CIRCLE, cell=circle.cell,
-                          detail=f"circle is an endpoint of "
-                                 f"{degree[circle.cell]} paths")
+    for cell, count in degree.items():
+        if count != 1:
+            return reject(errors.UNPAIRED_CIRCLE, cell=cell,
+                          detail=f"circle is an endpoint of {count} paths")
 
-    owner: Dict[Cell, int] = {}
-    for idx, path in enumerate(sol.paths):
-        for cell in path:
-            if owner.setdefault(cell, idx) != idx:
-                return reject(errors.CELL_SHARED, path_index=idx, cell=cell)
+    # Each path is simple, so the paths are disjoint iff no cell repeats
+    # across them; the first shared cell is looked for only when one does.
+    if len(set(chain.from_iterable(paths))) != sum(map(len, paths)):
+        owner: Dict[Cell, int] = {}
+        for idx, path in enumerate(paths):
+            for cell in path:
+                if owner.setdefault(cell, idx) != idx:
+                    return reject(errors.CELL_SHARED, path_index=idx,
+                                  cell=cell)
 
-    for idx, path in enumerate(sol.paths):
+    for idx, path in enumerate(paths):
         runs = region_runs(path, rmap)
-        seen_rids = set()
-        for pos, rid in enumerate(runs):
-            if rid in seen_rids:
-                return reject(errors.REGION_REENTERED, path_index=idx,
-                              cell=_run_start(path, rmap, pos),
-                              detail=f"region {rid} entered twice")
-            seen_rids.add(rid)
+        r = len(runs)
+        if len(set(runs)) != r:
+            seen_rids = set()
+            for pos, rid in enumerate(runs):
+                if rid in seen_rids:
+                    return reject(errors.REGION_REENTERED, path_index=idx,
+                                  cell=_run_start(path, rmap, pos),
+                                  detail=f"region {rid} entered twice")
+                seen_rids.add(rid)
         a = circle_at[path[0]]
         b = circle_at[path[-1]]
-        r = len(runs)
         for circle in (a, b):
             if circle.number is not None and circle.number != r:
                 return reject(errors.COUNT_MISMATCH, path_index=idx,
@@ -281,8 +289,9 @@ def solve(inst: WataridoriInstance,
 
 # ------------------------------------------------------------- documents
 
-def parse_instance(text: str) -> WataridoriInstance:
-    doc = docs.require_object(docs.loads(text), "document")
+def parse_instance(text: Any) -> WataridoriInstance:
+    """Parse an instance document, given as JSON text or already decoded."""
+    doc = docs._document(text)
     docs.check_fields(doc, ["puzzle", "width", "height", "regions",
                             "circles"], [], "document")
     if doc["puzzle"] != "wataridori":
@@ -295,34 +304,49 @@ def parse_instance(text: str) -> WataridoriInstance:
     if len(rows) != height:
         raise ParseError("BAD_REGIONS", f"expected {height} region rows, "
                          f"got {len(rows)}", "regions")
-    parsed_rows = []
-    for i, row in enumerate(rows):
-        row = docs.as_list(row, f"regions[{i}]")
-        if len(row) != width:
-            raise ParseError("BAD_REGIONS",
-                             f"region row length {len(row)} != width {width}",
-                             f"regions[{i}]")
-        parsed_rows.append([docs.as_int(v, f"regions[{i}][{j}]")
-                            for j, v in enumerate(row)])
+    if docs._int_rows(rows, width):
+        parsed_rows = rows
+    else:
+        parsed_rows = []
+        for i, row in enumerate(rows):
+            row = docs.as_list(row, f"regions[{i}]")
+            if len(row) != width:
+                raise ParseError("BAD_REGIONS", f"region row length "
+                                 f"{len(row)} != width {width}",
+                                 f"regions[{i}]")
+            parsed_rows.append([docs.as_int(v, f"regions[{i}][{j}]")
+                                for j, v in enumerate(row)])
     try:
         rmap = region_map_from_rows(parsed_rows)
     except ValidationError as exc:
         raise ParseError(exc.code, exc.message, "regions")
-    circles = []
-    for i, entry in enumerate(docs.as_list(doc["circles"], "circles")):
-        loc = f"circles[{i}]"
-        entry = docs.require_object(entry, loc)
-        docs.check_fields(entry, ["x", "y"], ["number"], loc)
-        number = None
-        if "number" in entry:
-            number = docs.as_int(entry["number"], loc + ".number")
-        circles.append(Circle(docs.as_int(entry["x"], loc + ".x"),
-                              docs.as_int(entry["y"], loc + ".y"), number))
+    entries = docs.as_list(doc["circles"], "circles")
+    circles = None
+    if docs._all_objects(entries, ["x", "y"], ["number"]):
+        xs = [e["x"] for e in entries]
+        ys = [e["y"] for e in entries]
+        numbers = [e.get("number") for e in entries]
+        if docs._all_ints(xs) and docs._all_ints(ys) and docs._all_ints(
+                e["number"] for e in entries if "number" in e):
+            circles = list(map(Circle, xs, ys, numbers))
+    if circles is None:
+        circles = [_parse_circle(entry, f"circles[{i}]")
+                   for i, entry in enumerate(entries)]
     inst = WataridoriInstance(rmap, tuple(circles))
     try:
         return validate_instance(inst)
     except ValidationError as exc:
         raise ParseError(exc.code, exc.message, "circles")
+
+
+def _parse_circle(entry: Any, loc: str) -> Circle:
+    entry = docs.require_object(entry, loc)
+    docs.check_fields(entry, ["x", "y"], ["number"], loc)
+    number = None
+    if "number" in entry:
+        number = docs.as_int(entry["number"], loc + ".number")
+    return Circle(docs.as_int(entry["x"], loc + ".x"),
+                  docs.as_int(entry["y"], loc + ".y"), number)
 
 
 def serialize_instance(inst: WataridoriInstance) -> str:
@@ -343,15 +367,22 @@ def serialize_instance(inst: WataridoriInstance) -> str:
     return docs.dumps_canonical(doc)
 
 
-def parse_solution(text: str) -> WataridoriSolution:
-    doc = docs.require_object(docs.loads(text), "document")
+def parse_solution(text: Any) -> WataridoriSolution:
+    """Parse a solution document, given as JSON text or already decoded."""
+    doc = docs._document(text)
     docs.check_fields(doc, ["paths"], [], "document")
-    paths = []
-    for i, entry in enumerate(docs.as_list(doc["paths"], "paths")):
-        loc = f"paths[{i}]"
-        entry = docs.require_object(entry, loc)
-        docs.check_fields(entry, ["cells"], [], loc)
-        paths.append(tuple(docs.as_cells(entry["cells"], loc + ".cells")))
+    entries = docs.as_list(doc["paths"], "paths")
+    paths = None
+    if docs._all_objects(entries, ["cells"]):
+        paths = docs._cell_lists([entry["cells"] for entry in entries])
+    if paths is None:
+        paths = []
+        for i, entry in enumerate(entries):
+            loc = f"paths[{i}]"
+            entry = docs.require_object(entry, loc)
+            docs.check_fields(entry, ["cells"], [], loc)
+            paths.append(tuple(docs.as_cells(entry["cells"],
+                                             loc + ".cells")))
     return WataridoriSolution(tuple(paths))
 
 

@@ -9,8 +9,9 @@ candidates.
 from collections import deque
 
 from watarilink import numberlink as nl
+from watarilink import reduction as rd
 from watarilink import wataridori as wd
-from watarilink.grid import HORIZONTAL, VERTICAL
+from watarilink.grid import HORIZONTAL, VERTICAL, RegionMap, Wall
 
 
 def wall_blocks(walls, a, b):
@@ -44,6 +45,72 @@ def region_partition_by_reachability(walls, width, height):
             seen |= comp
             groups.append(frozenset(comp))
     return frozenset(groups)
+
+
+def regions_from_wall_set(walls, width, height):
+    """Reference region map: flood fill over (x, y) wall-tuple sets, the
+    construction the library used before its flat-array flood."""
+    hset = {(w[1], w[2]) for w in walls if w[0] == HORIZONTAL}
+    vset = {(w[1], w[2]) for w in walls if w[0] == VERTICAL}
+    ids = [[-1] * width for _ in range(height)]
+    count = 0
+    for sy in range(height - 1, -1, -1):
+        for sx in range(width):
+            if ids[sy][sx] != -1:
+                continue
+            stack = [(sx, sy)]
+            ids[sy][sx] = count
+            while stack:
+                x, y = stack.pop()
+                if y + 1 < height and ids[y + 1][x] == -1 \
+                        and (x, y + 1) not in hset:
+                    ids[y + 1][x] = count
+                    stack.append((x, y + 1))
+                if y > 0 and ids[y - 1][x] == -1 and (x, y) not in hset:
+                    ids[y - 1][x] = count
+                    stack.append((x, y - 1))
+                if x > 0 and ids[y][x - 1] == -1 and (x, y) not in vset:
+                    ids[y][x - 1] = count
+                    stack.append((x - 1, y))
+                if x + 1 < width and ids[y][x + 1] == -1 \
+                        and (x + 1, y) not in vset:
+                    ids[y][x + 1] = count
+                    stack.append((x + 1, y))
+            count += 1
+    return RegionMap(width=width, height=height,
+                     ids=tuple(tuple(row) for row in ids),
+                     region_count=count)
+
+
+def walls_between_regions(rows):
+    """Wall segments separating orthogonal neighbors with different ids."""
+    height, width = len(rows), len(rows[0])
+    walls = []
+    for y in range(height):
+        for x in range(width):
+            if x + 1 < width and rows[y][x] != rows[y][x + 1]:
+                walls.append(Wall(VERTICAL, x + 1, y))
+            if y + 1 < height and rows[y][x] != rows[y + 1][x]:
+                walls.append(Wall(HORIZONTAL, x, y + 1))
+    return walls
+
+
+def placed_template_walls(g):
+    """Union of every block template's walls, placed at its block of the
+    reduction of `g`, in target-grid coordinates."""
+    g = nl.validate_instance(g)
+    k = rd.choose_k(g.pair_count)
+    s = 4 * k + 5
+    label_at = {c: label for label, a, b in g.terminals for c in (a, b)}
+    walls = set()
+    for gy in range(g.height):
+        for gx in range(g.width):
+            label = label_at.get((gx, gy))
+            tpl = (rd.build_empty_block(k) if label is None else
+                   rd.build_number_block(k, rd.assigned_number(k, label)))
+            walls |= {Wall(kind, x + s * gx, y + s * gy)
+                      for kind, x, y in tpl.walls}
+    return walls
 
 
 def partition_of_region_map(rmap):

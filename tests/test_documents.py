@@ -1,0 +1,253 @@
+"""Parse-error parity: every malformed document names the same error code
+and location whichever parsing path handles it.
+
+The document parsers check whole lists at once and fall back to per-value
+checks on any miss.  EXPECTED was recorded with the per-value parsers alone,
+before the bulk checks existed, so these cases pin that the fallback still
+reports the first offending value exactly as before.
+"""
+
+import copy
+import json
+
+import pytest
+
+from conftest import fixture_json
+from watarilink import numberlink as nl
+from watarilink import reduction as rd
+from watarilink import wataridori as wd
+from watarilink.errors import ParseError
+
+DELETE = object()
+
+
+def _map_doc():
+    g = nl.validate_instance(nl.parse_instance(
+        json.dumps(fixture_json("numberlink_6x6.json"))))
+    return json.loads(rd.serialize_map(rd.reduce_instance(g)[1]))
+
+
+BASES = {
+    "wd_instance": lambda: fixture_json("wataridori_6x6.json"),
+    "wd_solution": lambda: fixture_json("wataridori_6x6_solution.json"),
+    "nl_instance": lambda: fixture_json("numberlink_6x6.json"),
+    "nl_solution": lambda: fixture_json("numberlink_6x6_solution.json"),
+    "map": _map_doc,
+}
+
+PARSERS = {
+    "wd_instance": wd.parse_instance,
+    "wd_solution": wd.parse_solution,
+    "nl_instance": nl.parse_instance,
+    "nl_solution": nl.parse_solution,
+    "map": rd.parse_map,
+}
+
+BAD_VALUES = {"bool": True, "float": 1.0, "null": None, "string": "1"}
+
+
+def _cases():
+    cases = []
+    for name, v in BAD_VALUES.items():
+        cases.append((f"wd_instance-region-{name}", "wd_instance",
+                      [(("regions", 2, 3), v)]))
+        for field in ("x", "y", "number"):
+            cases.append((f"wd_instance-circle-{field}-{name}",
+                          "wd_instance", [(("circles", 4, field), v)]))
+        cases.append((f"wd_solution-cell-{name}", "wd_solution",
+                      [(("paths", 2, "cells", 2, 0), v)]))
+        cases.append((f"nl_solution-cell-{name}", "nl_solution",
+                      [(("paths", 2, "cells", 1, 1), v)]))
+        cases.append((f"map-filler-{name}", "map",
+                      [(("filler_pairs", 5, 1, 0), v)]))
+        cases.append((f"map-center-{name}", "map",
+                      [(("blocks", 7, "center", 1), v)]))
+    for name, path in (("wd_solution", ("paths", 2, "cells", 2)),
+                       ("nl_solution", ("paths", 2, "cells", 1)),
+                       ("nl_instance", ("terminals", 1, "cells", 0)),
+                       ("map-filler", ("filler_pairs", 5, 1)),
+                       ("map-center", ("blocks", 7, "center"))):
+        kind = name.split("-")[0]
+        cases.append((f"{name}-cell-1-element", kind, [(path, [1])]))
+        cases.append((f"{name}-cell-3-element", kind, [(path, [1, 2, 3])]))
+        cases.append((f"{name}-cell-not-a-list", kind, [(path, 7)]))
+    cases += [
+        ("wd_instance-circle-unknown-field", "wd_instance",
+         [(("circles", 4, "color"), "red")]),
+        ("wd_instance-circle-missing-y", "wd_instance",
+         [(("circles", 6, "y"), DELETE)]),
+        ("wd_instance-circle-missing-x", "wd_instance",
+         [(("circles", 6, "x"), DELETE)]),
+        ("wd_instance-circle-not-an-object", "wd_instance",
+         [(("circles", 1), [0, 0])]),
+        ("wd_instance-circles-not-a-list", "wd_instance",
+         [(("circles",), "none")]),
+        ("wd_instance-region-row-not-a-list", "wd_instance",
+         [(("regions", 1), "row")]),
+        ("wd_instance-region-row-short", "wd_instance",
+         [(("regions", 4), [0, 0, 1, 1, 1])]),
+        ("wd_instance-regions-not-a-list", "wd_instance",
+         [(("regions",), {})]),
+        ("wd_instance-first-of-two-region-errors", "wd_instance",
+         [(("regions", 5, 1), None), (("regions", 0, 4), 2.0)]),
+        ("wd_instance-region-error-before-circle-error", "wd_instance",
+         [(("circles", 0, "x"), "0"), (("regions", 3, 3), True)]),
+        ("wd_instance-first-of-two-circle-errors", "wd_instance",
+         [(("circles", 9, "y"), 1.5), (("circles", 2, "number"), "3")]),
+        ("wd_solution-cells-not-a-list", "wd_solution",
+         [(("paths", 0, "cells"), "cells")]),
+        ("wd_solution-cells-object", "wd_solution",
+         [(("paths", 3, "cells"), {"x": 0})]),
+        ("wd_solution-path-unknown-field", "wd_solution",
+         [(("paths", 2, "label"), 1)]),
+        ("wd_solution-path-not-an-object", "wd_solution",
+         [(("paths", 2), [[0, 0], [0, 1]])]),
+        ("wd_solution-first-of-two-cell-errors", "wd_solution",
+         [(("paths", 4, "cells", 0), [0]),
+          (("paths", 1, "cells", 1, 1), None)]),
+        ("nl_instance-cells-not-a-list", "nl_instance",
+         [(("terminals", 2, "cells"), "cells")]),
+        ("nl_instance-label-bool", "nl_instance",
+         [(("terminals", 2, "label"), True)]),
+        ("nl_solution-cells-not-a-list", "nl_solution",
+         [(("paths", 0, "cells"), 5)]),
+        ("map-filler-pair-one-cell", "map",
+         [(("filler_pairs", 7), [[0, 0]])]),
+        ("map-filler-pair-three-cells", "map",
+         [(("filler_pairs", 7), [[0, 0], [1, 0], [2, 0]])]),
+        ("map-filler-pair-not-a-list", "map",
+         [(("filler_pairs", 7), "pair")]),
+        ("map-filler-pairs-not-a-list", "map",
+         [(("filler_pairs",), {"a": 1})]),
+        ("map-block-gx-bool", "map", [(("blocks", 3, "gx"), False)]),
+        ("map-block-label-float", "map", [(("blocks", 10, "label"), 1.0)]),
+        ("map-block-unknown-field", "map", [(("blocks", 2, "extra"), 1)]),
+        ("map-block-missing-label", "map",
+         [(("blocks", 2, "label"), DELETE)]),
+        ("map-assignment-string", "map",
+         [(("number_assignment", "1"), "11")]),
+        ("map-k-null", "map", [(("k",), None)]),
+    ]
+    return cases
+
+
+CASES = _cases()
+
+# (code, location) per case, as the per-value parsers reported them.
+EXPECTED = {
+    "wd_instance-region-bool": ("NOT_AN_INTEGER", "regions[2][3]"),
+    "wd_instance-circle-x-bool": ("NOT_AN_INTEGER", "circles[4].x"),
+    "wd_instance-circle-y-bool": ("NOT_AN_INTEGER", "circles[4].y"),
+    "wd_instance-circle-number-bool": ("NOT_AN_INTEGER", "circles[4].number"),
+    "wd_solution-cell-bool": ("NOT_AN_INTEGER", "paths[2].cells[2][0]"),
+    "nl_solution-cell-bool": ("NOT_AN_INTEGER", "paths[2].cells[1][1]"),
+    "map-filler-bool": ("NOT_AN_INTEGER", "filler_pairs[5][1][0]"),
+    "map-center-bool": ("NOT_AN_INTEGER", "blocks[7].center[1]"),
+    "wd_instance-region-float": ("NOT_AN_INTEGER", "regions[2][3]"),
+    "wd_instance-circle-x-float": ("NOT_AN_INTEGER", "circles[4].x"),
+    "wd_instance-circle-y-float": ("NOT_AN_INTEGER", "circles[4].y"),
+    "wd_instance-circle-number-float": ("NOT_AN_INTEGER", "circles[4].number"),
+    "wd_solution-cell-float": ("NOT_AN_INTEGER", "paths[2].cells[2][0]"),
+    "nl_solution-cell-float": ("NOT_AN_INTEGER", "paths[2].cells[1][1]"),
+    "map-filler-float": ("NOT_AN_INTEGER", "filler_pairs[5][1][0]"),
+    "map-center-float": ("NOT_AN_INTEGER", "blocks[7].center[1]"),
+    "wd_instance-region-null": ("NOT_AN_INTEGER", "regions[2][3]"),
+    "wd_instance-circle-x-null": ("NOT_AN_INTEGER", "circles[4].x"),
+    "wd_instance-circle-y-null": ("NOT_AN_INTEGER", "circles[4].y"),
+    "wd_instance-circle-number-null": ("NOT_AN_INTEGER", "circles[4].number"),
+    "wd_solution-cell-null": ("NOT_AN_INTEGER", "paths[2].cells[2][0]"),
+    "nl_solution-cell-null": ("NOT_AN_INTEGER", "paths[2].cells[1][1]"),
+    "map-filler-null": ("NOT_AN_INTEGER", "filler_pairs[5][1][0]"),
+    "map-center-null": ("NOT_AN_INTEGER", "blocks[7].center[1]"),
+    "wd_instance-region-string": ("NOT_AN_INTEGER", "regions[2][3]"),
+    "wd_instance-circle-x-string": ("NOT_AN_INTEGER", "circles[4].x"),
+    "wd_instance-circle-y-string": ("NOT_AN_INTEGER", "circles[4].y"),
+    "wd_instance-circle-number-string":
+        ("NOT_AN_INTEGER", "circles[4].number"),
+    "wd_solution-cell-string": ("NOT_AN_INTEGER", "paths[2].cells[2][0]"),
+    "nl_solution-cell-string": ("NOT_AN_INTEGER", "paths[2].cells[1][1]"),
+    "map-filler-string": ("NOT_AN_INTEGER", "filler_pairs[5][1][0]"),
+    "map-center-string": ("NOT_AN_INTEGER", "blocks[7].center[1]"),
+    "wd_solution-cell-1-element": ("NOT_A_CELL", "paths[2].cells[2]"),
+    "wd_solution-cell-3-element": ("NOT_A_CELL", "paths[2].cells[2]"),
+    "wd_solution-cell-not-a-list": ("NOT_A_CELL", "paths[2].cells[2]"),
+    "nl_solution-cell-1-element": ("NOT_A_CELL", "paths[2].cells[1]"),
+    "nl_solution-cell-3-element": ("NOT_A_CELL", "paths[2].cells[1]"),
+    "nl_solution-cell-not-a-list": ("NOT_A_CELL", "paths[2].cells[1]"),
+    "nl_instance-cell-1-element": ("NOT_A_CELL", "terminals[1].cells[0]"),
+    "nl_instance-cell-3-element": ("NOT_A_CELL", "terminals[1].cells[0]"),
+    "nl_instance-cell-not-a-list": ("NOT_A_CELL", "terminals[1].cells[0]"),
+    "map-filler-cell-1-element": ("NOT_A_CELL", "filler_pairs[5][1]"),
+    "map-filler-cell-3-element": ("NOT_A_CELL", "filler_pairs[5][1]"),
+    "map-filler-cell-not-a-list": ("NOT_A_CELL", "filler_pairs[5][1]"),
+    "map-center-cell-1-element": ("NOT_A_CELL", "blocks[7].center"),
+    "map-center-cell-3-element": ("NOT_A_CELL", "blocks[7].center"),
+    "map-center-cell-not-a-list": ("NOT_A_CELL", "blocks[7].center"),
+    "wd_instance-circle-unknown-field": ("UNKNOWN_FIELD", "circles[4]"),
+    "wd_instance-circle-missing-y": ("MISSING_FIELD", "circles[6]"),
+    "wd_instance-circle-missing-x": ("MISSING_FIELD", "circles[6]"),
+    "wd_instance-circle-not-an-object": ("NOT_AN_OBJECT", "circles[1]"),
+    "wd_instance-circles-not-a-list": ("NOT_A_LIST", "circles"),
+    "wd_instance-region-row-not-a-list": ("NOT_A_LIST", "regions[1]"),
+    "wd_instance-region-row-short": ("BAD_REGIONS", "regions[4]"),
+    "wd_instance-regions-not-a-list": ("NOT_A_LIST", "regions"),
+    "wd_instance-first-of-two-region-errors":
+        ("NOT_AN_INTEGER", "regions[0][4]"),
+    "wd_instance-region-error-before-circle-error":
+        ("NOT_AN_INTEGER", "regions[3][3]"),
+    "wd_instance-first-of-two-circle-errors":
+        ("NOT_AN_INTEGER", "circles[2].number"),
+    "wd_solution-cells-not-a-list": ("NOT_A_LIST", "paths[0].cells"),
+    "wd_solution-cells-object": ("NOT_A_LIST", "paths[3].cells"),
+    "wd_solution-path-unknown-field": ("UNKNOWN_FIELD", "paths[2]"),
+    "wd_solution-path-not-an-object": ("NOT_AN_OBJECT", "paths[2]"),
+    "wd_solution-first-of-two-cell-errors":
+        ("NOT_AN_INTEGER", "paths[1].cells[1][1]"),
+    "nl_instance-cells-not-a-list": ("NOT_A_LIST", "terminals[2].cells"),
+    "nl_instance-label-bool": ("NOT_AN_INTEGER", "terminals[2].label"),
+    "nl_solution-cells-not-a-list": ("NOT_A_LIST", "paths[0].cells"),
+    "map-filler-pair-one-cell": ("BAD_PAIR", "filler_pairs[7]"),
+    "map-filler-pair-three-cells": ("BAD_PAIR", "filler_pairs[7]"),
+    "map-filler-pair-not-a-list": ("NOT_A_LIST", "filler_pairs[7]"),
+    "map-filler-pairs-not-a-list": ("NOT_A_LIST", "filler_pairs"),
+    "map-block-gx-bool": ("NOT_AN_INTEGER", "blocks[3].gx"),
+    "map-block-label-float": ("NOT_AN_INTEGER", "blocks[10].label"),
+    "map-block-unknown-field": ("UNKNOWN_FIELD", "blocks[2]"),
+    "map-block-missing-label": ("MISSING_FIELD", "blocks[2]"),
+    "map-assignment-string": ("NOT_AN_INTEGER", "number_assignment[1]"),
+    "map-k-null": ("NOT_AN_INTEGER", "k"),
+}
+
+
+def _edited(kind, edits):
+    doc = copy.deepcopy(BASES[kind]())
+    for path, value in edits:
+        obj = doc
+        for key in path[:-1]:
+            obj = obj[key]
+        if value is DELETE:
+            del obj[path[-1]]
+        else:
+            obj[path[-1]] = value
+    return doc
+
+
+def test_every_case_has_an_expectation():
+    assert sorted(name for name, _, _ in CASES) == sorted(EXPECTED)
+
+
+@pytest.mark.parametrize("name,kind,edits", CASES,
+                         ids=[name for name, _, _ in CASES])
+def test_parse_error_code_and_location(name, kind, edits):
+    doc = _edited(kind, edits)
+    # Text and an already decoded document take the same checks.
+    for source in (json.dumps(doc), doc):
+        with pytest.raises(ParseError) as err:
+            PARSERS[kind](source)
+        assert (err.value.code, err.value.location) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_unedited_documents_parse(kind):
+    doc = BASES[kind]()
+    assert PARSERS[kind](json.dumps(doc)) == PARSERS[kind](doc)

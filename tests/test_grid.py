@@ -101,6 +101,28 @@ def test_regions_agree_with_reachability_oracle(data):
     assert region_map_from_rows(rmap.ids) == rmap
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rows_disconnected_exactly_when_oracle_splits_an_id(data):
+    width = data.draw(st.integers(1, 6), label="width")
+    height = data.draw(st.integers(1, 6), label="height")
+    raw = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=width,
+                                      max_size=width),
+                             min_size=height, max_size=height), label="ids")
+    dense = {}
+    rows = [[dense.setdefault(v, len(dense)) for v in row] for row in raw]
+    walls = oracles.walls_between_regions(rows)
+    want = oracles.region_partition_by_reachability(walls, width, height)
+    if len(want) > len(dense):
+        with pytest.raises(ValidationError) as err:
+            region_map_from_rows(rows)
+        assert err.value.code == "REGION_NOT_CONNECTED"
+    else:
+        rmap = region_map_from_rows(rows)
+        assert oracles.partition_of_region_map(rmap) == want
+        assert rmap == oracles.regions_from_wall_set(walls, width, height)
+
+
 class TestRegionMapFromRows:
     def test_relabels_to_canonical_order(self):
         rmap = region_map_from_rows([[1, 0], [1, 0]])

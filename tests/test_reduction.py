@@ -1,13 +1,19 @@
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_json
+import oracles
+from conftest import fixture_json, fixture_text
+from watarilink import lifting
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
+from watarilink import render
+from watarilink import wataridori as wd
 from watarilink.errors import ValidationError
-from watarilink.grid import Wall
+from watarilink.grid import Wall, regions_from_walls
 
 
 def template_as_doc(tpl):
@@ -262,6 +268,66 @@ class TestReduce:
             seen.update((a, b))
         ones = {c.cell for c in h.circles if c.number == 1}
         assert seen == ones
+
+
+@pytest.mark.parametrize("pairs", [1, 4, 6])    # k = 1, 2, 3
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_regions_equal_flood_of_placed_template_walls(pairs, data):
+    # Sources up to 4x4 with room for 2 * pairs terminals.
+    width = data.draw(st.integers(-(-pairs // 2), 4), label="width")
+    height = data.draw(st.integers(-(-2 * pairs // width), 4),
+                       label="height")
+    cells = data.draw(st.permutations(
+        [(x, y) for x in range(width) for y in range(height)]), label="cells")
+    g = nl.NumberlinkInstance(width, height, tuple(
+        (i + 1, cells[2 * i], cells[2 * i + 1]) for i in range(pairs)))
+    h, rmap = rd.reduce_instance(g)
+    assert rmap.k == rd.choose_k(pairs)
+    walls = oracles.placed_template_walls(g)
+    assert h.regions == regions_from_walls(walls, h.width, h.height)
+    assert h.regions == oracles.regions_from_wall_set(walls, h.width,
+                                                      h.height)
+
+
+class TestGolden:
+    """The reduction of the bundled 6x6 source and its renders, pinned
+    byte for byte (sha256 of the text)."""
+
+    DIGESTS = {
+        "instance":
+            "1f1b7cce91f28c9120f1124484419fb2cb934628d71f844b1d314012ea2ff828",
+        "map":
+            "21cdb8c0ec708a462906872b9182292e2c75fcbc61816c4cb7ad7b2eff186363",
+        "ascii":
+            "dc95ef1f46dfbb4ecb55827c7811d4bdb5790493f1380ad50cfe73e83ff80eff",
+        "ascii_lifted":
+            "34a8bcd8b34520608c250695d9e93ca34f209e9adce7cbd1ba265f8f46e7d63b",
+        "svg_lifted":
+            "78ff8c1247584b45795f4442eec2a2fa895b6d9bda049d8bdc42ba3fec54c69f",
+        "source_ascii":
+            "85634b702e5cb11da7a1216c75882c7d98ddf76f14f39901841d999ab57315e5",
+        "source_svg":
+            "d80b89865f4b0cf89b803eb862a5d8eec8515a54c9d64ac2554e6272d90106cb",
+    }
+
+    def test_digests(self, sample_numberlink):
+        g = sample_numberlink
+        g_sol = nl.parse_solution(fixture_text("numberlink_6x6_solution.json"))
+        h, rmap = rd.reduce_instance(g)
+        h_sol = lifting.lift(g, g_sol, rmap)
+        texts = {
+            "instance": wd.serialize_instance(h),
+            "map": rd.serialize_map(rmap),
+            "ascii": render.render_wataridori_ascii(h),
+            "ascii_lifted": render.render_wataridori_ascii(h, h_sol),
+            "svg_lifted": render.render_wataridori_svg(h, h_sol),
+            "source_ascii": render.render_numberlink_ascii(g, g_sol),
+            "source_svg": render.render_numberlink_svg(g, g_sol),
+        }
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in texts.items()}
+        assert digests == self.DIGESTS
 
 
 class TestMapDocuments:
