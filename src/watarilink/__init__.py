@@ -9,9 +9,9 @@ lifting in both directions.
 """
 
 from .errors import ParseError, PuzzleError, ValidationError, Verdict
-from .grid import (Cell, Path, RegionMap, Wall, is_simple_orthogonal_path,
-                   orthogonal_neighbors, paths_pairwise_disjoint,
-                   region_runs, regions_from_walls)
+from .grid import (Cell, Path, RegionMap, Wall, first_shared_cell,
+                   is_simple_orthogonal_path, region_runs,
+                   regions_from_walls)
 from .lifting import ArmRoute, lift, route_arm, unlift, zigzag_split
 from .numberlink import NumberlinkInstance, NumberlinkSolution
 from .reduction import (BlockTemplate, ReductionMap, build_empty_block,
@@ -25,7 +25,7 @@ __all__ = [
     "NumberlinkSolution", "ParseError", "Path", "PuzzleError", "ReductionMap",
     "RegionMap", "ValidationError", "Verdict", "Wall", "WataridoriInstance",
     "WataridoriSolution", "build_empty_block", "build_number_block",
-    "choose_k", "is_simple_orthogonal_path", "lift", "orthogonal_neighbors",
-    "paths_pairwise_disjoint", "reduce_instance", "region_runs",
-    "regions_from_walls", "route_arm", "unlift", "zigzag_split",
+    "choose_k", "first_shared_cell", "is_simple_orthogonal_path", "lift",
+    "reduce_instance", "region_runs", "regions_from_walls", "route_arm",
+    "unlift", "zigzag_split",
 ]

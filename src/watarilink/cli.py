@@ -114,7 +114,7 @@ def cmd_lift(args) -> int:
 def cmd_unlift(args) -> int:
     h_sol = wataridori.parse_solution(_read(args.solution))
     rmap = reduction.parse_map(_read(args.map))
-    _, h = reduction.reconstruct(rmap)
+    h, _ = reduction.reduce_instance(rmap.source)
     verdict = wataridori.verify_solution(h, h_sol)
     if not verdict:
         print(str(verdict))

@@ -101,12 +101,10 @@ def _is_cell_list(value: Any) -> bool:
     return type(value) is list and _int_rows(value, 2)
 
 
-def _cell_lists(values: Sequence[Any], size: Optional[int] = None
-                ) -> Optional[List[Tuple[Cell, ...]]]:
+def _cell_lists(values: Sequence[Any]) -> Optional[List[Tuple[Cell, ...]]]:
     """Each value as a tuple of cells when every value is a list of
-    [x, y] integer lists (of `size` cells, if given), else None."""
+    [x, y] integer lists, else None."""
     if set(map(type, values)) <= _LIST \
-            and (size is None or set(map(len, values)) <= {size}) \
             and _is_cell_list(list(chain.from_iterable(values))):
         return [tuple(map(tuple, v)) for v in values]
     return None

@@ -26,7 +26,13 @@ class ParseError(PuzzleError):
 
     def __init__(self, code: str, message: str, location: str = "document"):
         super().__init__(code, f"{message} (at {location})")
+        self.detail = message
         self.location = location
+
+    def under(self, field: str) -> "ParseError":
+        """The same error, located in `field` of an enclosing document."""
+        inner = "" if self.location == "document" else "." + self.location
+        return ParseError(self.code, self.detail, field + inner)
 
 
 # Rule codes shared by the two verifiers.

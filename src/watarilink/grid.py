@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import eq
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .errors import ValidationError
 
@@ -33,19 +34,6 @@ class Wall(NamedTuple):
     y: int
 
 
-def orthogonal_neighbors(cell: Cell, width: int, height: int) -> List[Cell]:
-    """In-bounds neighbors of `cell` in fixed order: up, down, left, right."""
-    x, y = cell
-    if not (0 <= x < width and 0 <= y < height):
-        raise ValidationError("OUT_OF_BOUNDS",
-                              f"cell {cell} outside {width}x{height} grid")
-    out = []
-    for nx, ny in ((x, y + 1), (x, y - 1), (x - 1, y), (x + 1, y)):
-        if 0 <= nx < width and 0 <= ny < height:
-            out.append((nx, ny))
-    return out
-
-
 def is_simple_orthogonal_path(cells: Sequence[Cell], width: int,
                               height: int) -> bool:
     """True iff `cells` is an in-bounds simple path of unit orthogonal steps."""
@@ -66,14 +54,20 @@ def is_simple_orthogonal_path(cells: Sequence[Cell], width: int,
     return True
 
 
-def paths_pairwise_disjoint(paths: Sequence[Sequence[Cell]]) -> bool:
-    """True iff no cell occurs in two distinct paths."""
-    owner = {}
+def first_shared_cell(paths: Sequence[Sequence[Cell]]
+                      ) -> Optional[Tuple[int, Cell]]:
+    """The first cell found on two of `paths`, as (index of the later
+    path, cell), or None when the paths are pairwise disjoint."""
+    # Simple paths are disjoint iff no cell repeats across them, which one
+    # set comparison settles; the offender is looked for only when one does.
+    if len(set(chain.from_iterable(paths))) == sum(map(len, paths)):
+        return None
+    owner: Dict[Cell, int] = {}
     for idx, path in enumerate(paths):
         for cell in path:
             if owner.setdefault(cell, idx) != idx:
-                return False
-    return True
+                return idx, cell
+    return None
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import ValidationError
 from .grid import Cell, Path
 from .numberlink import (NumberlinkInstance, NumberlinkSolution,
-                         normalize_solution, verify_solution)
-from .reduction import (NUMBER, ReductionMap, _rot_cell,
-                        source_instance_from_map)
+                         normalize_solution, validate_instance,
+                         verify_solution)
+from .reduction import ReductionMap, _rot_cell
 from .wataridori import WataridoriSolution
 
 EAST = "east"
@@ -118,6 +118,9 @@ def _offset(cells: Sequence[Cell], ox: int, oy: int) -> List[Cell]:
 def lift(g: NumberlinkInstance, sol: NumberlinkSolution,
          rmap: ReductionMap) -> WataridoriSolution:
     """Map a verified source solution onto the reduced instance."""
+    if validate_instance(g) != rmap.source:
+        raise ValidationError("MAP_MISMATCH",
+                              "the map was made from another source instance")
     verdict = verify_solution(g, sol)
     if not verdict:
         raise ValidationError("LIFT_PRECONDITION",
@@ -153,12 +156,12 @@ def unlift(sol: WataridoriSolution, rmap: ReductionMap) -> NumberlinkSolution:
     a single maximal run and start/end at the matching terminal blocks.
     The result is verified against the source instance before returning.
     """
-    g = source_instance_from_map(rmap)
+    g = rmap.source
     s = rmap.block_size
-    center_label: Dict[Cell, int] = {}
-    for block in rmap.blocks:
-        if block.kind == NUMBER:
-            center_label[block.center] = block.label
+    c = 2 * rmap.k + 2
+    center_label: Dict[Cell, int] = {
+        (s * x + c, s * y + c): label
+        for label, a, b in g.terminals for x, y in (a, b)}
 
     recovered: Dict[int, Path] = {}
     for path in sol.paths:

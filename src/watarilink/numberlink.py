@@ -8,12 +8,13 @@ Full coverage can be demanded at verification time with a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import documents as docs
 from . import errors
 from .errors import ParseError, ValidationError, Verdict, accept, reject
-from .grid import Cell, Path, is_simple_orthogonal_path
+from .grid import Cell, Path, first_shared_cell, is_simple_orthogonal_path
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -123,14 +124,14 @@ def verify_solution(inst: NumberlinkInstance, sol: NumberlinkSolution,
                 return reject(errors.TERMINAL_CROSSED, path_index=idx,
                               cell=cell)
 
-    owner: Dict[Cell, int] = {}
-    for idx, (_, path) in enumerate(sol.paths):
-        for cell in path:
-            if owner.setdefault(cell, idx) != idx:
-                return reject(errors.CELL_SHARED, path_index=idx, cell=cell)
+    paths = [path for _, path in sol.paths]
+    shared = first_shared_cell(paths)
+    if shared is not None:
+        return reject(errors.CELL_SHARED, path_index=shared[0],
+                      cell=shared[1])
 
     if require_full_coverage:
-        covered = set(owner)
+        covered = set(chain.from_iterable(paths))
         for y in range(inst.height - 1, -1, -1):
             for x in range(inst.width):
                 if (x, y) not in covered:
@@ -289,8 +290,8 @@ def parse_instance(text: Any) -> NumberlinkInstance:
     return NumberlinkInstance(width, height, tuple(terminals))
 
 
-def serialize_instance(inst: NumberlinkInstance) -> str:
-    doc = {
+def _instance_document(inst: NumberlinkInstance) -> dict:
+    return {
         "puzzle": "numberlink",
         "width": inst.width,
         "height": inst.height,
@@ -299,7 +300,10 @@ def serialize_instance(inst: NumberlinkInstance) -> str:
             for label, a, b in inst.terminals
         ],
     }
-    return docs.dumps_canonical(doc)
+
+
+def serialize_instance(inst: NumberlinkInstance) -> str:
+    return docs.dumps_canonical(_instance_document(inst))
 
 
 def parse_solution(text: Any) -> NumberlinkSolution:

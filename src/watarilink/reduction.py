@@ -24,17 +24,22 @@ pairing of the source puzzle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Set, Tuple, TypeVar)
 
 from . import documents as docs
 from .errors import ParseError, ValidationError
 from .grid import (Cell, HORIZONTAL, VERTICAL, RegionMap, Wall, _flood,
                    regions_from_walls)
-from .numberlink import NumberlinkInstance, validate_instance
+from .numberlink import (NumberlinkInstance, _instance_document,
+                         parse_instance, validate_instance)
 from .wataridori import Circle, WataridoriInstance
 
 NUMBER = "number"
 EMPTY = "empty"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -51,38 +56,31 @@ class BlockTemplate:
 
 
 @dataclass(frozen=True)
-class BlockPlacement:
-    gx: int
-    gy: int
-    kind: str
-    label: Optional[int] = None
-    center: Optional[Cell] = None  # in target-grid coordinates
-
-
-@dataclass(frozen=True)
 class ReductionMap:
-    """Everything needed to relate the source and target instances."""
+    """What relates a source instance to its reduction: the validated
+    source and the ladder parameter k.  Everything else the reduction
+    placed is derived from those two."""
 
     k: int
-    block_size: int
-    g_width: int
-    g_height: int
-    blocks: Tuple[BlockPlacement, ...]
-    number_assignment: Tuple[Tuple[int, int], ...]  # (label, circle number)
-    filler_pairs: Tuple[Tuple[Cell, Cell], ...]     # target coordinates
+    source: NumberlinkInstance
 
-    def assigned_number(self, label: int) -> int:
-        for lab, num in self.number_assignment:
-            if lab == label:
-                return num
-        raise ValidationError("UNKNOWN_LABEL", f"no assignment for {label}")
+    @property
+    def block_size(self) -> int:
+        return 4 * self.k + 5
 
-    def label_of_number(self, number: int) -> int:
-        for lab, num in self.number_assignment:
-            if num == number:
-                return lab
-        raise ValidationError("UNKNOWN_NUMBER",
-                              f"no label assigned the number {number}")
+    @property
+    def number_assignment(self) -> Tuple[Tuple[int, int], ...]:
+        """(label, center circle number) per source label."""
+        return tuple((label, assigned_number(self.k, label))
+                     for label, _, _ in self.source.terminals)
+
+    @property
+    def filler_pairs(self) -> Tuple[Tuple[Cell, Cell], ...]:
+        """Every pre-matched filler pair, in target-grid coordinates."""
+        return tuple(((ax + ox, ay + oy), (bx + ox, by + oy))
+                     for ox, oy, pairs in _block_walk(
+                         self.source, self.k, attrgetter("filler_pairs"))
+                     for (ax, ay), (bx, by) in pairs)
 
 
 def choose_k(pair_count: int) -> int:
@@ -262,6 +260,28 @@ def _cut_offsets(tpl: BlockTemplate,
     return right, up
 
 
+def _block_walk(g: NumberlinkInstance, k: int,
+                prepare: Callable[[BlockTemplate], T]
+                ) -> Iterator[Tuple[int, int, T]]:
+    """The blocks of g's reduction, bottom row first, left to right: each
+    block's bottom-left cell in the target grid and `prepare` applied to
+    its template, which runs once per distinct template."""
+    s = 4 * k + 5
+    label_at: Dict[Cell, int] = {}
+    for label, a, b in g.terminals:
+        label_at[a] = label
+        label_at[b] = label
+    prepared: Dict[Optional[int], T] = {}
+    for gy in range(g.height):
+        for gx in range(g.width):
+            label = label_at.get((gx, gy))
+            if label not in prepared:
+                prepared[label] = prepare(
+                    build_empty_block(k) if label is None
+                    else build_number_block(k, assigned_number(k, label)))
+            yield s * gx, s * gy, prepared[label]
+
+
 def reduce_instance(g: NumberlinkInstance
                     ) -> Tuple[WataridoriInstance, ReductionMap]:
     """Build the equivalent Wataridori instance plus the relating map."""
@@ -271,166 +291,61 @@ def reduce_instance(g: NumberlinkInstance
     s = 4 * k + 5
     width, height = s * g.width, s * g.height
 
-    label_at: Dict[Cell, int] = {}
-    for label, a, b in g.terminals:
-        label_at[a] = label
-        label_at[b] = label
-
-    # Center number (None for an empty block) -> template and its cuts.
-    templates: Dict[Optional[int],
-                    Tuple[BlockTemplate, List[int], List[int]]] = {}
-
     # Every join starts open; each placed block cuts its own walls.  A
     # block wall on the outer boundary cuts a join across the grid's edge,
     # which _flood ignores.
     right = bytearray(b"\x01") * (width * height)
     up = bytearray(b"\x01") * (width * height)
     circle_at: List[Optional[Circle]] = [None] * (width * height)
-    placements: List[BlockPlacement] = []
-    filler_pairs: List[Tuple[Cell, Cell]] = []
-
-    for gy in range(g.height):
-        for gx in range(g.width):
-            ox, oy = s * gx, s * gy
-            label = label_at.get((gx, gy))
-            num = None if label is None else assigned_number(k, label)
-            if num not in templates:
-                tpl = (build_empty_block(k) if num is None
-                       else build_number_block(k, num))
-                templates[num] = (tpl, *_cut_offsets(tpl, width))
-            tpl, right_cuts, up_cuts = templates[num]
-            if label is None:
-                placements.append(BlockPlacement(gx, gy, EMPTY))
-            else:
-                placements.append(BlockPlacement(
-                    gx, gy, NUMBER, label=label,
-                    center=(tpl.center[0] + ox, tpl.center[1] + oy)))
-            base = oy * width + ox
-            for i in right_cuts:
-                right[base + i] = 0
-            for i in up_cuts:
-                up[base + i] = 0
-            for x, y, number in tpl.circles:
-                circle_at[(y + oy) * width + x + ox] = Circle(x + ox, y + oy,
-                                                              number)
-            for a, b in tpl.filler_pairs:
-                filler_pairs.append(((a[0] + ox, a[1] + oy),
-                                     (b[0] + ox, b[1] + oy)))
+    for ox, oy, (tpl, right_cuts, up_cuts) in _block_walk(
+            g, k, lambda tpl: (tpl, *_cut_offsets(tpl, width))):
+        base = oy * width + ox
+        for i in right_cuts:
+            right[base + i] = 0
+        for i in up_cuts:
+            up[base + i] = 0
+        for x, y, number in tpl.circles:
+            circle_at[(y + oy) * width + x + ox] = Circle(x + ox, y + oy,
+                                                          number)
 
     # Cell index order is (y, x) order, the order circles are kept in.
     h = WataridoriInstance(_flood(width, height, right, up),
                            tuple(filter(None, circle_at)))
-    rmap_doc = ReductionMap(
-        k=k, block_size=s, g_width=g.width, g_height=g.height,
-        blocks=tuple(placements),
-        number_assignment=tuple((label, assigned_number(k, label))
-                                for label, _, _ in g.terminals),
-        filler_pairs=tuple(filler_pairs))
-    return h, rmap_doc
-
-
-def source_instance_from_map(rmap: ReductionMap) -> NumberlinkInstance:
-    """Recover the source Numberlink instance recorded in a reduction map."""
-    by_label: Dict[int, List[Cell]] = {}
-    for block in rmap.blocks:
-        if block.kind == NUMBER:
-            by_label.setdefault(block.label, []).append((block.gx, block.gy))
-    terminals = []
-    for label in sorted(by_label):
-        cells = by_label[label]
-        if len(cells) != 2:
-            raise ValidationError("BAD_MAP",
-                                  f"label {label} has {len(cells)} blocks")
-        terminals.append((label, cells[0], cells[1]))
-    return validate_instance(
-        NumberlinkInstance(rmap.g_width, rmap.g_height, tuple(terminals)))
-
-
-def reconstruct(rmap: ReductionMap
-                ) -> Tuple[NumberlinkInstance, WataridoriInstance]:
-    """Rebuild both instances a reduction map was produced from."""
-    g = source_instance_from_map(rmap)
-    h, rebuilt = reduce_instance(g)
-    if rebuilt != rmap:
-        raise ValidationError("BAD_MAP",
-                              "map does not match its own reconstruction")
-    return g, h
+    return h, ReductionMap(k, g)
 
 
 # ------------------------------------------------------------- documents
 
+MAP_VERSION = 2
+
+
 def parse_map(text: Any) -> ReductionMap:
-    """Parse a map document, given as JSON text or already decoded."""
+    """Parse a map document, given as JSON text or already decoded.
+
+    The source instance is validated, and k must be the one the reduction
+    chooses for it.
+    """
     doc = docs._document(text)
-    docs.check_fields(doc, ["k", "block_size", "g_width", "g_height",
-                            "blocks", "number_assignment", "filler_pairs"],
-                      [], "document")
-    blocks = []
-    for i, entry in enumerate(docs.as_list(doc["blocks"], "blocks")):
-        loc = f"blocks[{i}]"
-        entry = docs.require_object(entry, loc)
-        docs.check_fields(entry, ["gx", "gy", "kind", "label", "center"],
-                          [], loc)
-        kind = entry["kind"]
-        if kind not in (NUMBER, EMPTY):
-            raise ParseError("BAD_KIND", f"unknown block kind {kind!r}", loc)
-        label = entry["label"]
-        center = entry["center"]
-        if kind == NUMBER:
-            label = docs.as_int(label, loc + ".label")
-            center = docs.as_cell(center, loc + ".center")
-        elif label is not None or center is not None:
-            raise ParseError("BAD_KIND",
-                             "empty blocks carry no label or center", loc)
-        blocks.append(BlockPlacement(
-            docs.as_int(entry["gx"], loc + ".gx"),
-            docs.as_int(entry["gy"], loc + ".gy"), kind, label, center))
-    assignment_doc = docs.require_object(doc["number_assignment"],
-                                         "number_assignment")
-    assignment = []
-    for key, value in assignment_doc.items():
-        try:
-            label = int(key)
-        except ValueError:
-            raise ParseError("BAD_LABEL", f"non-integer label {key!r}",
-                             "number_assignment")
-        assignment.append((label,
-                           docs.as_int(value, f"number_assignment[{key}]")))
-    assignment.sort()
-    entries = docs.as_list(doc["filler_pairs"], "filler_pairs")
-    fillers = docs._cell_lists(entries, 2)
-    if fillers is None:
-        fillers = []
-        for i, entry in enumerate(entries):
-            loc = f"filler_pairs[{i}]"
-            cells = docs.as_cells(entry, loc)
-            if len(cells) != 2:
-                raise ParseError("BAD_PAIR", "filler pair needs two cells",
-                                 loc)
-            fillers.append((cells[0], cells[1]))
-    return ReductionMap(
-        k=docs.as_int(doc["k"], "k"),
-        block_size=docs.as_int(doc["block_size"], "block_size"),
-        g_width=docs.as_int(doc["g_width"], "g_width"),
-        g_height=docs.as_int(doc["g_height"], "g_height"),
-        blocks=tuple(blocks),
-        number_assignment=tuple(assignment),
-        filler_pairs=tuple(fillers))
+    version = doc.get("version")
+    if type(version) is not int or version != MAP_VERSION:
+        raise ParseError("BAD_VERSION",
+                         f"expected map version {MAP_VERSION}, got "
+                         f"{version!r}; make older maps again with 'reduce'",
+                         "version")
+    docs.check_fields(doc, ["version", "k", "source"], [], "document")
+    k = docs.as_int(doc["k"], "k")
+    source = docs.require_object(doc["source"], "source")
+    try:
+        source = parse_instance(source)
+    except ParseError as exc:
+        raise exc.under("source") from None
+    source = validate_instance(source)
+    if k != choose_k(source.pair_count):
+        raise ParseError("BAD_K", f"the source's k is "
+                         f"{choose_k(source.pair_count)}, not {k}", "k")
+    return ReductionMap(k, source)
 
 
 def serialize_map(rmap: ReductionMap) -> str:
-    doc = {
-        "k": rmap.k,
-        "block_size": rmap.block_size,
-        "g_width": rmap.g_width,
-        "g_height": rmap.g_height,
-        "blocks": [
-            {"gx": b.gx, "gy": b.gy, "kind": b.kind, "label": b.label,
-             "center": None if b.center is None else list(b.center)}
-            for b in rmap.blocks
-        ],
-        "number_assignment": {str(label): num
-                              for label, num in rmap.number_assignment},
-        "filler_pairs": [[list(a), list(b)] for a, b in rmap.filler_pairs],
-    }
-    return docs.dumps_canonical(doc)
+    return docs.dumps_canonical({"version": MAP_VERSION, "k": rmap.k,
+                                 "source": _instance_document(rmap.source)})

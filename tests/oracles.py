@@ -6,6 +6,7 @@ remain the single arbiter of the rules; the enumerators only generate
 candidates.
 """
 
+import json
 from collections import deque
 
 from watarilink import numberlink as nl
@@ -111,6 +112,34 @@ def placed_template_walls(g):
             walls |= {Wall(kind, x + s * gx, y + s * gy)
                       for kind, x, y in tpl.walls}
     return walls
+
+
+def v1_map_document(rmap):
+    """The version-1 map document, which stored every block placement and
+    filler pair, written from the values a map derives from its source."""
+    g, k, s = rmap.source, rmap.k, rmap.block_size
+    c = 2 * k + 2
+    label_at = {cell: label for label, a, b in g.terminals
+                for cell in (a, b)}
+    blocks = []
+    for gy in range(g.height):
+        for gx in range(g.width):
+            label = label_at.get((gx, gy))
+            blocks.append(
+                {"gx": gx, "gy": gy, "kind": rd.EMPTY, "label": None,
+                 "center": None} if label is None else
+                {"gx": gx, "gy": gy, "kind": rd.NUMBER, "label": label,
+                 "center": [s * gx + c, s * gy + c]})
+    return json.dumps({
+        "k": k,
+        "block_size": s,
+        "g_width": g.width,
+        "g_height": g.height,
+        "blocks": blocks,
+        "number_assignment": {str(label): num
+                              for label, num in rmap.number_assignment},
+        "filler_pairs": [[list(a), list(b)] for a, b in rmap.filler_pairs],
+    }, separators=(",", ":")) + "\n"
 
 
 def partition_of_region_map(rmap):

@@ -135,6 +135,41 @@ class TestPipeline:
                      "-o", str(tmp_path / "g.json")]) == 2
         assert "UNPAIRED_CIRCLE" in capsys.readouterr().out
 
+    def test_lift_with_foreign_map_exits_1(self, tmp_path, capsys):
+        files = {}
+        for name, doc in (
+                ("g3.json", {"puzzle": "numberlink", "width": 3, "height": 1,
+                             "terminals": [{"label": 1,
+                                            "cells": [[0, 0], [2, 0]]}]}),
+                ("g2.json", {"puzzle": "numberlink", "width": 2, "height": 1,
+                             "terminals": [{"label": 1,
+                                            "cells": [[0, 0], [1, 0]]}]}),
+                ("g2sol.json", {"paths": [{"label": 1,
+                                           "cells": [[0, 0], [1, 0]]}]})):
+            files[name] = tmp_path / name
+            files[name].write_text(json.dumps(doc))
+        map_file = tmp_path / "map.json"
+        assert main(["reduce", "-i", str(files["g3.json"]),
+                     "-o", str(tmp_path / "h.json"),
+                     "--map", str(map_file)]) == 0
+        out = tmp_path / "hsol.json"
+        assert main(["lift", "-g", str(files["g2.json"]),
+                     "-s", str(files["g2sol.json"]), "--map", str(map_file),
+                     "-o", str(out)]) == 1
+        assert "MAP_MISMATCH" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_version_1_map_exits_1(self, tmp_path, capsys):
+        map_file = tmp_path / "map.json"
+        map_file.write_text(json.dumps(
+            {"k": 1, "block_size": 9, "g_width": 2, "g_height": 1,
+             "blocks": [], "number_assignment": {}, "filler_pairs": []}))
+        hsol = tmp_path / "hsol.json"
+        hsol.write_text(json.dumps({"paths": []}))
+        assert main(["unlift", "-s", str(hsol), "--map", str(map_file),
+                     "-o", str(tmp_path / "g.json")]) == 1
+        assert "BAD_VERSION" in capsys.readouterr().err
+
     def test_reduce_is_idempotent_bytes(self, tmp_path):
         outs = []
         for tag in ("a", "b"):

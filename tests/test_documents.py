@@ -5,6 +5,12 @@ The document parsers check whole lists at once and fall back to per-value
 checks on any miss.  EXPECTED was recorded with the per-value parsers alone,
 before the bulk checks existed, so these cases pin that the fallback still
 reports the first offending value exactly as before.
+
+A map document is the map version, k and the source instance.  Its number
+blocks are the source's terminal entries and its block centers are their
+cells, so the map-block-* and map-center-* cases edit those; their
+expectations, and those of the version, k and source cases, were recorded
+when the map took this form.
 """
 
 import copy
@@ -58,15 +64,12 @@ def _cases():
                       [(("paths", 2, "cells", 2, 0), v)]))
         cases.append((f"nl_solution-cell-{name}", "nl_solution",
                       [(("paths", 2, "cells", 1, 1), v)]))
-        cases.append((f"map-filler-{name}", "map",
-                      [(("filler_pairs", 5, 1, 0), v)]))
         cases.append((f"map-center-{name}", "map",
-                      [(("blocks", 7, "center", 1), v)]))
+                      [(("source", "terminals", 3, "cells", 1, 1), v)]))
     for name, path in (("wd_solution", ("paths", 2, "cells", 2)),
                        ("nl_solution", ("paths", 2, "cells", 1)),
                        ("nl_instance", ("terminals", 1, "cells", 0)),
-                       ("map-filler", ("filler_pairs", 5, 1)),
-                       ("map-center", ("blocks", 7, "center"))):
+                       ("map-center", ("source", "terminals", 3, "cells", 1))):
         kind = name.split("-")[0]
         cases.append((f"{name}-cell-1-element", kind, [(path, [1])]))
         cases.append((f"{name}-cell-3-element", kind, [(path, [1, 2, 3])]))
@@ -111,22 +114,39 @@ def _cases():
          [(("terminals", 2, "label"), True)]),
         ("nl_solution-cells-not-a-list", "nl_solution",
          [(("paths", 0, "cells"), 5)]),
-        ("map-filler-pair-one-cell", "map",
-         [(("filler_pairs", 7), [[0, 0]])]),
-        ("map-filler-pair-three-cells", "map",
-         [(("filler_pairs", 7), [[0, 0], [1, 0], [2, 0]])]),
-        ("map-filler-pair-not-a-list", "map",
-         [(("filler_pairs", 7), "pair")]),
-        ("map-filler-pairs-not-a-list", "map",
-         [(("filler_pairs",), {"a": 1})]),
-        ("map-block-gx-bool", "map", [(("blocks", 3, "gx"), False)]),
-        ("map-block-label-float", "map", [(("blocks", 10, "label"), 1.0)]),
-        ("map-block-unknown-field", "map", [(("blocks", 2, "extra"), 1)]),
+        ("map-block-gx-bool", "map",
+         [(("source", "terminals", 1, "cells", 0, 0), False)]),
+        ("map-block-label-float", "map",
+         [(("source", "terminals", 4, "label"), 1.0)]),
+        ("map-block-unknown-field", "map",
+         [(("source", "terminals", 2, "extra"), 1)]),
         ("map-block-missing-label", "map",
-         [(("blocks", 2, "label"), DELETE)]),
-        ("map-assignment-string", "map",
-         [(("number_assignment", "1"), "11")]),
+         [(("source", "terminals", 2, "label"), DELETE)]),
         ("map-k-null", "map", [(("k",), None)]),
+        ("map-k-bool", "map", [(("k",), True)]),
+        ("map-k-mismatch", "map", [(("k",), 3)]),
+        ("map-k-error-before-source-error", "map",
+         [(("k",), "2"), (("source", "width"), None)]),
+        ("map-version-missing", "map", [(("version",), DELETE)]),
+        ("map-version-1", "map", [(("version",), 1)]),
+        ("map-version-float", "map", [(("version",), 2.0)]),
+        ("map-version-string", "map", [(("version",), "2")]),
+        ("map-version-1-document", "map",
+         [(("version",), DELETE), (("source",), DELETE),
+          (("block_size",), 13), (("g_width",), 6), (("g_height",), 6),
+          (("blocks",), []), (("number_assignment",), {}),
+          (("filler_pairs",), [])]),
+        ("map-unknown-field", "map", [(("filler_pairs",), [])]),
+        ("map-source-missing", "map", [(("source",), DELETE)]),
+        ("map-source-not-an-object", "map", [(("source",), "{}")]),
+        ("map-source-unknown-field", "map", [(("source", "k"), 2)]),
+        ("map-source-wrong-puzzle", "map",
+         [(("source", "puzzle"), "wataridori")]),
+        ("map-source-width-float", "map", [(("source", "width"), 6.0)]),
+        ("map-source-terminals-not-a-list", "map",
+         [(("source", "terminals"), {})]),
+        ("map-source-terminal-one-cell", "map",
+         [(("source", "terminals", 0, "cells"), [[3, 4]])]),
     ]
     return cases
 
@@ -141,24 +161,21 @@ EXPECTED = {
     "wd_instance-circle-number-bool": ("NOT_AN_INTEGER", "circles[4].number"),
     "wd_solution-cell-bool": ("NOT_AN_INTEGER", "paths[2].cells[2][0]"),
     "nl_solution-cell-bool": ("NOT_AN_INTEGER", "paths[2].cells[1][1]"),
-    "map-filler-bool": ("NOT_AN_INTEGER", "filler_pairs[5][1][0]"),
-    "map-center-bool": ("NOT_AN_INTEGER", "blocks[7].center[1]"),
+    "map-center-bool": ("NOT_AN_INTEGER", "source.terminals[3].cells[1][1]"),
     "wd_instance-region-float": ("NOT_AN_INTEGER", "regions[2][3]"),
     "wd_instance-circle-x-float": ("NOT_AN_INTEGER", "circles[4].x"),
     "wd_instance-circle-y-float": ("NOT_AN_INTEGER", "circles[4].y"),
     "wd_instance-circle-number-float": ("NOT_AN_INTEGER", "circles[4].number"),
     "wd_solution-cell-float": ("NOT_AN_INTEGER", "paths[2].cells[2][0]"),
     "nl_solution-cell-float": ("NOT_AN_INTEGER", "paths[2].cells[1][1]"),
-    "map-filler-float": ("NOT_AN_INTEGER", "filler_pairs[5][1][0]"),
-    "map-center-float": ("NOT_AN_INTEGER", "blocks[7].center[1]"),
+    "map-center-float": ("NOT_AN_INTEGER", "source.terminals[3].cells[1][1]"),
     "wd_instance-region-null": ("NOT_AN_INTEGER", "regions[2][3]"),
     "wd_instance-circle-x-null": ("NOT_AN_INTEGER", "circles[4].x"),
     "wd_instance-circle-y-null": ("NOT_AN_INTEGER", "circles[4].y"),
     "wd_instance-circle-number-null": ("NOT_AN_INTEGER", "circles[4].number"),
     "wd_solution-cell-null": ("NOT_AN_INTEGER", "paths[2].cells[2][0]"),
     "nl_solution-cell-null": ("NOT_AN_INTEGER", "paths[2].cells[1][1]"),
-    "map-filler-null": ("NOT_AN_INTEGER", "filler_pairs[5][1][0]"),
-    "map-center-null": ("NOT_AN_INTEGER", "blocks[7].center[1]"),
+    "map-center-null": ("NOT_AN_INTEGER", "source.terminals[3].cells[1][1]"),
     "wd_instance-region-string": ("NOT_AN_INTEGER", "regions[2][3]"),
     "wd_instance-circle-x-string": ("NOT_AN_INTEGER", "circles[4].x"),
     "wd_instance-circle-y-string": ("NOT_AN_INTEGER", "circles[4].y"),
@@ -166,8 +183,8 @@ EXPECTED = {
         ("NOT_AN_INTEGER", "circles[4].number"),
     "wd_solution-cell-string": ("NOT_AN_INTEGER", "paths[2].cells[2][0]"),
     "nl_solution-cell-string": ("NOT_AN_INTEGER", "paths[2].cells[1][1]"),
-    "map-filler-string": ("NOT_AN_INTEGER", "filler_pairs[5][1][0]"),
-    "map-center-string": ("NOT_AN_INTEGER", "blocks[7].center[1]"),
+    "map-center-string":
+        ("NOT_AN_INTEGER", "source.terminals[3].cells[1][1]"),
     "wd_solution-cell-1-element": ("NOT_A_CELL", "paths[2].cells[2]"),
     "wd_solution-cell-3-element": ("NOT_A_CELL", "paths[2].cells[2]"),
     "wd_solution-cell-not-a-list": ("NOT_A_CELL", "paths[2].cells[2]"),
@@ -177,12 +194,12 @@ EXPECTED = {
     "nl_instance-cell-1-element": ("NOT_A_CELL", "terminals[1].cells[0]"),
     "nl_instance-cell-3-element": ("NOT_A_CELL", "terminals[1].cells[0]"),
     "nl_instance-cell-not-a-list": ("NOT_A_CELL", "terminals[1].cells[0]"),
-    "map-filler-cell-1-element": ("NOT_A_CELL", "filler_pairs[5][1]"),
-    "map-filler-cell-3-element": ("NOT_A_CELL", "filler_pairs[5][1]"),
-    "map-filler-cell-not-a-list": ("NOT_A_CELL", "filler_pairs[5][1]"),
-    "map-center-cell-1-element": ("NOT_A_CELL", "blocks[7].center"),
-    "map-center-cell-3-element": ("NOT_A_CELL", "blocks[7].center"),
-    "map-center-cell-not-a-list": ("NOT_A_CELL", "blocks[7].center"),
+    "map-center-cell-1-element":
+        ("NOT_A_CELL", "source.terminals[3].cells[1]"),
+    "map-center-cell-3-element":
+        ("NOT_A_CELL", "source.terminals[3].cells[1]"),
+    "map-center-cell-not-a-list":
+        ("NOT_A_CELL", "source.terminals[3].cells[1]"),
     "wd_instance-circle-unknown-field": ("UNKNOWN_FIELD", "circles[4]"),
     "wd_instance-circle-missing-y": ("MISSING_FIELD", "circles[6]"),
     "wd_instance-circle-missing-x": ("MISSING_FIELD", "circles[6]"),
@@ -206,16 +223,29 @@ EXPECTED = {
     "nl_instance-cells-not-a-list": ("NOT_A_LIST", "terminals[2].cells"),
     "nl_instance-label-bool": ("NOT_AN_INTEGER", "terminals[2].label"),
     "nl_solution-cells-not-a-list": ("NOT_A_LIST", "paths[0].cells"),
-    "map-filler-pair-one-cell": ("BAD_PAIR", "filler_pairs[7]"),
-    "map-filler-pair-three-cells": ("BAD_PAIR", "filler_pairs[7]"),
-    "map-filler-pair-not-a-list": ("NOT_A_LIST", "filler_pairs[7]"),
-    "map-filler-pairs-not-a-list": ("NOT_A_LIST", "filler_pairs"),
-    "map-block-gx-bool": ("NOT_AN_INTEGER", "blocks[3].gx"),
-    "map-block-label-float": ("NOT_AN_INTEGER", "blocks[10].label"),
-    "map-block-unknown-field": ("UNKNOWN_FIELD", "blocks[2]"),
-    "map-block-missing-label": ("MISSING_FIELD", "blocks[2]"),
-    "map-assignment-string": ("NOT_AN_INTEGER", "number_assignment[1]"),
+    "map-block-gx-bool":
+        ("NOT_AN_INTEGER", "source.terminals[1].cells[0][0]"),
+    "map-block-label-float": ("NOT_AN_INTEGER", "source.terminals[4].label"),
+    "map-block-unknown-field": ("UNKNOWN_FIELD", "source.terminals[2]"),
+    "map-block-missing-label": ("MISSING_FIELD", "source.terminals[2]"),
     "map-k-null": ("NOT_AN_INTEGER", "k"),
+    "map-k-bool": ("NOT_AN_INTEGER", "k"),
+    "map-k-mismatch": ("BAD_K", "k"),
+    "map-k-error-before-source-error": ("NOT_AN_INTEGER", "k"),
+    "map-version-missing": ("BAD_VERSION", "version"),
+    "map-version-1": ("BAD_VERSION", "version"),
+    "map-version-float": ("BAD_VERSION", "version"),
+    "map-version-string": ("BAD_VERSION", "version"),
+    "map-version-1-document": ("BAD_VERSION", "version"),
+    "map-unknown-field": ("UNKNOWN_FIELD", "document"),
+    "map-source-missing": ("MISSING_FIELD", "document"),
+    "map-source-not-an-object": ("NOT_AN_OBJECT", "source"),
+    "map-source-unknown-field": ("UNKNOWN_FIELD", "source"),
+    "map-source-wrong-puzzle": ("WRONG_PUZZLE", "source.puzzle"),
+    "map-source-width-float": ("NOT_AN_INTEGER", "source.width"),
+    "map-source-terminals-not-a-list": ("NOT_A_LIST", "source.terminals"),
+    "map-source-terminal-one-cell":
+        ("BAD_TERMINAL", "source.terminals[0].cells"),
 }
 
 

@@ -3,26 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from watarilink.errors import ValidationError
-from watarilink.grid import (HORIZONTAL, VERTICAL, Wall,
-                             is_simple_orthogonal_path, orthogonal_neighbors,
-                             paths_pairwise_disjoint, region_map_from_rows,
+from watarilink.grid import (HORIZONTAL, VERTICAL, Wall, first_shared_cell,
+                             is_simple_orthogonal_path, region_map_from_rows,
                              region_runs, regions_from_walls)
-
-
-class TestOrthogonalNeighbors:
-    def test_corner(self):
-        assert orthogonal_neighbors((0, 0), 6, 6) == [(0, 1), (1, 0)]
-
-    def test_interior_order_is_up_down_left_right(self):
-        assert orthogonal_neighbors((3, 3), 6, 6) == \
-            [(3, 4), (3, 2), (2, 3), (4, 3)]
-
-    def test_edge(self):
-        assert orthogonal_neighbors((5, 2), 6, 6) == [(5, 3), (5, 1), (4, 2)]
-
-    def test_out_of_bounds_raises(self):
-        with pytest.raises(ValidationError):
-            orthogonal_neighbors((6, 0), 6, 6)
 
 
 class TestSimplePath:
@@ -189,16 +172,28 @@ class TestRegionRuns:
 
 class TestPairwiseDisjoint:
     def test_disjoint(self):
-        assert paths_pairwise_disjoint([[(0, 0), (1, 0)], [(0, 1), (1, 1)]])
+        assert first_shared_cell([[(0, 0), (1, 0)], [(0, 1), (1, 1)]]) is None
 
     def test_shared_cell(self):
-        assert not paths_pairwise_disjoint([[(0, 0), (1, 0)],
-                                            [(1, 0), (1, 1)]])
+        assert first_shared_cell([[(0, 0), (1, 0)],
+                                  [(1, 0), (1, 1)]]) == (1, (1, 0))
+
+    def test_names_the_later_path_and_its_first_shared_cell(self):
+        paths = [[(0, 0), (1, 0), (2, 0)], [(3, 0), (3, 1)],
+                 [(3, 1), (2, 1), (2, 0)], [(3, 0), (4, 0)]]
+        assert first_shared_cell(paths) == (2, (3, 1))
+
+    def test_repeat_inside_one_path_is_not_shared(self):
+        assert first_shared_cell([[(0, 0), (1, 0), (0, 0)],
+                                  [(2, 0), (3, 0)]]) is None
 
     def test_sample_solution_paths(self, sample_wataridori_solution):
-        assert paths_pairwise_disjoint(sample_wataridori_solution.paths)
+        assert first_shared_cell(sample_wataridori_solution.paths) is None
 
     def test_order_insensitive(self, sample_wataridori_solution):
         paths = list(sample_wataridori_solution.paths)
-        assert paths_pairwise_disjoint(paths) == \
-            paths_pairwise_disjoint(list(reversed(paths)))
+        assert first_shared_cell(list(reversed(paths))) is None
+        paths.append(paths[3][1:3])
+        assert first_shared_cell(paths) == (len(paths) - 1, paths[3][1])
+        assert first_shared_cell(list(reversed(paths))) == (
+            len(paths) - 4, paths[3][1])

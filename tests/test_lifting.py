@@ -89,6 +89,17 @@ class TestLift:
         assert counts == [11, 13, 15, 17, 19]
         assert wd.verify_solution(h, h_sol)
 
+    def test_foreign_map_rejected(self):
+        # The map of a 3x1 source cannot carry a 2x1 source's solution.
+        _, rmap = rd.reduce_instance(
+            nl.NumberlinkInstance(3, 1, ((1, (0, 0), (2, 0)),)))
+        g = nl.validate_instance(
+            nl.NumberlinkInstance(2, 1, ((1, (0, 0), (1, 0)),)))
+        sol = nl.solve(g).solution
+        with pytest.raises(ValidationError) as err:
+            lf.lift(g, sol, rmap)
+        assert err.value.code == "MAP_MISMATCH"
+
     def test_adjacent_terminals_smallest_case(self):
         g = nl.validate_instance(
             nl.NumberlinkInstance(2, 1, ((1, (0, 0), (1, 0)),)))
@@ -110,7 +121,7 @@ class TestLift:
             za, zb = lf.zigzag_split(label, k)
             runs = region_runs(path, h.regions)
             assert len(runs) == 4 * k + 3 + 2 * (za + zb)
-            assert len(runs) == rmap.assigned_number(label)
+            assert len(runs) == dict(rmap.number_assignment)[label]
 
     def test_filler_paths_cover_every_ring_circle(self, sample_numberlink,
                                                   sample_numberlink_solution):

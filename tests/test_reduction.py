@@ -12,7 +12,7 @@ from watarilink import numberlink as nl
 from watarilink import reduction as rd
 from watarilink import render
 from watarilink import wataridori as wd
-from watarilink.errors import ValidationError
+from watarilink.errors import ParseError, ValidationError
 from watarilink.grid import Wall, regions_from_walls
 
 
@@ -196,9 +196,8 @@ class TestReduce:
         assert dict(rmap.number_assignment) == \
             {1: 11, 2: 13, 3: 15, 4: 17, 5: 19}
         assert len(h.circles) == 10 * 81 + 26 * 80
-        kinds = [b.kind for b in rmap.blocks]
-        assert kinds.count(rd.NUMBER) == 10
-        assert kinds.count(rd.EMPTY) == 26
+        centers = sorted(c.number for c in h.circles if c.number > 1)
+        assert centers == sorted(2 * [11, 13, 15, 17, 19])
 
     def test_adjacent_entry_regions_merge(self):
         g = nl.NumberlinkInstance(2, 1, ((1, (0, 0), (1, 0)),))
@@ -298,7 +297,7 @@ class TestGolden:
         "instance":
             "1f1b7cce91f28c9120f1124484419fb2cb934628d71f844b1d314012ea2ff828",
         "map":
-            "21cdb8c0ec708a462906872b9182292e2c75fcbc61816c4cb7ad7b2eff186363",
+            "789d90910aa23dea7434c7b16e61e0a9df2f3271efc7e808645fc88ad408c26c",
         "ascii":
             "dc95ef1f46dfbb4ecb55827c7811d4bdb5790493f1380ad50cfe73e83ff80eff",
         "ascii_lifted":
@@ -309,7 +308,14 @@ class TestGolden:
             "85634b702e5cb11da7a1216c75882c7d98ddf76f14f39901841d999ab57315e5",
         "source_svg":
             "d80b89865f4b0cf89b803eb862a5d8eec8515a54c9d64ac2554e6272d90106cb",
+        "lifted":
+            "153706d3568dfbb087e49d0f6a6e9986c103b1b70951710bafe8ce55c7f470a4",
+        "unlifted":
+            "dde44a8a6ad4a66fff95d1f2789dc0be0d77a7c021c86daa089cbe9babf1b350",
     }
+    # The version-1 map document, which stored blocks and filler pairs.
+    V1_MAP_DIGEST = \
+        "21cdb8c0ec708a462906872b9182292e2c75fcbc61816c4cb7ad7b2eff186363"
 
     def test_digests(self, sample_numberlink):
         g = sample_numberlink
@@ -324,10 +330,21 @@ class TestGolden:
             "svg_lifted": render.render_wataridori_svg(h, h_sol),
             "source_ascii": render.render_numberlink_ascii(g, g_sol),
             "source_svg": render.render_numberlink_svg(g, g_sol),
+            "lifted": wd.serialize_solution(h_sol),
+            "unlifted": nl.serialize_solution(lifting.unlift(h_sol, rmap)),
         }
         digests = {name: hashlib.sha256(text.encode()).hexdigest()
                    for name, text in texts.items()}
         assert digests == self.DIGESTS
+
+    def test_derived_map_values_equal_the_stored_version_1_map(
+            self, sample_numberlink):
+        # Every value the version-1 map stored, written from what a map now
+        # derives from its source, reproduces that document byte for byte.
+        _, rmap = rd.reduce_instance(sample_numberlink)
+        text = oracles.v1_map_document(rmap)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            self.V1_MAP_DIGEST
 
 
 class TestMapDocuments:
@@ -339,9 +356,32 @@ class TestMapDocuments:
 
     def test_reconstruct_recovers_both_instances(self, sample_numberlink):
         h, rmap = rd.reduce_instance(sample_numberlink)
-        g2, h2 = rd.reconstruct(rmap)
-        assert g2 == sample_numberlink
-        assert h2 == h
+        parsed = rd.parse_map(rd.serialize_map(rmap))
+        assert parsed.source == sample_numberlink
+        assert rd.reduce_instance(parsed.source) == (h, rmap)
+
+    def test_document_is_version_k_and_source(self, sample_numberlink):
+        _, rmap = rd.reduce_instance(sample_numberlink)
+        doc = json.loads(rd.serialize_map(rmap))
+        assert doc == {"version": 2, "k": 2,
+                       "source": json.loads(
+                           nl.serialize_instance(sample_numberlink))}
+
+    def test_version_1_map_rejected(self, sample_numberlink):
+        _, rmap = rd.reduce_instance(sample_numberlink)
+        with pytest.raises(ParseError) as err:
+            rd.parse_map(oracles.v1_map_document(rmap))
+        assert (err.value.code, err.value.location) == \
+            ("BAD_VERSION", "version")
+
+    def test_source_is_validated(self, sample_numberlink):
+        _, rmap = rd.reduce_instance(sample_numberlink)
+        doc = json.loads(rd.serialize_map(rmap))
+        doc["source"]["terminals"][1]["cells"][0] = \
+            doc["source"]["terminals"][0]["cells"][0]
+        with pytest.raises(ValidationError) as err:
+            rd.parse_map(doc)
+        assert err.value.code == "DUPLICATE_TERMINAL"
 
     def test_unknown_field_rejected(self, sample_numberlink):
         _, rmap = rd.reduce_instance(sample_numberlink)
@@ -350,3 +390,23 @@ class TestMapDocuments:
         with pytest.raises(Exception) as err:
             rd.parse_map(json.dumps(doc))
         assert getattr(err.value, "code", "") == "UNKNOWN_FIELD"
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_map_document_round_trip(data):
+    width = data.draw(st.integers(1, 5), label="width")
+    height = data.draw(st.integers(1 if width > 1 else 2, 5), label="height")
+    cells = data.draw(st.permutations(
+        [(x, y) for x in range(width) for y in range(height)]), label="cells")
+    pairs = data.draw(st.integers(1, len(cells) // 2), label="pairs")
+    labels = data.draw(st.lists(st.integers(-50, 50), min_size=pairs,
+                                max_size=pairs, unique=True), label="labels")
+    g = nl.NumberlinkInstance(width, height, tuple(
+        (label, cells[2 * i], cells[2 * i + 1])
+        for i, label in enumerate(labels)))
+    rmap = rd.ReductionMap(rd.choose_k(pairs), nl.validate_instance(g))
+    text = rd.serialize_map(rmap)
+    assert rd.parse_map(text) == rmap
+    assert rd.parse_map(json.loads(text)) == rmap
+    assert rd.serialize_map(rd.parse_map(text)) == text

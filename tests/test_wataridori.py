@@ -84,12 +84,16 @@ class TestVerify:
         verdict = wd.verify_solution(
             inst, wd.WataridoriSolution((((0, 0), (1, 0)),)))
         assert verdict.rule == errors.COUNT_MISMATCH
+        # The circle wanting 1 run meets the path's 2 runs first.
+        assert verdict.cell == (0, 0)
 
     def test_differing_endpoint_numbers_rejected(self):
         inst = make([[0, 1]], [(0, 0, 1), (1, 0, 2)])
         verdict = wd.verify_solution(
             inst, wd.WataridoriSolution((((0, 0), (1, 0)),)))
         assert verdict.rule == errors.COUNT_MISMATCH
+        # The circle wanting 1 run meets the path's 2 runs first.
+        assert verdict.cell == (0, 0)
 
     def test_single_numbered_endpoint_sets_target(self):
         inst = make([[0, 1]], [(0, 0, None), (1, 0, 2)])
