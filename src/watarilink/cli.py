@@ -11,7 +11,8 @@ import sys
 from pathlib import Path as FilePath
 from typing import Any, Optional, Tuple
 
-from . import documents, lifting, numberlink, reduction, render, wataridori
+from . import (documents, lifting, numberlink, reduction, render, search,
+               wataridori)
 from .errors import PuzzleError
 
 EXIT_OK = 0
@@ -60,17 +61,16 @@ def cmd_solve(args) -> int:
     kind, doc = _read_puzzle(args.puzzle)
     if kind == "numberlink":
         inst = numberlink.parse_instance(doc)
-        result = numberlink.solve(numberlink.validate_instance(inst),
-                                  budget=args.budget)
+        result = numberlink.solve(inst, budget=args.budget)
         serialize = numberlink.serialize_solution
     else:
         inst = wataridori.parse_instance(doc)
         result = wataridori.solve(inst, budget=args.budget)
         serialize = wataridori.serialize_solution
-    if result.status == "budget_exceeded":
+    if result.status == search.BUDGET_EXCEEDED:
         print(f"BUDGET_EXCEEDED after {result.nodes} nodes", file=sys.stderr)
         return EXIT_BUDGET
-    if result.status == "unsat":
+    if result.status == search.UNSAT:
         print("UNSAT", file=sys.stderr)
         return EXIT_NEGATIVE
     _write(args.output, serialize(result.solution))
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a puzzle file")
     p.add_argument("puzzle")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--budget", type=int, default=numberlink.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET,
                    help="search node limit")
     p.set_defaults(func=cmd_solve)
 

@@ -6,9 +6,7 @@ import json
 from itertools import chain
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ParseError
-
-Cell = Tuple[int, int]
+from .errors import Cell, ParseError
 
 # The package-internal bulk checks below compare the set of types (or
 # lengths) in a whole list with these in one C-level pass.  They only ever

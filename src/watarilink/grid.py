@@ -12,9 +12,8 @@ from operator import eq
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .errors import ValidationError
+from .errors import Cell, ValidationError
 
-Cell = Tuple[int, int]
 Path = Tuple[Cell, ...]
 
 HORIZONTAL = "h"

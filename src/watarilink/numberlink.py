@@ -9,18 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from . import documents as docs
 from . import errors
 from .errors import ParseError, ValidationError, Verdict, accept, reject
 from .grid import Cell, Path, first_shared_cell, is_simple_orthogonal_path
-
-DEFAULT_BUDGET = 10_000_000
-
-SOLVED = "solved"
-UNSAT = "unsat"
-BUDGET_EXCEEDED = "budget_exceeded"
+# The statuses are read through this module as nl.SOLVED and so on.
+from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
+                     Budget, SolveResult, run, steps)
 
 
 @dataclass(frozen=True)
@@ -38,13 +35,6 @@ class NumberlinkInstance:
 @dataclass(frozen=True)
 class NumberlinkSolution:
     paths: Tuple[Tuple[int, Path], ...]
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    status: str
-    solution: Optional[NumberlinkSolution] = None
-    nodes: int = 0
 
 
 def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
@@ -139,22 +129,6 @@ def verify_solution(inst: NumberlinkInstance, sol: NumberlinkSolution,
     return accept()
 
 
-class _Budget:
-    __slots__ = ("limit", "nodes")
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.nodes = 0
-
-    def spend(self) -> bool:
-        self.nodes += 1
-        return self.nodes > self.limit
-
-
-class _OutOfBudget(Exception):
-    pass
-
-
 def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Complete deterministic backtracking search.
 
@@ -170,8 +144,10 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
         occ[a[1]][a[0]] = label
         occ[b[1]][b[0]] = label
 
+    neighbors = steps(width, height)
     pairs = list(inst.terminals)
-    bud = _Budget(budget)
+    bud = Budget(budget)
+    spend = bud.spend
     paths: List[List[Cell]] = []
 
     def reachable(src: Cell, dst: Cell) -> bool:
@@ -180,14 +156,10 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
         seen = {src}
         stack = [src]
         while stack:
-            x, y = stack.pop()
-            for nxt in ((x, y + 1), (x, y - 1), (x - 1, y), (x + 1, y)):
-                nx, ny = nxt
-                if not (0 <= nx < width and 0 <= ny < height):
-                    continue
+            for nxt in neighbors[stack.pop()]:
                 if nxt == dst:
                     return True
-                if nxt in seen or occ[ny][nx] != 0:
+                if nxt in seen or occ[nxt[1]][nxt[0]] != 0:
                     continue
                 seen.add(nxt)
                 stack.append(nxt)
@@ -201,52 +173,39 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
                 return False
         return True
 
-    def route(idx: int) -> bool:
+    def route(idx: int):
+        """Frame: start the path of pair `idx`, or finish."""
         if idx == len(pairs):
-            return True
+            yield FOUND
+            return
         label, a, b = pairs[idx]
         path = [a]
         paths.append(path)
-        ok = extend(idx, path, b)
-        if not ok:
-            paths.pop()
-        return ok
+        yield extend(idx, path, b)
+        paths.pop()
 
-    def extend(idx: int, path: List[Cell], goal: Cell) -> bool:
-        head = path[-1]
-        x, y = head
-        for nxt in ((x, y + 1), (x, y - 1), (x - 1, y), (x + 1, y)):
+    def extend(idx: int, path: List[Cell], goal: Cell):
+        """Frame: grow `path` by one cell in each direction in turn."""
+        for nxt in neighbors[path[-1]]:
             nx, ny = nxt
-            if not (0 <= nx < width and 0 <= ny < height):
-                continue
-            if bud.spend():
-                raise _OutOfBudget
+            spend()
             if nxt == goal:
                 path.append(nxt)
-                if route(idx + 1):
-                    return True
+                yield route(idx + 1)
                 path.pop()
                 continue
             if occ[ny][nx] != 0:
                 continue
             occ[ny][nx] = pairs[idx][0]
             path.append(nxt)
-            if pending_ok(idx, nxt) and extend(idx, path, goal):
-                return True
+            if pending_ok(idx, nxt):
+                yield extend(idx, path, goal)
             path.pop()
             occ[ny][nx] = 0
-        return False
 
-    try:
-        found = route(0)
-    except _OutOfBudget:
-        return SolveResult(BUDGET_EXCEEDED, nodes=bud.nodes)
-    if not found:
-        return SolveResult(UNSAT, nodes=bud.nodes)
-    sol = NumberlinkSolution(tuple(
+    return run(route(0), bud, lambda: NumberlinkSolution(tuple(
         (label, tuple(path))
-        for (label, _, _), path in zip(pairs, paths)))
-    return SolveResult(SOLVED, solution=sol, nodes=bud.nodes)
+        for (label, _, _), path in zip(pairs, paths))))
 
 
 def normalize_solution(sol: NumberlinkSolution) -> NumberlinkSolution:

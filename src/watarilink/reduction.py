@@ -99,13 +99,6 @@ def _rot_cell(cell: Cell, size: int) -> Cell:
     return (size - 1 - y, x)
 
 
-def _rot_wall(wall: Wall, size: int) -> Wall:
-    kind, x, y = wall
-    if kind == HORIZONTAL:
-        return Wall(VERTICAL, size - y, x)
-    return Wall(HORIZONTAL, size - y - 1, x)
-
-
 def _quadrant_frame_walls(k: int) -> Set[Wall]:
     s = 4 * k + 5
     c = 2 * k + 2

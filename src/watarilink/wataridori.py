@@ -9,7 +9,8 @@ number on its endpoint circles (wildcard circles accept any total).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Any, Dict, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from . import documents as docs
 from . import errors
@@ -17,12 +18,9 @@ from .errors import ParseError, ValidationError, Verdict, accept, reject
 from .grid import (Cell, Path, RegionMap, first_shared_cell,
                    is_simple_orthogonal_path, region_map_from_rows,
                    region_runs)
-
-DEFAULT_BUDGET = 10_000_000
-
-SOLVED = "solved"
-UNSAT = "unsat"
-BUDGET_EXCEEDED = "budget_exceeded"
+# The statuses are read through this module as wd.SOLVED and so on.
+from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
+                     Budget, SolveResult, run, steps)
 
 
 class Circle(NamedTuple):
@@ -52,13 +50,6 @@ class WataridoriInstance:
 @dataclass(frozen=True)
 class WataridoriSolution:
     paths: Tuple[Path, ...]
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    status: str
-    solution: Optional[WataridoriSolution] = None
-    nodes: int = 0
 
 
 def validate_instance(inst: WataridoriInstance) -> WataridoriInstance:
@@ -152,10 +143,6 @@ def _run_start(path: Sequence[Cell], rmap: RegionMap, run_index: int) -> Cell:
     return path[-1]
 
 
-class _OutOfBudget(Exception):
-    pass
-
-
 def solve(inst: WataridoriInstance,
           budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Complete deterministic search over pairings and routed paths.
@@ -175,107 +162,84 @@ def solve(inst: WataridoriInstance,
     if n % 2 == 1:
         return SolveResult(UNSAT, nodes=0)
 
-    circle_cells = {c.cell for c in circles}
-    occupied = [[False] * width for _ in range(height)]
-    nodes = 0
-    limit = budget
+    # No path crosses a circle or another path; reaching the goal circle
+    # is tested before `blocked`.
+    blocked = [[False] * width for _ in range(height)]
+    for x, y, _ in circles:
+        blocked[y][x] = True
+    neighbors = steps(width, height)
+    bud = Budget(budget)
+    spend = bud.spend
     paths: List[Tuple[Cell, ...]] = []
     paired = [False] * n
 
     def compatible(a: Circle, b: Circle) -> bool:
         return a.number is None or b.number is None or a.number == b.number
 
-    def spend() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > limit:
-            raise _OutOfBudget
-
-    def route_and_recurse(a: Circle, b: Circle) -> bool:
-        target = a.number if a.number is not None else b.number
-        goal = b.cell
-        start = a.cell
-        run_ids = [rmap.id_at(start)]
-        run_set = {run_ids[0]}
-        path = [start]
-        occupied[start[1]][start[0]] = True
-
-        def dfs() -> bool:
-            x, y = path[-1]
-            for nxt in ((x, y + 1), (x, y - 1), (x - 1, y), (x + 1, y)):
-                nx, ny = nxt
-                if not (0 <= nx < width and 0 <= ny < height):
+    def dfs(path: List[Cell], run_ids: List[int], run_set: Set[int],
+            target: Optional[int], goal: Cell):
+        """Frame: grow `path` by one cell in each direction in turn."""
+        for nxt in neighbors[path[-1]]:
+            nx, ny = nxt
+            spend()
+            rid = rmap.ids[ny][nx]
+            if nxt == goal:
+                if rid == run_ids[-1]:
+                    total = len(run_ids)
+                elif rid in run_set:
                     continue
-                spend()
-                rid = rmap.ids[ny][nx]
-                if nxt == goal:
-                    if rid == run_ids[-1]:
-                        total = len(run_ids)
-                    elif rid in run_set:
-                        continue
-                    else:
-                        total = len(run_ids) + 1
-                    if target is not None and total != target:
-                        continue
-                    occupied[ny][nx] = True
-                    path.append(nxt)
-                    paths.append(tuple(path))
-                    if pair_next():
-                        return True
-                    paths.pop()
-                    path.pop()
-                    occupied[ny][nx] = False
+                else:
+                    total = len(run_ids) + 1
+                if target is not None and total != target:
                     continue
-                if occupied[ny][nx] or nxt in circle_cells:
-                    continue
-                new_run = rid != run_ids[-1]
-                if new_run:
-                    if rid in run_set:
-                        continue
-                    if target is not None and len(run_ids) + 1 > target:
-                        continue
-                    run_ids.append(rid)
-                    run_set.add(rid)
-                occupied[ny][nx] = True
                 path.append(nxt)
-                if dfs():
-                    return True
+                paths.append(tuple(path))
+                yield pair_next()
+                paths.pop()
                 path.pop()
-                occupied[ny][nx] = False
-                if new_run:
-                    run_ids.pop()
-                    run_set.discard(rid)
-            return False
+                continue
+            if blocked[ny][nx]:
+                continue
+            new_run = rid != run_ids[-1]
+            if new_run:
+                if rid in run_set:
+                    continue
+                if target is not None and len(run_ids) + 1 > target:
+                    continue
+                run_ids.append(rid)
+                run_set.add(rid)
+            blocked[ny][nx] = True
+            path.append(nxt)
+            yield dfs(path, run_ids, run_set, target, goal)
+            path.pop()
+            blocked[ny][nx] = False
+            if new_run:
+                run_ids.pop()
+                run_set.discard(rid)
 
-        ok = dfs()
-        if not ok:
-            occupied[start[1]][start[0]] = False
-        return ok
-
-    def pair_next() -> bool:
+    def pair_next():
+        """Frame: pair the lowest unpaired circle with each partner in turn
+        and route a path between them."""
         first = next((i for i in range(n) if not paired[i]), None)
         if first is None:
-            return True
+            yield FOUND
+            return
         paired[first] = True
+        a = circles[first]
+        rid = rmap.ids[a.y][a.x]
         for j in range(first + 1, n):
-            if paired[j] or not compatible(circles[first], circles[j]):
+            b = circles[j]
+            if paired[j] or not compatible(a, b):
                 continue
             spend()
             paired[j] = True
-            if route_and_recurse(circles[first], circles[j]):
-                return True
+            target = a.number if a.number is not None else b.number
+            yield dfs([a.cell], [rid], {rid}, target, b.cell)
             paired[j] = False
         paired[first] = False
-        return False
 
-    try:
-        found = pair_next()
-    except _OutOfBudget:
-        return SolveResult(BUDGET_EXCEEDED, nodes=nodes)
-    if not found:
-        return SolveResult(UNSAT, nodes=nodes)
-    return SolveResult(SOLVED, solution=WataridoriSolution(tuple(paths)),
-                       nodes=nodes)
+    return run(pair_next(), bud,
+               lambda: WataridoriSolution(tuple(paths)))
 
 
 # ------------------------------------------------------------- documents

@@ -53,6 +53,34 @@ class TestSolve:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
 
+    @staticmethod
+    def _one_pair_board(path, side):
+        path.write_text(nl.serialize_instance(nl.NumberlinkInstance(
+            side, side, ((1, (0, 0), (side - 1, side - 1)),))))
+        return str(path)
+
+    @staticmethod
+    def _solve_and_verify(puzzle, tmp_path, capsys):
+        sol = str(tmp_path / "sol.json")
+        assert main(["solve", puzzle, "-o", sol]) == 0
+        capsys.readouterr()
+        assert main(["verify", puzzle, sol]) == 0
+        assert capsys.readouterr().out.strip() == "ACCEPT"
+
+    def test_long_numberlink_path(self, tmp_path, capsys):
+        # a 40x40 corner-to-corner pair used to end in RecursionError
+        puzzle = self._one_pair_board(tmp_path / "g.json", 40)
+        self._solve_and_verify(puzzle, tmp_path, capsys)
+
+    def test_long_wataridori_path(self, tmp_path, capsys):
+        # the 36x36 reduction of a 4x4 one-pair board used to end in
+        # RecursionError
+        g = self._one_pair_board(tmp_path / "g.json", 4)
+        h = str(tmp_path / "h.json")
+        assert main(["reduce", "-i", g, "-o", h,
+                     "--map", str(tmp_path / "map.json")]) == 0
+        self._solve_and_verify(h, tmp_path, capsys)
+
 
 class TestVerify:
     def test_accept_exits_0(self, capsys):
