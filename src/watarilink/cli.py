@@ -28,6 +28,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _read(path: str) -> str:
     try:
         return FilePath(path).read_text()
@@ -154,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a puzzle file")
     p.add_argument("puzzle")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET,
-                   help="search node limit")
+    p.add_argument("--budget", type=_positive_int,
+                   default=search.DEFAULT_BUDGET,
+                   help="search node limit (a positive integer)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="verify a solution file")

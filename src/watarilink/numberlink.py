@@ -8,7 +8,7 @@ Full coverage can be demanded at verification time with a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Any, Dict, List, Tuple
 
 from . import documents as docs
@@ -138,34 +138,41 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     never discards a completable state.
     """
     inst = validate_instance(inst)
-    width, height = inst.width, inst.height
-    occ = [[0] * width for _ in range(height)]
-    for label, a, b in inst.terminals:
-        occ[a[1]][a[0]] = label
-        occ[b[1]][b[0]] = label
+    width = inst.width
+    n = width * inst.height
+    # Cells are flat indices y*width + x; `occ` marks terminals and paths.
+    pairs = [(label, a[1] * width + a[0], b[1] * width + b[0])
+             for label, a, b in inst.terminals]
+    occ = bytearray(n)
+    for _, a, b in pairs:
+        occ[a] = occ[b] = 1
 
-    neighbors = steps(width, height)
-    pairs = list(inst.terminals)
+    neighbors = steps(width, inst.height)
     bud = Budget(budget)
     spend = bud.spend
-    paths: List[List[Cell]] = []
+    paths: List[List[int]] = []
+    # A flood marks the cells it has seen with its own generation number,
+    # so no flood clears or allocates a visited set.
+    seen = [0] * n
+    generations = count(1)
 
-    def reachable(src: Cell, dst: Cell) -> bool:
+    def reachable(src: int, dst: int) -> bool:
         if src == dst:
             return True
-        seen = {src}
+        gen = next(generations)
+        seen[src] = gen
         stack = [src]
         while stack:
             for nxt in neighbors[stack.pop()]:
                 if nxt == dst:
                     return True
-                if nxt in seen or occ[nxt[1]][nxt[0]] != 0:
+                if occ[nxt] or seen[nxt] == gen:
                     continue
-                seen.add(nxt)
+                seen[nxt] = gen
                 stack.append(nxt)
         return False
 
-    def pending_ok(current_idx: int, head: Cell) -> bool:
+    def pending_ok(current_idx: int, head: int) -> bool:
         if not reachable(head, pairs[current_idx][2]):
             return False
         for label, a, b in pairs[current_idx + 1:]:
@@ -184,27 +191,26 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
         yield extend(idx, path, b)
         paths.pop()
 
-    def extend(idx: int, path: List[Cell], goal: Cell):
+    def extend(idx: int, path: List[int], goal: int):
         """Frame: grow `path` by one cell in each direction in turn."""
         for nxt in neighbors[path[-1]]:
-            nx, ny = nxt
             spend()
             if nxt == goal:
                 path.append(nxt)
                 yield route(idx + 1)
                 path.pop()
                 continue
-            if occ[ny][nx] != 0:
+            if occ[nxt]:
                 continue
-            occ[ny][nx] = pairs[idx][0]
+            occ[nxt] = 1
             path.append(nxt)
             if pending_ok(idx, nxt):
                 yield extend(idx, path, goal)
             path.pop()
-            occ[ny][nx] = 0
+            occ[nxt] = 0
 
     return run(route(0), bud, lambda: NumberlinkSolution(tuple(
-        (label, tuple(path))
+        (label, tuple((i % width, i // width) for i in path))
         for (label, _, _), path in zip(pairs, paths))))
 
 

@@ -7,14 +7,20 @@ yields the child frame that searches on from there, and undoes the move
 when it is resumed.  It yields `FOUND` when the search is complete, which
 leaves every move on the way there applied.  Depth therefore costs list
 slots, not Python call-stack frames.
+
+Both solvers search on flat cell indices i = y*width + x: `steps` gives
+each index its neighbor indices, occupancy and region ids are flat arrays,
+and paths are kept as indices, turned back into (x, y) cells only when
+`run` reads the solution.  The guarantee is node for node: each solver
+makes every move and every cut at the same node as a plain search over
+(x, y) tuple cells, so status, solution and node count all equal that
+search's.  The test suite keeps such searches as references and compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Tuple
-
-from .errors import Cell
+from typing import Any, Callable, Iterator, Tuple
 
 SOLVED = "solved"
 UNSAT = "unsat"
@@ -32,13 +38,16 @@ class SolveResult:
     nodes: int = 0
 
 
-def steps(width: int, height: int) -> Dict[Cell, Tuple[Cell, ...]]:
-    """The in-bounds neighbors of every cell, in the order both searches
-    try them: up, down, left, right."""
-    return {(x, y): tuple((nx, ny) for nx, ny in ((x, y + 1), (x, y - 1),
-                                                  (x - 1, y), (x + 1, y))
-                          if 0 <= nx < width and 0 <= ny < height)
-            for y in range(height) for x in range(width)}
+def steps(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
+    """The in-bounds neighbors of every cell index i = y*width + x, in the
+    order both searches try them: up, down, left, right."""
+    n = width * height
+    return tuple(tuple(j for j, inside in ((i + width, i + width < n),
+                                           (i - width, i >= width),
+                                           (i - 1, i % width > 0),
+                                           (i + 1, i % width < width - 1))
+                       if inside)
+                 for i in range(n))
 
 
 class _OutOfBudget(Exception):
@@ -51,6 +60,8 @@ class Budget:
     __slots__ = ("limit", "nodes")
 
     def __init__(self, limit: int):
+        if limit < 0:
+            raise ValueError(f"node budget must be non-negative, got {limit}")
         self.limit = limit
         self.nodes = 0
 

@@ -9,8 +9,8 @@ number on its endpoint circles (wildcard circles accept any total).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Dict, List, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from itertools import chain
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import documents as docs
 from . import errors
@@ -156,66 +156,68 @@ def solve(inst: WataridoriInstance,
     """
     inst = validate_instance(inst)
     rmap = inst.regions
-    width, height = rmap.width, rmap.height
+    width = rmap.width
+    n_cells = width * rmap.height
+    bud = Budget(budget)
+    spend = bud.spend
     circles = sorted(inst.circles, key=lambda c: (c.y, c.x))
     n = len(circles)
     if n % 2 == 1:
         return SolveResult(UNSAT, nodes=0)
 
-    # No path crosses a circle or another path; reaching the goal circle
-    # is tested before `blocked`.
-    blocked = [[False] * width for _ in range(height)]
-    for x, y, _ in circles:
-        blocked[y][x] = True
-    neighbors = steps(width, height)
-    bud = Budget(budget)
-    spend = bud.spend
-    paths: List[Tuple[Cell, ...]] = []
+    # Cells are flat indices y*width + x, each neighbor paired with its
+    # region id.  No path crosses a circle or another path: circles and
+    # path cells are `blocked`, so only a blocked cell can be the goal.
+    region = list(chain.from_iterable(rmap.ids))
+    neighbors = tuple(tuple((j, region[j]) for j in row)
+                      for row in steps(width, rmap.height))
+    cells = [c.y * width + c.x for c in circles]
+    blocked = bytearray(n_cells)
+    for i in cells:
+        blocked[i] = 1
+    # Each path cell records the cell it was entered from; a finished path
+    # is kept as its two ends and read back through `came` at the end.
+    came = [0] * n_cells
+    ends: List[Tuple[int, int]] = []
     paired = [False] * n
 
     def compatible(a: Circle, b: Circle) -> bool:
         return a.number is None or b.number is None or a.number == b.number
 
-    def dfs(path: List[Cell], run_ids: List[int], run_set: Set[int],
-            target: Optional[int], goal: Cell):
-        """Frame: grow `path` by one cell in each direction in turn."""
-        for nxt in neighbors[path[-1]]:
-            nx, ny = nxt
+    def dfs(start: int, head: int, rid: int, runs: int, entered: bytearray,
+            limit: int, target: Optional[int], goal: int):
+        """Frame: grow the path from `start` by one cell in each direction
+        in turn.  Its last cell `head` is in region `rid`, it has `runs`
+        region runs, `entered` flags the regions it has entered, and it may
+        enter a new region while it has fewer than `limit` runs."""
+        for nxt, nrid in neighbors[head]:
             spend()
-            rid = rmap.ids[ny][nx]
-            if nxt == goal:
-                if rid == run_ids[-1]:
-                    total = len(run_ids)
-                elif rid in run_set:
+            if blocked[nxt]:
+                if nxt != goal:
+                    continue
+                if nrid == rid:
+                    total = runs
+                elif entered[nrid]:
                     continue
                 else:
-                    total = len(run_ids) + 1
-                if target is not None and total != target:
+                    total = runs + 1
+                if target and total != target:
                     continue
-                path.append(nxt)
-                paths.append(tuple(path))
+                came[nxt] = head
+                ends.append((start, nxt))
                 yield pair_next()
-                paths.pop()
-                path.pop()
-                continue
-            if blocked[ny][nx]:
-                continue
-            new_run = rid != run_ids[-1]
-            if new_run:
-                if rid in run_set:
-                    continue
-                if target is not None and len(run_ids) + 1 > target:
-                    continue
-                run_ids.append(rid)
-                run_set.add(rid)
-            blocked[ny][nx] = True
-            path.append(nxt)
-            yield dfs(path, run_ids, run_set, target, goal)
-            path.pop()
-            blocked[ny][nx] = False
-            if new_run:
-                run_ids.pop()
-                run_set.discard(rid)
+                ends.pop()
+            elif nrid == rid:
+                blocked[nxt] = 1
+                came[nxt] = head
+                yield dfs(start, nxt, rid, runs, entered, limit, target, goal)
+                blocked[nxt] = 0
+            elif not entered[nrid] and runs < limit:
+                entered[nrid] = blocked[nxt] = 1
+                came[nxt] = head
+                yield dfs(start, nxt, nrid, runs + 1, entered, limit, target,
+                          goal)
+                entered[nrid] = blocked[nxt] = 0
 
     def pair_next():
         """Frame: pair the lowest unpaired circle with each partner in turn
@@ -226,7 +228,8 @@ def solve(inst: WataridoriInstance,
             return
         paired[first] = True
         a = circles[first]
-        rid = rmap.ids[a.y][a.x]
+        start = cells[first]
+        rid = region[start]
         for j in range(first + 1, n):
             b = circles[j]
             if paired[j] or not compatible(a, b):
@@ -234,12 +237,22 @@ def solve(inst: WataridoriInstance,
             spend()
             paired[j] = True
             target = a.number if a.number is not None else b.number
-            yield dfs([a.cell], [rid], {rid}, target, b.cell)
+            entered = bytearray(rmap.region_count)
+            entered[rid] = 1
+            yield dfs(start, start, rid, 1, entered, target or n_cells, target,
+                      cells[j])
             paired[j] = False
         paired[first] = False
 
-    return run(pair_next(), bud,
-               lambda: WataridoriSolution(tuple(paths)))
+    def path_cells(start: int, end: int) -> Path:
+        path = [end]
+        while end != start:
+            end = came[end]
+            path.append(end)
+        return tuple((i % width, i // width) for i in reversed(path))
+
+    return run(pair_next(), bud, lambda: WataridoriSolution(tuple(
+        path_cells(start, end) for start, end in ends)))
 
 
 # ------------------------------------------------------------- documents

@@ -13,6 +13,8 @@ from watarilink import numberlink as nl
 from watarilink import reduction as rd
 from watarilink import wataridori as wd
 from watarilink.grid import HORIZONTAL, VERTICAL, RegionMap, Wall
+from watarilink.search import (DEFAULT_BUDGET, FOUND, UNSAT, Budget,
+                               SolveResult, run)
 
 
 def wall_blocks(walls, a, b):
@@ -249,3 +251,168 @@ def wataridori_brute_solvable(inst, return_solution=False):
         if found is not None:
             return (True, found) if return_solution else True
     return (False, None) if return_solution else False
+
+
+# The exact solvers as they were on (x, y) tuple cells, with nested occupancy
+# and region lists and a dict neighbor table.  The library's flat-index
+# solvers must return equal results, node for node.
+
+def tuple_steps(width, height):
+    """The in-bounds neighbors of every cell, up, down, left, right."""
+    return {(x, y): tuple((nx, ny) for nx, ny in ((x, y + 1), (x, y - 1),
+                                                  (x - 1, y), (x + 1, y))
+                          if 0 <= nx < width and 0 <= ny < height)
+            for y in range(height) for x in range(width)}
+
+
+def numberlink_solve_reference(inst, budget=DEFAULT_BUDGET):
+    inst = nl.validate_instance(inst)
+    width, height = inst.width, inst.height
+    occ = [[0] * width for _ in range(height)]
+    for label, a, b in inst.terminals:
+        occ[a[1]][a[0]] = label
+        occ[b[1]][b[0]] = label
+
+    neighbors = tuple_steps(width, height)
+    pairs = list(inst.terminals)
+    bud = Budget(budget)
+    spend = bud.spend
+    paths = []
+
+    def reachable(src, dst):
+        if src == dst:
+            return True
+        seen = {src}
+        stack = [src]
+        while stack:
+            for nxt in neighbors[stack.pop()]:
+                if nxt == dst:
+                    return True
+                if nxt in seen or occ[nxt[1]][nxt[0]] != 0:
+                    continue
+                seen.add(nxt)
+                stack.append(nxt)
+        return False
+
+    def pending_ok(current_idx, head):
+        if not reachable(head, pairs[current_idx][2]):
+            return False
+        for label, a, b in pairs[current_idx + 1:]:
+            if not reachable(a, b):
+                return False
+        return True
+
+    def route(idx):
+        if idx == len(pairs):
+            yield FOUND
+            return
+        label, a, b = pairs[idx]
+        path = [a]
+        paths.append(path)
+        yield extend(idx, path, b)
+        paths.pop()
+
+    def extend(idx, path, goal):
+        for nxt in neighbors[path[-1]]:
+            nx, ny = nxt
+            spend()
+            if nxt == goal:
+                path.append(nxt)
+                yield route(idx + 1)
+                path.pop()
+                continue
+            if occ[ny][nx] != 0:
+                continue
+            occ[ny][nx] = pairs[idx][0]
+            path.append(nxt)
+            if pending_ok(idx, nxt):
+                yield extend(idx, path, goal)
+            path.pop()
+            occ[ny][nx] = 0
+
+    return run(route(0), bud, lambda: nl.NumberlinkSolution(tuple(
+        (label, tuple(path))
+        for (label, _, _), path in zip(pairs, paths))))
+
+
+def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
+    inst = wd.validate_instance(inst)
+    rmap = inst.regions
+    width, height = rmap.width, rmap.height
+    circles = sorted(inst.circles, key=lambda c: (c.y, c.x))
+    n = len(circles)
+    if n % 2 == 1:
+        return SolveResult(UNSAT, nodes=0)
+
+    blocked = [[False] * width for _ in range(height)]
+    for x, y, _ in circles:
+        blocked[y][x] = True
+    neighbors = tuple_steps(width, height)
+    bud = Budget(budget)
+    spend = bud.spend
+    paths = []
+    paired = [False] * n
+
+    def compatible(a, b):
+        return a.number is None or b.number is None or a.number == b.number
+
+    def dfs(path, run_ids, run_set, target, goal):
+        for nxt in neighbors[path[-1]]:
+            nx, ny = nxt
+            spend()
+            rid = rmap.ids[ny][nx]
+            if nxt == goal:
+                if rid == run_ids[-1]:
+                    total = len(run_ids)
+                elif rid in run_set:
+                    continue
+                else:
+                    total = len(run_ids) + 1
+                if target is not None and total != target:
+                    continue
+                path.append(nxt)
+                paths.append(tuple(path))
+                yield pair_next()
+                paths.pop()
+                path.pop()
+                continue
+            if blocked[ny][nx]:
+                continue
+            new_run = rid != run_ids[-1]
+            if new_run:
+                if rid in run_set:
+                    continue
+                if target is not None and len(run_ids) + 1 > target:
+                    continue
+                run_ids.append(rid)
+                run_set.add(rid)
+            blocked[ny][nx] = True
+            path.append(nxt)
+            yield dfs(path, run_ids, run_set, target, goal)
+            path.pop()
+            blocked[ny][nx] = False
+            if new_run:
+                run_ids.pop()
+                run_set.discard(rid)
+
+    def pair_next():
+        first = next((i for i in range(n) if not paired[i]), None)
+        if first is None:
+            yield FOUND
+            return
+        paired[first] = True
+        a = circles[first]
+        rid = rmap.ids[a.y][a.x]
+        for j in range(first + 1, n):
+            b = circles[j]
+            if paired[j] or not compatible(a, b):
+                continue
+            spend()
+            paired[j] = True
+            target = a.number if a.number is not None else b.number
+            yield dfs([a.cell], [rid], {rid}, target, b.cell)
+            paired[j] = False
+        paired[first] = False
+
+    return run(pair_next(), bud,
+               lambda: wd.WataridoriSolution(tuple(paths)))

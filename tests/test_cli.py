@@ -45,6 +45,19 @@ class TestSolve:
         assert main(["solve", SAMPLE_NL, "--budget", "2",
                      "-o", str(tmp_path / "x.json")]) == 3
 
+    def test_budget_of_one_node_is_accepted(self, capsys):
+        assert main(["solve", SAMPLE_NL, "--budget", "1"]) == 3
+        assert capsys.readouterr().err == "BUDGET_EXCEEDED after 2 nodes\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "abc", "1.5"])
+    def test_budget_must_be_a_positive_integer(self, budget, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", SAMPLE_NL, "--budget", budget])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: watarilink solve")
+        assert f"--budget: must be a positive integer, got '{budget}'" in err
+
     def test_truncated_file_exits_1(self, tmp_path):
         puzzle = tmp_path / "bad.json"
         puzzle.write_text('{"puzzle": "numberlink", "width":')

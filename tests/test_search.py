@@ -12,14 +12,17 @@ import sys
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from test_acceptance import ORACLE_BOARDS
 from test_numberlink import all_small_instances
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
 from watarilink import search
 from watarilink import wataridori as wd
-from watarilink.grid import regions_from_walls
+from watarilink.grid import (HORIZONTAL, VERTICAL, Wall, region_map_from_rows,
+                             regions_from_walls)
 
 
 def digest(text):
@@ -137,6 +140,103 @@ def test_long_wataridori_path_solves():
         "9a1e034be17479d8b00acd143d5cfacf63e6eb236349700bd79baa7ece241304"
 
 
+# 7x7 boards pinned with the tuple-cell solvers, before both moved onto
+# flat cell indices.
+
+REFUTED_7X7 = nl.NumberlinkInstance(7, 7, (
+    (1, (4, 3), (3, 4)), (2, (5, 0), (3, 1)), (3, (0, 4), (6, 6)),
+    (4, (0, 5), (3, 2)), (5, (1, 1), (6, 3)), (6, (0, 6), (6, 5)),
+    (7, (5, 3), (1, 3))))
+
+PLANTED_7X7 = nl.NumberlinkInstance(7, 7, (
+    (1, (6, 1), (4, 1)), (2, (3, 2), (0, 2)), (3, (0, 5), (2, 5)),
+    (4, (5, 6), (6, 6)), (5, (4, 4), (1, 5))))
+
+WILDCARDS_7X7 = wd.WataridoriInstance(region_map_from_rows([
+    [3, 3, 3, 5, 5, 0, 0],
+    [3, 3, 3, 5, 5, 5, 0],
+    [3, 3, 3, 5, 5, 5, 2],
+    [4, 4, 4, 4, 5, 5, 2],
+    [4, 4, 4, 4, 2, 2, 2],
+    [4, 4, 4, 4, 2, 1, 1],
+    [4, 4, 4, 4, 4, 1, 1],
+]), (wd.Circle(4, 5, 2), wd.Circle(3, 1), wd.Circle(4, 4), wd.Circle(5, 5),
+     wd.Circle(4, 6), wd.Circle(2, 2, 2), wd.Circle(6, 3, 3),
+     wd.Circle(1, 6)))
+
+
+@pytest.mark.parametrize("mod, inst, budget, status, nodes, sha", [
+    (nl, REFUTED_7X7, search.DEFAULT_BUDGET, search.UNSAT, 2861, None),
+    (nl, PLANTED_7X7, search.DEFAULT_BUDGET, search.SOLVED, 3035,
+     "503a0ca29abe1e0db2516cc5abd508e075d300aaff27955bb332c8d6251a60d4"),
+    (nl, PLANTED_7X7, 1000, search.BUDGET_EXCEEDED, 1001, None),
+    (wd, WILDCARDS_7X7, search.DEFAULT_BUDGET, search.SOLVED, 45977,
+     "cebabb6dcad729f3ea1cfeef5c80aa4cf970a04325cb635283fda341055e560a"),
+    (wd, WILDCARDS_7X7, 20_000, search.BUDGET_EXCEEDED, 20_001, None),
+], ids=["nl-refuted", "nl-planted", "nl-planted-overrun", "wd-wildcards",
+        "wd-wildcards-overrun"])
+def test_7x7_board(mod, inst, budget, status, nodes, sha):
+    result = mod.solve(inst, budget=budget)
+    assert (result.status, result.nodes) == (status, nodes)
+    if sha is None:
+        assert result.solution is None
+    else:
+        assert digest(mod.serialize_solution(result.solution)) == sha
+
+
+# The solvers against their tuple-cell references: equal status, solution
+# and node count on drawn boards, under budgets that are often overrun.
+
+budgets = st.one_of(st.integers(0, 300), st.just(20_000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_numberlink_solve_equals_reference(data):
+    width = data.draw(st.integers(1, 5), label="width")
+    height = data.draw(st.integers(1 if width > 1 else 2, 5), label="height")
+    cells = data.draw(st.permutations(
+        [(x, y) for x in range(width) for y in range(height)]), label="cells")
+    pairs = data.draw(st.integers(1, min(4, len(cells) // 2)), label="pairs")
+    inst = nl.NumberlinkInstance(width, height, tuple(
+        (i + 1, cells[2 * i], cells[2 * i + 1]) for i in range(pairs)))
+    budget = data.draw(budgets, label="budget")
+    assert nl.solve(inst, budget) == \
+        oracles.numberlink_solve_reference(inst, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_wataridori_solve_equals_reference(data):
+    width = data.draw(st.integers(2, 5), label="width")
+    height = data.draw(st.integers(2, 5), label="height")
+    candidates = [Wall(VERTICAL, x, y)
+                  for x in range(1, width) for y in range(height)]
+    candidates += [Wall(HORIZONTAL, x, y)
+                   for x in range(width) for y in range(1, height)]
+    # Each wall is drawn on its own, so most boards have several regions.
+    present = data.draw(st.lists(st.booleans(), min_size=len(candidates),
+                                 max_size=len(candidates)), label="walls")
+    rmap = regions_from_walls(
+        [wall for wall, keep in zip(candidates, present) if keep],
+        width, height)
+    cells = data.draw(st.permutations(
+        [(x, y) for x in range(width) for y in range(height)]), label="cells")
+    # Mostly pairs of circles; an odd count is UNSAT before any node.
+    pairs = data.draw(st.integers(0, 4), label="pairs")
+    odd = data.draw(st.integers(0, 1), label="odd")
+    count = min(2 * pairs + odd, len(cells))
+    numbers = data.draw(st.lists(st.sampled_from([None, None, 1, 2, 3, 4]),
+                                 min_size=count, max_size=count),
+                        label="numbers")
+    inst = wd.WataridoriInstance(rmap, tuple(
+        wd.Circle(x, y, number)
+        for (x, y), number in zip(cells, numbers)))
+    budget = data.draw(budgets, label="budget")
+    assert wd.solve(inst, budget) == \
+        oracles.wataridori_solve_reference(inst, budget)
+
+
 def test_solvers_share_one_contract():
     for name in ("SOLVED", "UNSAT", "BUDGET_EXCEEDED", "DEFAULT_BUDGET",
                  "SolveResult"):
@@ -178,3 +278,16 @@ def test_driver_unsat_undoes_every_move_and_overrun_counts_one_more():
     root, _ = _chain(500, budget)
     assert search.run(root, budget, list) == \
         search.SolveResult(search.BUDGET_EXCEEDED, None, 101)
+
+
+def test_budget_refuses_a_negative_limit(sample_numberlink):
+    assert search.Budget(0).limit == 0
+    with pytest.raises(ValueError):
+        search.Budget(-1)
+    with pytest.raises(ValueError):
+        nl.solve(sample_numberlink, budget=-5)
+    odd = wd.WataridoriInstance(regions_from_walls([], 2, 1),
+                                (wd.Circle(0, 0),))
+    assert wd.solve(odd, budget=0) == search.SolveResult(search.UNSAT)
+    with pytest.raises(ValueError):
+        wd.solve(odd, budget=-5)
