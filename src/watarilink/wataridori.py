@@ -147,12 +147,21 @@ def solve(inst: WataridoriInstance,
           budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Complete deterministic search over pairings and routed paths.
 
-    Circles are ordered by (y, x).  The lowest unpaired circle is paired
-    with each compatible partner in order; each pair is routed immediately
-    by DFS with fixed neighbor order before later pairs are chosen.  A
-    partial path is cut when it re-enters a region or exceeds its target
-    run count, both of which persist under any extension.  Designed for
-    boards up to about 7x7 with up to about 16 circles.
+    Circles are ordered most constrained first: numbered circles before
+    wildcards, higher numbers first, then by (y, x).  The first unpaired
+    circle is paired with each compatible partner in order; each pair is
+    routed immediately by DFS with fixed neighbor order before later pairs
+    are chosen.  Branching on every partner of one circle keeps the search
+    complete whatever the order.
+
+    A path to a numbered target is bounded by region distances: entering
+    region r needs `runs + 1 + dist(r, goal region) <= target`, where
+    `dist` counts steps in the region adjacency graph.  Walls and blocked
+    cells only lengthen real paths, so the bound never cuts a solution.
+    The same bound skips a partner whose region is too far away, so a
+    circle numbered 1 pairs only inside its own region.  A partial path is
+    also cut when it re-enters a region.  Designed for boards up to about
+    7x7 with up to about 16 circles.
     """
     inst = validate_instance(inst)
     rmap = inst.regions
@@ -160,7 +169,8 @@ def solve(inst: WataridoriInstance,
     n_cells = width * rmap.height
     bud = Budget(budget)
     spend = bud.spend
-    circles = sorted(inst.circles, key=lambda c: (c.y, c.x))
+    circles = sorted(inst.circles, key=lambda c: (
+        c.number is None, -(c.number or 0), c.y, c.x))
     n = len(circles)
     if n % 2 == 1:
         return SolveResult(UNSAT, nodes=0)
@@ -181,15 +191,40 @@ def solve(inst: WataridoriInstance,
     ends: List[Tuple[int, int]] = []
     paired = [False] * n
 
+    adjacent: List[set] = [set() for _ in range(rmap.region_count)]
+    for i, row in enumerate(neighbors):
+        adjacent[region[i]].update(nrid for _, nrid in row)
+    # Zero distances, for pairs that read none.  A wildcard pair has no
+    # target; its limit `n_cells` never cuts, since a path has at most
+    # `n_cells` runs.
+    no_bound = [0] * rmap.region_count
+    dists: Dict[int, List[int]] = {}
+
+    def distances(goal_rid: int) -> List[int]:
+        """Region-graph distances to `goal_rid`, one BFS per goal region.
+        The grid is connected, so every region gets a distance."""
+        dist = dists.get(goal_rid)
+        if dist is None:
+            dist = [-1] * rmap.region_count
+            dist[goal_rid] = 0
+            frontier = [goal_rid]
+            for rid in frontier:
+                for nrid in adjacent[rid]:
+                    if dist[nrid] < 0:
+                        dist[nrid] = dist[rid] + 1
+                        frontier.append(nrid)
+            dists[goal_rid] = dist
+        return dist
+
     def compatible(a: Circle, b: Circle) -> bool:
         return a.number is None or b.number is None or a.number == b.number
 
     def dfs(start: int, head: int, rid: int, runs: int, entered: bytearray,
-            limit: int, target: Optional[int], goal: int):
+            dist: List[int], limit: int, target: Optional[int], goal: int):
         """Frame: grow the path from `start` by one cell in each direction
         in turn.  Its last cell `head` is in region `rid`, it has `runs`
         region runs, `entered` flags the regions it has entered, and it may
-        enter a new region while it has fewer than `limit` runs."""
+        enter region r while `runs + dist[r] < limit`."""
         for nxt, nrid in neighbors[head]:
             spend()
             if blocked[nxt]:
@@ -210,17 +245,18 @@ def solve(inst: WataridoriInstance,
             elif nrid == rid:
                 blocked[nxt] = 1
                 came[nxt] = head
-                yield dfs(start, nxt, rid, runs, entered, limit, target, goal)
+                yield dfs(start, nxt, rid, runs, entered, dist, limit, target,
+                          goal)
                 blocked[nxt] = 0
-            elif not entered[nrid] and runs < limit:
+            elif not entered[nrid] and runs + dist[nrid] < limit:
                 entered[nrid] = blocked[nxt] = 1
                 came[nxt] = head
-                yield dfs(start, nxt, nrid, runs + 1, entered, limit, target,
-                          goal)
+                yield dfs(start, nxt, nrid, runs + 1, entered, dist, limit,
+                          target, goal)
                 entered[nrid] = blocked[nxt] = 0
 
     def pair_next():
-        """Frame: pair the lowest unpaired circle with each partner in turn
+        """Frame: pair the first unpaired circle with each partner in turn
         and route a path between them."""
         first = next((i for i in range(n) if not paired[i]), None)
         if first is None:
@@ -234,12 +270,26 @@ def solve(inst: WataridoriInstance,
             b = circles[j]
             if paired[j] or not compatible(a, b):
                 continue
+            target = a.number if a.number is not None else b.number
+            if target is None:
+                dist, limit = no_bound, n_cells
+            elif target == 1:
+                # The bound keeps such a path inside its start region.
+                # Comparing regions gives the same cuts as the distances,
+                # without a lookup per partner of a reduction's many
+                # number-1 filler circles.
+                if region[cells[j]] != rid:
+                    continue
+                dist, limit = no_bound, 1
+            else:
+                dist, limit = distances(region[cells[j]]), target
+                if dist[rid] >= target:
+                    continue
             spend()
             paired[j] = True
-            target = a.number if a.number is not None else b.number
             entered = bytearray(rmap.region_count)
             entered[rid] = 1
-            yield dfs(start, start, rid, 1, entered, target or n_cells, target,
+            yield dfs(start, start, rid, 1, entered, dist, limit, target,
                       cells[j])
             paired[j] = False
         paired[first] = False

@@ -1,0 +1,29 @@
+"""The reduction's hard direction over every 3x3 Numberlink source with at
+most two pairs: the Wataridori solver must decide each reduction exactly
+as the source is decided, and every solution it finds must unlift to a
+solution of the source.
+
+Too slow for the test suite; run it from the repository root:
+
+    PYTHONPATH=src:tests python tests/hard_direction_3x3.py
+"""
+
+import time
+
+from test_acceptance import check_reduction_decides, small_sources
+from watarilink import wataridori as wd
+
+
+def main():
+    start = time.perf_counter()
+    sources = small_sources(3, 3, 2)
+    results = [check_reduction_decides(g) for g in sources]
+    assert len(results) == 414
+    unsat = sum(r.status == wd.UNSAT for r in results)
+    print(f"{len(results)} sources, {unsat} unsat, "
+          f"at most {max(r.nodes for r in results)} nodes per reduction, "
+          f"{time.perf_counter() - start:.1f}s")
+
+
+if __name__ == "__main__":
+    main()

@@ -253,9 +253,9 @@ def wataridori_brute_solvable(inst, return_solution=False):
     return (False, None) if return_solution else False
 
 
-# The exact solvers as they were on (x, y) tuple cells, with nested occupancy
-# and region lists and a dict neighbor table.  The library's flat-index
-# solvers must return equal results, node for node.
+# The exact solvers on (x, y) tuple cells, with nested occupancy and region
+# lists and a dict neighbor table.  The library's flat-index solvers must
+# return equal results, node for node.
 
 def tuple_steps(width, height):
     """The in-bounds neighbors of every cell, up, down, left, right."""
@@ -339,7 +339,10 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
     inst = wd.validate_instance(inst)
     rmap = inst.regions
     width, height = rmap.width, rmap.height
-    circles = sorted(inst.circles, key=lambda c: (c.y, c.x))
+    # Most constrained first: numbered circles, highest number first, then
+    # wildcards; ties by (y, x).
+    circles = sorted(inst.circles, key=lambda c: (
+        c.number is None, -(c.number or 0), c.y, c.x))
     n = len(circles)
     if n % 2 == 1:
         return SolveResult(UNSAT, nodes=0)
@@ -352,6 +355,28 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
     spend = bud.spend
     paths = []
     paired = [False] * n
+
+    adjacent = {}
+    for (x, y), nbrs in neighbors.items():
+        adjacent.setdefault(rmap.ids[y][x], set()).update(
+            rmap.ids[ny][nx] for nx, ny in nbrs)
+    dists = {}
+
+    def distance_to(goal):
+        """Steps in the region adjacency graph from each region to the
+        region of cell `goal`, by BFS."""
+        goal_rid = rmap.ids[goal[1]][goal[0]]
+        if goal_rid not in dists:
+            dist = {goal_rid: 0}
+            queue = deque([goal_rid])
+            while queue:
+                rid = queue.popleft()
+                for nrid in adjacent[rid]:
+                    if nrid not in dist:
+                        dist[nrid] = dist[rid] + 1
+                        queue.append(nrid)
+            dists[goal_rid] = dist
+        return dists[goal_rid]
 
     def compatible(a, b):
         return a.number is None or b.number is None or a.number == b.number
@@ -382,7 +407,8 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
             if new_run:
                 if rid in run_set:
                     continue
-                if target is not None and len(run_ids) + 1 > target:
+                if target is not None and len(run_ids) + 1 + \
+                        distance_to(goal)[rid] > target:
                     continue
                 run_ids.append(rid)
                 run_set.add(rid)
@@ -407,9 +433,12 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
             b = circles[j]
             if paired[j] or not compatible(a, b):
                 continue
+            target = a.number if a.number is not None else b.number
+            if target is not None and \
+                    distance_to(b.cell)[rid] + 1 > target:
+                continue
             spend()
             paired[j] = True
-            target = a.number if a.number is not None else b.number
             yield dfs([a.cell], [rid], {rid}, target, b.cell)
             paired[j] = False
         paired[first] = False

@@ -189,27 +189,46 @@ def test_criterion_5_end_to_end_round_trip(sample_numberlink,
         assert time.monotonic() - start < 10.0
 
 
+def small_sources(width, height, max_pairs):
+    """Every Numberlink instance on a width x height board with one pair,
+    and with two pairs too when `max_pairs` is 2."""
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    out = [nl.NumberlinkInstance(width, height, ((1, a, b),))
+           for a, b in combinations(cells, 2)]
+    if max_pairs >= 2:
+        for a, b, c, d in combinations(cells, 4):
+            for pairs in (((1, a, b), (2, c, d)), ((1, a, c), (2, b, d)),
+                          ((1, a, d), (2, b, c))):
+                out.append(nl.NumberlinkInstance(width, height, pairs))
+    return out
+
+
+# One pair on the smallest boards, and every 2x3 instance with p <= 2.
+CRITERION_6_SOURCES = [
+    g for width, height in ((2, 1), (1, 2), (3, 1), (1, 3), (2, 2))
+    for g in small_sources(width, height, 1)] + small_sources(2, 3, 2)
+
+
+def check_reduction_decides(g):
+    """Solve `g` and its reduction exactly.  Both must get the same status,
+    and a solution of the reduction must unlift to a solution of `g`.
+    Returns the reduction's result."""
+    g = nl.validate_instance(g)
+    h, rmap = rd.reduce_instance(g)
+    result = wd.solve(h)
+    assert result.status == nl.solve(g).status, g
+    if result.solution is not None:
+        assert wd.verify_solution(h, result.solution), g
+        assert nl.verify_solution(g, lf.unlift(result.solution, rmap)), g
+    return result
+
+
 def test_criterion_6_small_scale_equivalence():
     with criterion(6, "tiny-grid equivalence: solvable sources lift to "
                       "verifying targets, unsolvable ones agree with the "
                       "brute-force oracle"):
-        instances = []
-        for width, height in ((2, 1), (1, 2), (3, 1), (1, 3), (2, 2)):
-            cells = [(x, y) for y in range(height) for x in range(width)]
-            for a, b in combinations(cells, 2):
-                instances.append(
-                    nl.NumberlinkInstance(width, height, ((1, a, b),)))
-        # all 2x3 instances with p <= 2
-        cells = [(x, y) for y in range(3) for x in range(2)]
-        for a, b in combinations(cells, 2):
-            instances.append(nl.NumberlinkInstance(2, 3, ((1, a, b),)))
-        for quad in combinations(cells, 4):
-            a, b, c, d = quad
-            for pairs in (((1, a, b), (2, c, d)), ((1, a, c), (2, b, d)),
-                          ((1, a, d), (2, b, c))):
-                instances.append(nl.NumberlinkInstance(2, 3, pairs))
         solved = unsat = 0
-        for g in instances:
+        for g in CRITERION_6_SOURCES:
             g = nl.validate_instance(g)
             result = nl.solve(g)
             if result.status == nl.SOLVED:
@@ -222,6 +241,17 @@ def test_criterion_6_small_scale_equivalence():
                 assert not oracles.numberlink_brute_solvable(g), g
                 unsat += 1
         assert solved >= 30 and unsat >= 5
+
+
+def test_criterion_6_reduction_decided_directly():
+    with criterion(6, "hard direction: the Wataridori solver decides every "
+                      "reduction exactly as the source is decided, and its "
+                      "solutions unlift to solutions of the source"):
+        results = [check_reduction_decides(g) for g in CRITERION_6_SOURCES]
+        assert len(results) == 74
+        assert sum(r.status == wd.UNSAT for r in results) == 15
+        nodes = [r.nodes for r in results]
+        assert (sum(nodes), max(nodes)) == (122264, 2806)
 
 
 ORACLE_BOARDS = [

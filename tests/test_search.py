@@ -1,10 +1,11 @@
 """The shared search contract, pinned.
 
-Every `(status, nodes)` pair and solution digest below was recorded with
-the recursive solvers that came before the explicit-stack driver.  Moving
-the search off the Python call stack must not move any of them: same node
-order, same budget arithmetic (an overrun reports `budget + 1` nodes), same
-solutions.
+Every `(status, nodes)` pair and solution digest below is deterministic:
+same node order, same budget arithmetic (an overrun reports `budget + 1`
+nodes), same solutions.  The Numberlink pins were recorded with the
+recursive solver that came before the explicit-stack driver.  The
+Wataridori pins were recorded when that search took its most-constrained
+pairing order and region-distance bound.
 """
 
 import hashlib
@@ -32,8 +33,8 @@ def digest(text):
 SAMPLE_PINS = [
     (nl, "sample_numberlink", 134,
      "dde44a8a6ad4a66fff95d1f2789dc0be0d77a7c021c86daa089cbe9babf1b350"),
-    (wd, "sample_wataridori", 3887,
-     "579467f2b90fab96713539a5bb02965e1af8aeee31fbbcb6a860018a9b96cfe2"),
+    (wd, "sample_wataridori", 103,
+     "7975bda93908bd87dcfb302579bc29496e3f77b1bde96aad57f609ed457cd759"),
 ]
 
 
@@ -68,14 +69,14 @@ def test_sample_budget_boundary(mod, fixture, nodes, sha, request):
 
 
 PLANTED = {
-    "2x1": ((2, 1, ((1, (0, 0), (1, 0)),)), 15030,
-            "b1d3cf6b552776c48b06f761ea533b0056563a12f4909013f956c3bde7537d63"),
-    "3x1": ((3, 1, ((1, (0, 0), (2, 0)),)), 25812,
-            "89f8a7d2bba1adb2e0cc12b3cce4ba8cab462b02a47b676869959b3171062806"),
-    "2x2": ((2, 2, ((1, (0, 0), (0, 1)), (2, (1, 0), (1, 1)))), 53247,
-            "5902ba3ab9a24c0c85b772fb73dc20b1765da24aba9204efa3e933b9d20b1d76"),
-    "3x2": ((3, 2, ((1, (0, 0), (2, 0)), (2, (0, 1), (2, 1)))), 91482,
-            "89dc3ca92698e52ac1af1251a23ce48ad9d1a0da746f82eb60db1684c4886c59"),
+    "2x1": ((2, 1, ((1, (0, 0), (1, 0)),)), 1050,
+            "311cecc4ce8f5c95d649f8eb9d0b9047bf8f0f20a30dc3b7a32efb6274dd53ac"),
+    "3x1": ((3, 1, ((1, (0, 0), (2, 0)),)), 1482,
+            "71ce164af5a66d66b26c4d1914e83fc4e448df05f2a65664e8b8c75d94545ce5"),
+    "2x2": ((2, 2, ((1, (0, 0), (0, 1)), (2, (1, 0), (1, 1)))), 1947,
+            "7314bfd9bd12f7fbeaae5d6328348f237c2c657ba954e730b60f368a8f9617d8"),
+    "3x2": ((3, 2, ((1, (0, 0), (2, 0)), (2, (0, 1), (2, 1)))), 3127,
+            "f09d7504306119c4444c75c1bbf72c7c9b5f68c06f36cbc3526aa7ef725fe425"),
 }
 
 
@@ -89,12 +90,22 @@ def test_reduction_of_planted_source(name):
     assert wd.verify_solution(h, result.solution)
 
 
+CROSSING = nl.NumberlinkInstance(
+    2, 2, ((1, (0, 0), (1, 1)), (2, (1, 0), (0, 1))))
+
+
 def test_crossing_reduction_exhausts_budget():
-    crossing = nl.NumberlinkInstance(
-        2, 2, ((1, (0, 0), (1, 1)), (2, (1, 0), (0, 1))))
-    h, _ = rd.reduce_instance(crossing)
-    result = wd.solve(h, budget=50_000)
-    assert (result.status, result.nodes) == (wd.BUDGET_EXCEEDED, 50_001)
+    h, _ = rd.reduce_instance(CROSSING)
+    result = wd.solve(h, budget=100)
+    assert (result.status, result.nodes) == (wd.BUDGET_EXCEEDED, 101)
+
+
+def test_crossing_reduction_is_refuted():
+    """The 2x2 crossing has no solution, so neither has its reduction."""
+    h, _ = rd.reduce_instance(CROSSING)
+    assert nl.solve(CROSSING).status == nl.UNSAT
+    result = wd.solve(h)
+    assert (result.status, result.nodes) == (wd.UNSAT, 159)
 
 
 def test_node_total_over_small_numberlink_family():
@@ -113,12 +124,13 @@ def test_node_total_over_two_circle_family():
                 rmap, (wd.Circle(*a, na), wd.Circle(*b, nb)))
             total += wd.solve(inst).nodes
             count += 1
-    assert (count, total) == (5026, 531771)
+    assert (count, total) == (5026, 236427)
 
 
 # Both boards used to die with RecursionError: each solver recursed once
-# per path cell.  Their node counts and digests were recorded from the
-# recursive solvers run with a raised recursion limit.
+# per path cell.  The Numberlink pin was recorded from the recursive solver
+# run with a raised recursion limit; the Wataridori pin is the
+# most-constrained search's.
 
 def test_long_numberlink_path_solves():
     inst = nl.NumberlinkInstance(40, 40, ((1, (0, 0), (39, 39)),))
@@ -134,14 +146,15 @@ def test_long_wataridori_path_solves():
         nl.NumberlinkInstance(4, 4, ((1, (0, 0), (3, 3)),)))
     assert (h.width, h.height) == (36, 36)
     result = wd.solve(h)
-    assert (result.status, result.nodes) == (wd.SOLVED, 73889)
+    assert (result.status, result.nodes) == (wd.SOLVED, 5391)
     assert wd.verify_solution(h, result.solution)
     assert digest(wd.serialize_solution(result.solution)) == \
-        "9a1e034be17479d8b00acd143d5cfacf63e6eb236349700bd79baa7ece241304"
+        "f09a6c01c8f8d271ba3ea1f24c34d750008277ccaa276ed45ad557368c92cf89"
 
 
-# 7x7 boards pinned with the tuple-cell solvers, before both moved onto
-# flat cell indices.
+# 7x7 boards pinned with the tuple-cell solvers: the Numberlink boards
+# before both moved onto flat cell indices, the Wataridori board when its
+# search took the most-constrained order and region-distance bound.
 
 REFUTED_7X7 = nl.NumberlinkInstance(7, 7, (
     (1, (4, 3), (3, 4)), (2, (5, 0), (3, 1)), (3, (0, 4), (6, 6)),
@@ -170,9 +183,9 @@ WILDCARDS_7X7 = wd.WataridoriInstance(region_map_from_rows([
     (nl, PLANTED_7X7, search.DEFAULT_BUDGET, search.SOLVED, 3035,
      "503a0ca29abe1e0db2516cc5abd508e075d300aaff27955bb332c8d6251a60d4"),
     (nl, PLANTED_7X7, 1000, search.BUDGET_EXCEEDED, 1001, None),
-    (wd, WILDCARDS_7X7, search.DEFAULT_BUDGET, search.SOLVED, 45977,
-     "cebabb6dcad729f3ea1cfeef5c80aa4cf970a04325cb635283fda341055e560a"),
-    (wd, WILDCARDS_7X7, 20_000, search.BUDGET_EXCEEDED, 20_001, None),
+    (wd, WILDCARDS_7X7, search.DEFAULT_BUDGET, search.SOLVED, 165,
+     "52c1d25903f59701493f7237f896f85ff43cc08dc11b7f3e8e5672b0f1fb21ca"),
+    (wd, WILDCARDS_7X7, 100, search.BUDGET_EXCEEDED, 101, None),
 ], ids=["nl-refuted", "nl-planted", "nl-planted-overrun", "wd-wildcards",
         "wd-wildcards-overrun"])
 def test_7x7_board(mod, inst, budget, status, nodes, sha):
@@ -188,6 +201,20 @@ def test_7x7_board(mod, inst, budget, status, nodes, sha):
 # and node count on drawn boards, under budgets that are often overrun.
 
 budgets = st.one_of(st.integers(0, 300), st.just(20_000))
+
+
+def draw_regions(data, width, height):
+    """Regions of a width x height board whose walls are each drawn on
+    their own, so most boards have several regions."""
+    candidates = [Wall(VERTICAL, x, y)
+                  for x in range(1, width) for y in range(height)]
+    candidates += [Wall(HORIZONTAL, x, y)
+                   for x in range(width) for y in range(1, height)]
+    present = data.draw(st.lists(st.booleans(), min_size=len(candidates),
+                                 max_size=len(candidates)), label="walls")
+    return regions_from_walls(
+        [wall for wall, keep in zip(candidates, present) if keep],
+        width, height)
 
 
 @settings(max_examples=150, deadline=None)
@@ -210,16 +237,7 @@ def test_numberlink_solve_equals_reference(data):
 def test_wataridori_solve_equals_reference(data):
     width = data.draw(st.integers(2, 5), label="width")
     height = data.draw(st.integers(2, 5), label="height")
-    candidates = [Wall(VERTICAL, x, y)
-                  for x in range(1, width) for y in range(height)]
-    candidates += [Wall(HORIZONTAL, x, y)
-                   for x in range(width) for y in range(1, height)]
-    # Each wall is drawn on its own, so most boards have several regions.
-    present = data.draw(st.lists(st.booleans(), min_size=len(candidates),
-                                 max_size=len(candidates)), label="walls")
-    rmap = regions_from_walls(
-        [wall for wall, keep in zip(candidates, present) if keep],
-        width, height)
+    rmap = draw_regions(data, width, height)
     cells = data.draw(st.permutations(
         [(x, y) for x in range(width) for y in range(height)]), label="cells")
     # Mostly pairs of circles; an odd count is UNSAT before any node.
@@ -235,6 +253,35 @@ def test_wataridori_solve_equals_reference(data):
     budget = data.draw(budgets, label="budget")
     assert wd.solve(inst, budget) == \
         oracles.wataridori_solve_reference(inst, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_wataridori_solve_agrees_with_brute_force(data):
+    """The pairing order, the region-distance bound and the pair filter
+    never refute a solvable board."""
+    width = data.draw(st.integers(1, 4), label="width")
+    height = data.draw(st.integers(1 if width > 1 else 2, 4), label="height")
+    rmap = draw_regions(data, width, height)
+    cells = data.draw(st.permutations(
+        [(x, y) for x in range(width) for y in range(height)]), label="cells")
+    pairs = data.draw(st.integers(1, min(3, len(cells) // 2)), label="pairs")
+    # Each pair shares one number, and either circle may be a wildcard
+    # instead, so that many boards with several pairs are solvable.
+    numbers = []
+    for _ in range(pairs):
+        number = data.draw(st.sampled_from([None, 1, 2, 3, 4]),
+                           label="number")
+        numbers += [data.draw(st.sampled_from([number, None]), label="wild")
+                    for _ in range(2)]
+    inst = wd.WataridoriInstance(rmap, tuple(
+        wd.Circle(x, y, number)
+        for (x, y), number in zip(cells, numbers)))
+    result = wd.solve(inst)
+    assert (result.status == wd.SOLVED) == \
+        oracles.wataridori_brute_solvable(inst)
+    if result.solution is not None:
+        assert wd.verify_solution(inst, result.solution)
 
 
 def test_solvers_share_one_contract():
