@@ -194,9 +194,8 @@ def solve(inst: WataridoriInstance,
     adjacent: List[set] = [set() for _ in range(rmap.region_count)]
     for i, row in enumerate(neighbors):
         adjacent[region[i]].update(nrid for _, nrid in row)
-    # Zero distances, for pairs that read none.  A wildcard pair has no
-    # target; its limit `n_cells` never cuts, since a path has at most
-    # `n_cells` runs.
+    # A wildcard pair has no target: it reads zero distances, and its limit
+    # `n_cells` never cuts, since a path has at most `n_cells` runs.
     no_bound = [0] * rmap.region_count
     dists: Dict[int, List[int]] = {}
 
@@ -273,14 +272,6 @@ def solve(inst: WataridoriInstance,
             target = a.number if a.number is not None else b.number
             if target is None:
                 dist, limit = no_bound, n_cells
-            elif target == 1:
-                # The bound keeps such a path inside its start region.
-                # Comparing regions gives the same cuts as the distances,
-                # without a lookup per partner of a reduction's many
-                # number-1 filler circles.
-                if region[cells[j]] != rid:
-                    continue
-                dist, limit = no_bound, 1
             else:
                 dist, limit = distances(region[cells[j]]), target
                 if dist[rid] >= target:
