@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from . import documents as docs
 from . import errors
@@ -135,7 +135,8 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     Labels are routed in order 1..p; each path grows with fixed neighbor
     order (up, down, left, right).  A partial state is cut when any pending
     pair's endpoints are no longer connectable through free cells, which
-    never discards a completable state.
+    never discards a completable state.  A pending pair is flooded again
+    only when the head lands on the free path last found for it.
     """
     inst = validate_instance(inst)
     width = inst.width
@@ -172,12 +173,44 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
                 stack.append(nxt)
         return False
 
+    # Each pending pair keeps the cells of the last free path found between
+    # its ends.  Cells are only occupied going deeper and only freed going
+    # back, and every occupation is tested against each pending witness, so
+    # a witness the head missed is still free: only a hit needs a flood.
+    witness: List[Optional[Set[int]]] = [None] * len(pairs)
+    parent = [0] * n
+
+    def free_path(src: int, dst: int) -> Optional[Set[int]]:
+        """The cells strictly between `src` and `dst` on a shortest free
+        path, or None if there is none."""
+        gen = next(generations)
+        seen[src] = gen
+        queue = [src]
+        for cur in queue:
+            for nxt in neighbors[cur]:
+                if nxt == dst:
+                    cells = set()
+                    while cur != src:
+                        cells.add(cur)
+                        cur = parent[cur]
+                    return cells
+                if occ[nxt] or seen[nxt] == gen:
+                    continue
+                seen[nxt] = gen
+                parent[nxt] = cur
+                queue.append(nxt)
+        return None
+
     def pending_ok(current_idx: int, head: int) -> bool:
         if not reachable(head, pairs[current_idx][2]):
             return False
-        for label, a, b in pairs[current_idx + 1:]:
-            if not reachable(a, b):
-                return False
+        for k in range(current_idx + 1, len(pairs)):
+            cells = witness[k]
+            if cells is None or head in cells:
+                cells = free_path(pairs[k][1], pairs[k][2])
+                if cells is None:
+                    return False
+                witness[k] = cells
         return True
 
     def route(idx: int):
@@ -209,9 +242,13 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
             path.pop()
             occ[nxt] = 0
 
-    return run(route(0), bud, lambda: NumberlinkSolution(tuple(
+    result = run(route(0), bud, lambda: NumberlinkSolution(tuple(
         (label, tuple((i % width, i // width) for i in path))
         for (label, _, _), path in zip(pairs, paths))))
+    # `route` and `extend` refer to each other; break the cycle so this
+    # solve's tables are freed on return, not by the cyclic collector.
+    route = extend = None
+    return result
 
 
 def normalize_solution(sol: NumberlinkSolution) -> NumberlinkSolution:

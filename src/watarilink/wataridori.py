@@ -159,9 +159,10 @@ def solve(inst: WataridoriInstance,
     `dist` counts steps in the region adjacency graph.  Walls and blocked
     cells only lengthen real paths, so the bound never cuts a solution.
     The same bound skips a partner whose region is too far away, so a
-    circle numbered 1 pairs only inside its own region.  A partial path is
-    also cut when it re-enters a region.  Designed for boards up to about
-    7x7 with up to about 16 circles.
+    circle numbered 1 pairs only inside its own region; each circle's
+    partner list is read once, from the circles of the regions near its
+    own.  A partial path is also cut when it re-enters a region.  Designed
+    for boards up to about 7x7 with up to about 16 circles.
     """
     inst = validate_instance(inst)
     rmap = inst.regions
@@ -215,8 +216,28 @@ def solve(inst: WataridoriInstance,
             dists[goal_rid] = dist
         return dist
 
-    def compatible(a: Circle, b: Circle) -> bool:
-        return a.number is None or b.number is None or a.number == b.number
+    # Circle indices by region, for the partner lists below.
+    bucket: List[List[int]] = [[] for _ in range(rmap.region_count)]
+    for j, i in enumerate(cells):
+        bucket[region[i]].append(j)
+    partners: List[Optional[List[Tuple[int, int, List[int]]]]] = [None] * n
+
+    def partners_of(first: int) -> List[Tuple[int, int, List[int]]]:
+        """The later circles `first` may pair with, in index order, each
+        with its goal cell and region distances.  Built once per circle."""
+        t = circles[first].number
+        if t is None:
+            # Wildcards sort last, so every later circle is a wildcard.
+            return [(j, cells[j], no_bound) for j in range(first + 1, n)]
+        # The regions within t - 1 steps of the circle's own region.
+        near = frontier = {region[cells[first]]}
+        for _ in range(t - 1):
+            frontier = {nrid for rid in frontier
+                        for nrid in adjacent[rid]} - near
+            near = near | frontier
+        return [(j, cells[j], distances(region[cells[j]]))
+                for j in sorted(j for rid in near for j in bucket[rid])
+                if j > first and circles[j].number in (None, t)]
 
     def dfs(start: int, head: int, rid: int, runs: int, entered: bytearray,
             dist: List[int], limit: int, target: Optional[int], goal: int):
@@ -262,26 +283,21 @@ def solve(inst: WataridoriInstance,
             yield FOUND
             return
         paired[first] = True
-        a = circles[first]
+        target = circles[first].number
+        limit = target or n_cells
         start = cells[first]
         rid = region[start]
-        for j in range(first + 1, n):
-            b = circles[j]
-            if paired[j] or not compatible(a, b):
+        if partners[first] is None:
+            partners[first] = partners_of(first)
+        for j, goal, dist in partners[first]:
+            if paired[j]:
                 continue
-            target = a.number if a.number is not None else b.number
-            if target is None:
-                dist, limit = no_bound, n_cells
-            else:
-                dist, limit = distances(region[cells[j]]), target
-                if dist[rid] >= target:
-                    continue
             spend()
             paired[j] = True
             entered = bytearray(rmap.region_count)
             entered[rid] = 1
             yield dfs(start, start, rid, 1, entered, dist, limit, target,
-                      cells[j])
+                      goal)
             paired[j] = False
         paired[first] = False
 
@@ -292,8 +308,12 @@ def solve(inst: WataridoriInstance,
             path.append(end)
         return tuple((i % width, i // width) for i in reversed(path))
 
-    return run(pair_next(), bud, lambda: WataridoriSolution(tuple(
+    result = run(pair_next(), bud, lambda: WataridoriSolution(tuple(
         path_cells(start, end) for start, end in ends)))
+    # `pair_next` and `dfs` refer to each other; break the cycle so this
+    # solve's tables are freed on return, not by the cyclic collector.
+    pair_next = dfs = None
+    return result
 
 
 # ------------------------------------------------------------- documents

@@ -9,6 +9,7 @@ pairing order and region-distance bound.
 """
 
 import hashlib
+import random
 import sys
 from itertools import combinations, product
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from test_acceptance import ORACLE_BOARDS
+from test_acceptance import CRITERION_6_SOURCES, ORACLE_BOARDS
 from test_numberlink import all_small_instances
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
@@ -253,6 +254,40 @@ def test_wataridori_solve_equals_reference(data):
     budget = data.draw(budgets, label="budget")
     assert wd.solve(inst, budget) == \
         oracles.wataridori_solve_reference(inst, budget)
+
+
+# The drawn boards above are small, so the same equality is checked where
+# the searches cut most: the reductions' many filler circles, and
+# Numberlink boards with enough pending pairs to keep their witness paths
+# busy.
+
+def test_wataridori_solve_equals_reference_on_reductions():
+    for g in CRITERION_6_SOURCES:
+        h, _ = rd.reduce_instance(g)
+        assert wd.solve(h) == oracles.wataridori_solve_reference(h), g
+
+
+def seeded_numberlink_boards():
+    """Three boards each on 6x6 and 7x7 with 4, 5 and 6 pairs, terminals
+    on distinct cells drawn from a fixed seed."""
+    rng = random.Random(2)
+    for side in (6, 7):
+        cells = [(x, y) for y in range(side) for x in range(side)]
+        for pairs in (4, 5, 6):
+            for _ in range(3):
+                ends = rng.sample(cells, 2 * pairs)
+                yield nl.NumberlinkInstance(side, side, tuple(
+                    (i + 1, ends[2 * i], ends[2 * i + 1])
+                    for i in range(pairs)))
+
+
+def test_numberlink_solve_equals_reference_on_seeded_boards():
+    statuses = []
+    for inst in seeded_numberlink_boards():
+        result = nl.solve(inst)
+        assert result == oracles.numberlink_solve_reference(inst), inst
+        statuses.append(result.status)
+    assert (statuses.count(nl.SOLVED), statuses.count(nl.UNSAT)) == (5, 13)
 
 
 @settings(max_examples=200, deadline=None)
