@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path as FilePath
 from typing import Any, Optional, Tuple
 
 from . import (documents, lifting, numberlink, reduction, render, search,
@@ -41,7 +40,8 @@ def _positive_int(text: str) -> int:
 
 def _read(path: str) -> str:
     try:
-        return FilePath(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise PuzzleError("IO_ERROR", f"cannot read {path}: {exc}")
 
@@ -51,7 +51,8 @@ def _write(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        FilePath(path).write_text(text)
+        with open(path, "w") as f:
+            f.write(text)
     except OSError as exc:
         raise PuzzleError("IO_ERROR", f"cannot write {path}: {exc}")
 

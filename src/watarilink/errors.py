@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 Cell = Tuple[int, int]
 
@@ -52,8 +51,7 @@ REGION_REENTERED = "REGION_REENTERED"
 COUNT_MISMATCH = "COUNT_MISMATCH"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a verifier: acceptance, or the first violated rule.
 
     Rejections name the rule code, the index of the offending path (when one

@@ -6,7 +6,6 @@ bottom-left cell of a grid is (0, 0).  All values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import eq
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
@@ -69,8 +68,7 @@ def first_shared_cell(paths: Sequence[Sequence[Cell]]
     return None
 
 
-@dataclass(frozen=True)
-class RegionMap:
+class RegionMap(NamedTuple):
     """Partition of a grid into orthogonally connected regions.
 
     ids[y][x] is the region of cell (x, y).  Ids are dense (0..count-1) and

@@ -11,8 +11,7 @@ of blocks it traverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import ValidationError
 from .grid import Cell, Path
@@ -30,8 +29,7 @@ SOUTH = "south"
 _ARMS = (EAST, NORTH, WEST, SOUTH)
 
 
-@dataclass(frozen=True)
-class ArmRoute:
+class ArmRoute(NamedTuple):
     """Block-local path from the center circle to one arm's entry cell."""
 
     arm: str

@@ -7,9 +7,8 @@ Full coverage can be demanded at verification time with a flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import documents as docs
 from . import errors
@@ -20,8 +19,7 @@ from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
                      Budget, SolveResult, run, steps)
 
 
-@dataclass(frozen=True)
-class NumberlinkInstance:
+class NumberlinkInstance(NamedTuple):
     width: int
     height: int
     # (label, first cell, second cell); one entry per label
@@ -32,8 +30,7 @@ class NumberlinkInstance:
         return len(self.terminals)
 
 
-@dataclass(frozen=True)
-class NumberlinkSolution:
+class NumberlinkSolution(NamedTuple):
     paths: Tuple[Tuple[int, Path], ...]
 
 

@@ -23,10 +23,9 @@ pairing of the source puzzle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import (Any, Callable, Dict, FrozenSet, Iterator, List, Optional,
-                    Sequence, Set, Tuple, TypeVar)
+from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
+                    NamedTuple, Optional, Sequence, Set, Tuple, TypeVar)
 
 from . import documents as docs
 from .errors import ParseError, ValidationError
@@ -42,8 +41,7 @@ EMPTY = "empty"
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class BlockTemplate:
+class BlockTemplate(NamedTuple):
     """One block's geometry in block-local coordinates."""
 
     kind: str
@@ -55,8 +53,7 @@ class BlockTemplate:
     center: Optional[Cell] = None
 
 
-@dataclass(frozen=True)
-class ReductionMap:
+class ReductionMap(NamedTuple):
     """What relates a source instance to its reduction: the validated
     source and the ladder parameter k.  Everything else the reduction
     placed is derived from those two."""

@@ -19,8 +19,7 @@ search's.  The test suite keeps such searches as references and compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Tuple
+from typing import Any, Callable, Iterator, NamedTuple, Tuple
 
 SOLVED = "solved"
 UNSAT = "unsat"
@@ -31,8 +30,7 @@ DEFAULT_BUDGET = 10_000_000
 FOUND = object()
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str
     solution: Any = None
     nodes: int = 0

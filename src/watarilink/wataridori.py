@@ -8,7 +8,6 @@ number on its endpoint circles (wildcard circles accept any total).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -33,8 +32,7 @@ class Circle(NamedTuple):
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class WataridoriInstance:
+class WataridoriInstance(NamedTuple):
     regions: RegionMap
     circles: Tuple[Circle, ...]
 
@@ -47,8 +45,7 @@ class WataridoriInstance:
         return self.regions.height
 
 
-@dataclass(frozen=True)
-class WataridoriSolution:
+class WataridoriSolution(NamedTuple):
     paths: Tuple[Path, ...]
 
 
@@ -239,12 +236,12 @@ def solve(inst: WataridoriInstance,
                 for j in sorted(j for rid in near for j in bucket[rid])
                 if j > first and circles[j].number in (None, t)]
 
-    def dfs(start: int, head: int, rid: int, runs: int, entered: bytearray,
+    def dfs(first: int, head: int, rid: int, runs: int, entered: bytearray,
             dist: List[int], limit: int, target: Optional[int], goal: int):
-        """Frame: grow the path from `start` by one cell in each direction
-        in turn.  Its last cell `head` is in region `rid`, it has `runs`
-        region runs, `entered` flags the regions it has entered, and it may
-        enter region r while `runs + dist[r] < limit`."""
+        """Frame: grow the path from circle `first` by one cell in each
+        direction in turn.  Its last cell `head` is in region `rid`, it has
+        `runs` region runs, `entered` flags the regions it has entered, and
+        it may enter region r while `runs + dist[r] < limit`."""
         for nxt, nrid in neighbors[head]:
             spend()
             if blocked[nxt]:
@@ -259,26 +256,27 @@ def solve(inst: WataridoriInstance,
                 if target and total != target:
                     continue
                 came[nxt] = head
-                ends.append((start, nxt))
-                yield pair_next()
+                ends.append((cells[first], nxt))
+                yield pair_next(first + 1)
                 ends.pop()
             elif nrid == rid:
                 blocked[nxt] = 1
                 came[nxt] = head
-                yield dfs(start, nxt, rid, runs, entered, dist, limit, target,
+                yield dfs(first, nxt, rid, runs, entered, dist, limit, target,
                           goal)
                 blocked[nxt] = 0
             elif not entered[nrid] and runs + dist[nrid] < limit:
                 entered[nrid] = blocked[nxt] = 1
                 came[nxt] = head
-                yield dfs(start, nxt, nrid, runs + 1, entered, dist, limit,
+                yield dfs(first, nxt, nrid, runs + 1, entered, dist, limit,
                           target, goal)
                 entered[nrid] = blocked[nxt] = 0
 
-    def pair_next():
+    def pair_next(after: int):
         """Frame: pair the first unpaired circle with each partner in turn
-        and route a path between them."""
-        first = next((i for i in range(n) if not paired[i]), None)
+        and route a path between them.  Every circle before `after` is
+        paired already, so the scan starts there."""
+        first = next((i for i in range(after, n) if not paired[i]), None)
         if first is None:
             yield FOUND
             return
@@ -296,7 +294,7 @@ def solve(inst: WataridoriInstance,
             paired[j] = True
             entered = bytearray(rmap.region_count)
             entered[rid] = 1
-            yield dfs(start, start, rid, 1, entered, dist, limit, target,
+            yield dfs(first, start, rid, 1, entered, dist, limit, target,
                       goal)
             paired[j] = False
         paired[first] = False
@@ -308,7 +306,7 @@ def solve(inst: WataridoriInstance,
             path.append(end)
         return tuple((i % width, i // width) for i in reversed(path))
 
-    result = run(pair_next(), bud, lambda: WataridoriSolution(tuple(
+    result = run(pair_next(0), bud, lambda: WataridoriSolution(tuple(
         path_cells(start, end) for start, end in ends)))
     # `pair_next` and `dfs` refer to each other; break the cycle so this
     # solve's tables are freed on return, not by the cyclic collector.

@@ -66,6 +66,18 @@ class TestSolve:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
 
+    def test_unreadable_input_exits_1(self, tmp_path, capsys):
+        # A directory cannot be read as a file, whatever the user's rights.
+        assert main(["solve", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: IO_ERROR: cannot read")
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "sol.json"
+        assert main(["solve", SAMPLE_NL, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: IO_ERROR: cannot write")
+
     @staticmethod
     def _one_pair_board(path, side):
         path.write_text(nl.serialize_instance(nl.NumberlinkInstance(
