@@ -71,21 +71,15 @@ def _read_puzzle(path: str) -> Tuple[str, Any]:
 
 def cmd_solve(args) -> int:
     kind, doc = _read_puzzle(args.puzzle)
-    if kind == "numberlink":
-        inst = numberlink.parse_instance(doc)
-        result = numberlink.solve(inst, budget=args.budget)
-        serialize = numberlink.serialize_solution
-    else:
-        inst = wataridori.parse_instance(doc)
-        result = wataridori.solve(inst, budget=args.budget)
-        serialize = wataridori.serialize_solution
+    puzzle = numberlink if kind == "numberlink" else wataridori
+    result = puzzle.solve(puzzle.parse_instance(doc), budget=args.budget)
     if result.status == search.BUDGET_EXCEEDED:
         print(f"BUDGET_EXCEEDED after {result.nodes} nodes", file=sys.stderr)
         return EXIT_BUDGET
     if result.status == search.UNSAT:
         print("UNSAT", file=sys.stderr)
         return EXIT_NEGATIVE
-    _write(args.output, serialize(result.solution))
+    _write(args.output, puzzle.serialize_solution(result.solution))
     return EXIT_OK
 
 
@@ -139,21 +133,11 @@ def cmd_unlift(args) -> int:
 def cmd_render(args) -> int:
     kind, doc = _read_puzzle(args.puzzle)
     sol_text = _read(args.solution) if args.solution else None
-    if kind == "numberlink":
-        inst = numberlink.parse_instance(doc)
-        sol = (numberlink.parse_solution(sol_text)
-               if sol_text is not None else None)
-        out = (render.render_numberlink_ascii(inst, sol)
-               if args.format == "ascii"
-               else render.render_numberlink_svg(inst, sol))
-    else:
-        inst = wataridori.parse_instance(doc)
-        sol = (wataridori.parse_solution(sol_text)
-               if sol_text is not None else None)
-        out = (render.render_wataridori_ascii(inst, sol)
-               if args.format == "ascii"
-               else render.render_wataridori_svg(inst, sol))
-    _write(args.output, out)
+    puzzle = numberlink if kind == "numberlink" else wataridori
+    inst = puzzle.parse_instance(doc)
+    sol = puzzle.parse_solution(sol_text) if sol_text is not None else None
+    draw = getattr(render, f"render_{kind}_{args.format}")
+    _write(args.output, draw(inst, sol))
     return EXIT_OK
 
 

@@ -27,6 +27,7 @@ WEST = "west"
 SOUTH = "south"
 
 _ARMS = (EAST, NORTH, WEST, SOUTH)
+_STEP_ARMS = {(1, 0): EAST, (0, 1): NORTH, (-1, 0): WEST, (0, -1): SOUTH}
 
 
 class ArmRoute(NamedTuple):
@@ -77,16 +78,10 @@ def route_arm(k: int, arm: str, zigzags: int) -> ArmRoute:
 
 
 def _direction(frm: Cell, to: Cell) -> str:
-    dx, dy = to[0] - frm[0], to[1] - frm[1]
-    if (dx, dy) == (1, 0):
-        return EAST
-    if (dx, dy) == (-1, 0):
-        return WEST
-    if (dx, dy) == (0, 1):
-        return NORTH
-    if (dx, dy) == (0, -1):
-        return SOUTH
-    raise ValidationError("BAD_PATH", f"{frm} and {to} are not adjacent")
+    arm = _STEP_ARMS.get((to[0] - frm[0], to[1] - frm[1]))
+    if arm is None:
+        raise ValidationError("BAD_PATH", f"{frm} and {to} are not adjacent")
+    return arm
 
 
 def _arm_line(arm: str, s: int) -> List[Cell]:
@@ -140,9 +135,7 @@ def lift(g: NumberlinkInstance, sol: NumberlinkSolution,
         cells += _offset(reversed(route_arm(k, last_arm, zb).cells),
                          s * gpath[-1][0], s * gpath[-1][1])
         paths.append(tuple(cells))
-    for a, b in rmap.filler_pairs:
-        paths.append((a, b))
-    return WataridoriSolution(tuple(paths))
+    return WataridoriSolution(tuple(paths) + rmap.filler_pairs)
 
 
 def unlift(sol: WataridoriSolution, rmap: ReductionMap) -> NumberlinkSolution:

@@ -23,9 +23,8 @@ pairing of the source puzzle.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import (Any, Callable, Dict, FrozenSet, Iterator, List,
-                    NamedTuple, Optional, Sequence, Set, Tuple, TypeVar)
+from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from . import documents as docs
 from .errors import ParseError, ValidationError
@@ -37,8 +36,6 @@ from .wataridori import Circle, WataridoriInstance
 
 NUMBER = "number"
 EMPTY = "empty"
-
-T = TypeVar("T")
 
 
 class BlockTemplate(NamedTuple):
@@ -73,10 +70,17 @@ class ReductionMap(NamedTuple):
 
     @property
     def filler_pairs(self) -> Tuple[Tuple[Cell, Cell], ...]:
-        """Every pre-matched filler pair, in target-grid coordinates."""
+        """Every pre-matched filler pair, in target-grid coordinates.  A
+        number block's pairs do not depend on its center number, so one
+        number template serves every label."""
+        g, k, s = self.source, self.k, self.block_size
+        ends = {cell for _, a, b in g.terminals for cell in (a, b)}
+        number = build_number_block(k, assigned_number(k, 1)).filler_pairs
+        empty = build_empty_block(k).filler_pairs
+        blocks = ((s * gx, s * gy, number if (gx, gy) in ends else empty)
+                  for gy in range(g.height) for gx in range(g.width))
         return tuple(((ax + ox, ay + oy), (bx + ox, by + oy))
-                     for ox, oy, pairs in _block_walk(
-                         self.source, self.k, attrgetter("filler_pairs"))
+                     for ox, oy, pairs in blocks
                      for (ax, ay), (bx, by) in pairs)
 
 
@@ -250,28 +254,6 @@ def _cut_offsets(tpl: BlockTemplate,
     return right, up
 
 
-def _block_walk(g: NumberlinkInstance, k: int,
-                prepare: Callable[[BlockTemplate], T]
-                ) -> Iterator[Tuple[int, int, T]]:
-    """The blocks of g's reduction, bottom row first, left to right: each
-    block's bottom-left cell in the target grid and `prepare` applied to
-    its template, which runs once per distinct template."""
-    s = 4 * k + 5
-    label_at: Dict[Cell, int] = {}
-    for label, a, b in g.terminals:
-        label_at[a] = label
-        label_at[b] = label
-    prepared: Dict[Optional[int], T] = {}
-    for gy in range(g.height):
-        for gx in range(g.width):
-            label = label_at.get((gx, gy))
-            if label not in prepared:
-                prepared[label] = prepare(
-                    build_empty_block(k) if label is None
-                    else build_number_block(k, assigned_number(k, label)))
-            yield s * gx, s * gy, prepared[label]
-
-
 def reduce_instance(g: NumberlinkInstance
                     ) -> Tuple[WataridoriInstance, ReductionMap]:
     """Build the equivalent Wataridori instance plus the relating map."""
@@ -287,16 +269,27 @@ def reduce_instance(g: NumberlinkInstance
     right = bytearray(b"\x01") * (width * height)
     up = bytearray(b"\x01") * (width * height)
     circle_at: List[Optional[Circle]] = [None] * (width * height)
-    for ox, oy, (tpl, right_cuts, up_cuts) in _block_walk(
-            g, k, lambda tpl: (tpl, *_cut_offsets(tpl, width))):
-        base = oy * width + ox
-        for i in right_cuts:
-            right[base + i] = 0
-        for i in up_cuts:
-            up[base + i] = 0
-        for x, y, number in tpl.circles:
-            circle_at[(y + oy) * width + x + ox] = Circle(x + ox, y + oy,
-                                                          number)
+    label_at = {cell: label for label, a, b in g.terminals
+                for cell in (a, b)}
+    # Each distinct template is built once, with the joins it cuts.
+    placed: Dict[Optional[int], Tuple[Any, ...]] = {}
+    for gy in range(g.height):
+        for gx in range(g.width):
+            label = label_at.get((gx, gy))
+            if label not in placed:
+                tpl = (build_empty_block(k) if label is None else
+                       build_number_block(k, assigned_number(k, label)))
+                placed[label] = (tpl, *_cut_offsets(tpl, width))
+            tpl, right_cuts, up_cuts = placed[label]
+            ox, oy = s * gx, s * gy
+            base = oy * width + ox
+            for i in right_cuts:
+                right[base + i] = 0
+            for i in up_cuts:
+                up[base + i] = 0
+            for x, y, number in tpl.circles:
+                circle_at[(y + oy) * width + x + ox] = Circle(
+                    x + ox, y + oy, number)
 
     # Cell index order is (y, x) order, the order circles are kept in.
     h = WataridoriInstance(_flood(width, height, right, up),

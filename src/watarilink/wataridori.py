@@ -8,6 +8,7 @@ number on its endpoint circles (wildcard circles accept any total).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -145,21 +146,22 @@ def solve(inst: WataridoriInstance,
     """Complete deterministic search over pairings and routed paths.
 
     Circles are ordered most constrained first: numbered circles before
-    wildcards, higher numbers first, then by (y, x).  The first unpaired
-    circle is paired with each compatible partner in order; each pair is
-    routed immediately by DFS with fixed neighbor order before later pairs
-    are chosen.  Branching on every partner of one circle keeps the search
-    complete whatever the order.
+    wildcards, higher numbers first, then by (y, x).  One circle is paired
+    with each unpaired partner in turn, and each pair is routed at once by
+    DFS with fixed neighbor order; branching on every partner keeps the
+    search complete.  A circle numbered t pairs with circles numbered t or
+    wildcards in the regions within t - 1 steps of its own.  Each numbered
+    circle counts its unpaired partners: a pair that leaves one without any
+    is skipped unrouted, and one left with a single partner is forced.  The
+    circle forced most recently is paired next while it is unpaired;
+    otherwise the first unpaired circle is.
 
     A path to a numbered target is bounded by region distances: entering
     region r needs `runs + 1 + dist(r, goal region) <= target`, where
     `dist` counts steps in the region adjacency graph.  Walls and blocked
-    cells only lengthen real paths, so the bound never cuts a solution.
-    The same bound skips a partner whose region is too far away, so a
-    circle numbered 1 pairs only inside its own region; each circle's
-    partner list is read once, from the circles of the regions near its
-    own.  A partial path is also cut when it re-enters a region.  Designed
-    for boards up to about 7x7 with up to about 16 circles.
+    cells only lengthen real paths, so the bound never cuts a solution.  A
+    partial path is also cut when it re-enters a region.  Designed for
+    boards up to about 7x7 with up to about 16 circles.
     """
     inst = validate_instance(inst)
     rmap = inst.regions
@@ -177,23 +179,26 @@ def solve(inst: WataridoriInstance,
     # region id.  No path crosses a circle or another path: circles and
     # path cells are `blocked`, so only a blocked cell can be the goal.
     region = list(chain.from_iterable(rmap.ids))
-    neighbors = tuple(tuple((j, region[j]) for j in row)
-                      for row in steps(width, rmap.height))
+    neighbors = [[(j, region[j]) for j in row]
+                 for row in steps(width, rmap.height)]
     cells = [c.y * width + c.x for c in circles]
     blocked = bytearray(n_cells)
     for i in cells:
         blocked[i] = 1
-    # Each path cell records the cell it was entered from; a finished path
-    # is kept as its two ends and read back through `came` at the end.
+    # Each path cell records the cell it was entered from, and its first
+    # circle -1; a finished path is kept as its last cell and read back
+    # through `came` at the end.
     came = [0] * n_cells
-    ends: List[Tuple[int, int]] = []
+    ends: List[int] = []
     paired = [False] * n
 
     adjacent: List[set] = [set() for _ in range(rmap.region_count)]
-    for i, row in enumerate(neighbors):
-        adjacent[region[i]].update(nrid for _, nrid in row)
+    for rid, row in zip(region, neighbors):
+        for _, nrid in row:
+            adjacent[rid].add(nrid)
     # A wildcard pair has no target: it reads zero distances, and its limit
-    # `n_cells` never cuts, since a path has at most `n_cells` runs.
+    # `n_cells` never cuts, since a path has at most `n_cells` runs.  A
+    # pair numbered 1 reads them too: with limit 1 it enters no region.
     no_bound = [0] * rmap.region_count
     dists: Dict[int, List[int]] = {}
 
@@ -213,35 +218,44 @@ def solve(inst: WataridoriInstance,
             dists[goal_rid] = dist
         return dist
 
-    # Circle indices by region, for the partner lists below.
+    # Partner lists in index order.  Wildcards sort last, so a wildcard
+    # pairs with the later circles.  The circles numbered t in one region
+    # share one list: the circles numbered t or wildcards in the regions
+    # within t - 1 steps, themselves included, which pairing skips as
+    # paired.  Numbered circles list each other symmetrically, so the
+    # numbered part of a circle's list also names the circles that list it.
+    # `count[i]` is how many of numbered circle i's partners are unpaired,
+    # and `watch[j]` lists the numbered circles that list j.
+    numbers = [c.number for c in circles]
+    rids = [region[i] for i in cells]
     bucket: List[List[int]] = [[] for _ in range(rmap.region_count)]
-    for j, i in enumerate(cells):
-        bucket[region[i]].append(j)
-    partners: List[Optional[List[Tuple[int, int, List[int]]]]] = [None] * n
+    for j, rid in enumerate(rids):
+        bucket[rid].append(j)
+    numbered = n - numbers.count(None)
+    partners: List[Sequence[int]] = [range(i + 1, n) for i in range(n)]
+    watch: List[List[int]] = [[] for _ in range(n)]
+    groups: Dict[Tuple[int, int], Tuple[List[int], ...]] = {}
+    for i in range(numbered):
+        t, rid = numbers[i], rids[i]
+        if (rid, t) not in groups:
+            dist = distances(rid) if t > 1 else None
+            near = bucket[rid] if dist is None else [
+                j for j, r in enumerate(rids) if dist[r] < t]
+            mates = [j for j in near if numbers[j] in (None, t)]
+            k = bisect_left(mates, numbered)
+            groups[rid, t] = mates, mates[:k], mates[k:]
+        partners[i], watch[i], wild = groups[rid, t]
+        for j in wild:
+            watch[j].append(i)
+    count = [len(p) - 1 for p in partners]
+    forced: List[int] = []
 
-    def partners_of(first: int) -> List[Tuple[int, int, List[int]]]:
-        """The later circles `first` may pair with, in index order, each
-        with its goal cell and region distances.  Built once per circle."""
-        t = circles[first].number
-        if t is None:
-            # Wildcards sort last, so every later circle is a wildcard.
-            return [(j, cells[j], no_bound) for j in range(first + 1, n)]
-        # The regions within t - 1 steps of the circle's own region.
-        near = frontier = {region[cells[first]]}
-        for _ in range(t - 1):
-            frontier = {nrid for rid in frontier
-                        for nrid in adjacent[rid]} - near
-            near = near | frontier
-        return [(j, cells[j], distances(region[cells[j]]))
-                for j in sorted(j for rid in near for j in bucket[rid])
-                if j > first and circles[j].number in (None, t)]
-
-    def dfs(first: int, head: int, rid: int, runs: int, entered: bytearray,
+    def dfs(after: int, head: int, rid: int, runs: int, entered: bytearray,
             dist: List[int], limit: int, target: Optional[int], goal: int):
-        """Frame: grow the path from circle `first` by one cell in each
-        direction in turn.  Its last cell `head` is in region `rid`, it has
-        `runs` region runs, `entered` flags the regions it has entered, and
-        it may enter region r while `runs + dist[r] < limit`."""
+        """Frame: grow a path by one cell in each direction in turn.  Its
+        last cell `head` is in region `rid`, it has `runs` region runs,
+        `entered` flags the regions it has entered, and it may enter region
+        r while `runs + dist[r] < limit`."""
         for nxt, nrid in neighbors[head]:
             spend()
             if blocked[nxt]:
@@ -256,58 +270,78 @@ def solve(inst: WataridoriInstance,
                 if target and total != target:
                     continue
                 came[nxt] = head
-                ends.append((cells[first], nxt))
-                yield pair_next(first + 1)
+                ends.append(nxt)
+                yield pair_next(after)
                 ends.pop()
             elif nrid == rid:
                 blocked[nxt] = 1
                 came[nxt] = head
-                yield dfs(first, nxt, rid, runs, entered, dist, limit, target,
+                yield dfs(after, nxt, rid, runs, entered, dist, limit, target,
                           goal)
                 blocked[nxt] = 0
             elif not entered[nrid] and runs + dist[nrid] < limit:
                 entered[nrid] = blocked[nxt] = 1
                 came[nxt] = head
-                yield dfs(first, nxt, nrid, runs + 1, entered, dist, limit,
+                yield dfs(after, nxt, nrid, runs + 1, entered, dist, limit,
                           target, goal)
                 entered[nrid] = blocked[nxt] = 0
 
     def pair_next(after: int):
-        """Frame: pair the first unpaired circle with each partner in turn
-        and route a path between them.  Every circle before `after` is
-        paired already, so the scan starts there."""
-        first = next((i for i in range(after, n) if not paired[i]), None)
-        if first is None:
-            yield FOUND
-            return
+        """Frame: pair a circle with each unpaired partner in turn and
+        route a path between them.  The circle is the one forced most
+        recently if it is unpaired, else the first unpaired one; every
+        circle before `after` is paired already, so the scan starts there."""
+        if forced and not paired[forced[-1]]:
+            first = forced[-1]
+        else:
+            first = next((i for i in range(after, n) if not paired[i]), None)
+            if first is None:
+                yield FOUND
+                return
+            after = first + 1
         paired[first] = True
-        target = circles[first].number
+        target = numbers[first]
         limit = target or n_cells
+        bounded = target is not None and target > 1
         start = cells[first]
-        rid = region[start]
-        if partners[first] is None:
-            partners[first] = partners_of(first)
-        for j, goal, dist in partners[first]:
+        came[start] = -1
+        rid = rids[first]
+        mine = watch[first]
+        for j in partners[first]:
             if paired[j]:
                 continue
             spend()
             paired[j] = True
-            entered = bytearray(rmap.region_count)
-            entered[rid] = 1
-            yield dfs(first, start, rid, 1, entered, dist, limit, target,
-                      goal)
+            mark = len(forced)
+            live = True
+            for c in chain(mine, watch[j]):
+                if not paired[c]:
+                    count[c] -= 1
+                    if count[c] == 1:
+                        forced.append(c)
+                    elif not count[c]:
+                        live = False
+            if live:
+                entered = bytearray(rmap.region_count)
+                entered[rid] = 1
+                yield dfs(after, start, rid, 1, entered, distances(rids[j])
+                          if bounded else no_bound, limit, target, cells[j])
+            for c in chain(mine, watch[j]):
+                if not paired[c]:
+                    count[c] += 1
+            del forced[mark:]
             paired[j] = False
         paired[first] = False
 
-    def path_cells(start: int, end: int) -> Path:
+    def path_cells(end: int) -> Path:
         path = [end]
-        while end != start:
+        while came[end] >= 0:
             end = came[end]
             path.append(end)
         return tuple((i % width, i // width) for i in reversed(path))
 
     result = run(pair_next(0), bud, lambda: WataridoriSolution(tuple(
-        path_cells(start, end) for start, end in ends)))
+        map(path_cells, ends))))
     # `pair_next` and `dfs` refer to each other; break the cycle so this
     # solve's tables are freed on return, not by the cyclic collector.
     pair_next = dfs = None

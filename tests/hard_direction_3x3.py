@@ -14,15 +14,21 @@ from test_acceptance import check_reduction_decides, small_sources
 from watarilink import wataridori as wd
 
 
+# The most nodes any one reduction takes, pinned so that a weaker cut
+# fails here rather than only slowing down.
+MAX_NODES = 5077
+
+
 def main():
     start = time.perf_counter()
     sources = small_sources(3, 3, 2)
     results = [check_reduction_decides(g) for g in sources]
-    assert len(results) == 414
     unsat = sum(r.status == wd.UNSAT for r in results)
+    most = max(r.nodes for r in results)
     print(f"{len(results)} sources, {unsat} unsat, "
-          f"at most {max(r.nodes for r in results)} nodes per reduction, "
+          f"at most {most} nodes per reduction, "
           f"{time.perf_counter() - start:.1f}s")
+    assert (len(results), unsat, most) == (414, 74, MAX_NODES)
 
 
 if __name__ == "__main__":

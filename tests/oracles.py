@@ -116,6 +116,24 @@ def placed_template_walls(g):
     return walls
 
 
+def placed_filler_pairs(g):
+    """Every block template's filler pairs, each template built for its own
+    label, placed at its block of the reduction of `g`."""
+    g = nl.validate_instance(g)
+    k = rd.choose_k(g.pair_count)
+    s = 4 * k + 5
+    label_at = {c: label for label, a, b in g.terminals for c in (a, b)}
+    pairs = []
+    for gy in range(g.height):
+        for gx in range(g.width):
+            label = label_at.get((gx, gy))
+            tpl = (rd.build_empty_block(k) if label is None else
+                   rd.build_number_block(k, rd.assigned_number(k, label)))
+            pairs += [((ax + s * gx, ay + s * gy), (bx + s * gx, by + s * gy))
+                      for (ax, ay), (bx, by) in tpl.filler_pairs]
+    return tuple(pairs)
+
+
 def v1_map_document(rmap):
     """The version-1 map document, which stored every block placement and
     filler pair, written from the values a map derives from its source."""
@@ -381,6 +399,24 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
     def compatible(a, b):
         return a.number is None or b.number is None or a.number == b.number
 
+    # The circles each numbered circle may pair with: numbered alike or
+    # wildcards, in the regions within number - 1 steps of its own.  The
+    # relation is symmetric between numbered circles, so the distances are
+    # read from the lister's region.
+    by_region = {}
+    for j, b in enumerate(circles):
+        by_region.setdefault(rmap.ids[b.y][b.x], []).append(j)
+    mates = {}
+    listers = {j: set() for j in range(n)}
+    for c, a in enumerate(circles):
+        if a.number is not None:
+            mates[c] = {j for rid, d in distance_to(a.cell).items()
+                        if d < a.number for j in by_region.get(rid, ())
+                        if j != c and compatible(a, circles[j])}
+            for j in mates[c]:
+                listers[j].add(c)
+    forced = []
+
     def dfs(path, run_ids, run_set, target, goal):
         for nxt in neighbors[path[-1]]:
             nx, ny = nxt
@@ -422,24 +458,34 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
                 run_set.discard(rid)
 
     def pair_next():
-        first = next((i for i in range(n) if not paired[i]), None)
+        if forced and not paired[forced[-1]]:
+            first = forced[-1]
+        else:
+            first = next((i for i in range(n) if not paired[i]), None)
         if first is None:
             yield FOUND
             return
         paired[first] = True
         a = circles[first]
         rid = rmap.ids[a.y][a.x]
-        for j in range(first + 1, n):
-            b = circles[j]
-            if paired[j] or not compatible(a, b):
-                continue
-            target = a.number if a.number is not None else b.number
-            if target is not None and \
-                    distance_to(b.cell)[rid] + 1 > target:
+        for j, b in enumerate(circles):
+            if paired[j] or not (a.number is None or j in mates[first]):
                 continue
             spend()
             paired[j] = True
-            yield dfs([a.cell], [rid], {rid}, target, b.cell)
+            # Recount the unpaired partners of each circle listing an end.
+            left = {c: sum(not paired[i] for i in mates[c])
+                    for c in listers[first] | listers[j] if not paired[c]}
+            if all(left.values()):
+                # Each circle left with one is forced: those that list
+                # `first` only before those that list `j`, each by index.
+                mark = len(forced)
+                forced.extend(sorted((c for c, count in left.items()
+                                      if count == 1),
+                                     key=lambda c: (c in listers[j], c)))
+                target = a.number if a.number is not None else b.number
+                yield dfs([a.cell], [rid], {rid}, target, b.cell)
+                del forced[mark:]
             paired[j] = False
         paired[first] = False
 

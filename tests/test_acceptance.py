@@ -251,7 +251,7 @@ def test_criterion_6_reduction_decided_directly():
         assert len(results) == 74
         assert sum(r.status == wd.UNSAT for r in results) == 15
         nodes = [r.nodes for r in results]
-        assert (sum(nodes), max(nodes)) == (122264, 2806)
+        assert (sum(nodes), max(nodes)) == (91369, 1894)
 
 
 ORACLE_BOARDS = [

@@ -269,6 +269,20 @@ class TestReduce:
         assert seen == ones
 
 
+@pytest.mark.parametrize("pairs", [2, 3, 4, 5, 6, 7])    # k = 1, 1, 2, 2, 3, 3
+def test_filler_pairs_equal_the_per_label_templates(pairs):
+    """A map derives its filler pairs from one number template; a template
+    built for each label's own center number places the same pairs."""
+    rng = random.Random(pairs)
+    for width, height in ((pairs, 2), (4, 4), (2 * pairs, 1)):
+        cells = [(x, y) for y in range(height) for x in range(width)]
+        rng.shuffle(cells)
+        g = nl.NumberlinkInstance(width, height, tuple(
+            (i + 1, cells[2 * i], cells[2 * i + 1]) for i in range(pairs)))
+        _, rmap = rd.reduce_instance(g)
+        assert rmap.filler_pairs == oracles.placed_filler_pairs(g)
+
+
 @pytest.mark.parametrize("pairs", [1, 4, 6])    # k = 1, 2, 3
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())

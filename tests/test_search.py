@@ -5,7 +5,8 @@ same node order, same budget arithmetic (an overrun reports `budget + 1`
 nodes), same solutions.  The Numberlink pins were recorded with the
 recursive solver that came before the explicit-stack driver.  The
 Wataridori pins were recorded when that search took its most-constrained
-pairing order and region-distance bound.
+pairing order and region-distance bound; those on boards with more than
+two circles moved again when it took forced pairing.
 """
 
 import hashlib
@@ -35,7 +36,7 @@ SAMPLE_PINS = [
     (nl, "sample_numberlink", 134,
      "dde44a8a6ad4a66fff95d1f2789dc0be0d77a7c021c86daa089cbe9babf1b350"),
     (wd, "sample_wataridori", 103,
-     "7975bda93908bd87dcfb302579bc29496e3f77b1bde96aad57f609ed457cd759"),
+     "cb9f3f8203351f8c3785821d6d43bbfbda718781f6fb6549a067c4ccb5d23013"),
 ]
 
 
@@ -70,14 +71,14 @@ def test_sample_budget_boundary(mod, fixture, nodes, sha, request):
 
 
 PLANTED = {
-    "2x1": ((2, 1, ((1, (0, 0), (1, 0)),)), 1050,
-            "311cecc4ce8f5c95d649f8eb9d0b9047bf8f0f20a30dc3b7a32efb6274dd53ac"),
-    "3x1": ((3, 1, ((1, (0, 0), (2, 0)),)), 1482,
-            "71ce164af5a66d66b26c4d1914e83fc4e448df05f2a65664e8b8c75d94545ce5"),
-    "2x2": ((2, 2, ((1, (0, 0), (0, 1)), (2, (1, 0), (1, 1)))), 1947,
-            "7314bfd9bd12f7fbeaae5d6328348f237c2c657ba954e730b60f368a8f9617d8"),
-    "3x2": ((3, 2, ((1, (0, 0), (2, 0)), (2, (0, 1), (2, 1)))), 3127,
-            "f09d7504306119c4444c75c1bbf72c7c9b5f68c06f36cbc3526aa7ef725fe425"),
+    "2x1": ((2, 1, ((1, (0, 0), (1, 0)),)), 514,
+            "bd8c8d04b201903092fa61dcfb071bd6ebc3ea4e808d7a6cb4674e9f2063a179"),
+    "3x1": ((3, 1, ((1, (0, 0), (2, 0)),)), 852,
+            "2bbe08936b15121b66aab3b80262dda27b4f8b38280d6583c72285471935d8d8"),
+    "2x2": ((2, 2, ((1, (0, 0), (0, 1)), (2, (1, 0), (1, 1)))), 875,
+            "c917bf55a474e675cd9c5555a4a6a4ee492d48c0d41073c5a5bef1f0f289bc07"),
+    "3x2": ((3, 2, ((1, (0, 0), (2, 0)), (2, (0, 1), (2, 1)))), 1867,
+            "ac15cef1fdae28f1e19ed365cccc02bd7f1231385dcbbd78a388dfb3e6a47206"),
 }
 
 
@@ -131,7 +132,7 @@ def test_node_total_over_two_circle_family():
 # Both boards used to die with RecursionError: each solver recursed once
 # per path cell.  The Numberlink pin was recorded from the recursive solver
 # run with a raised recursion limit; the Wataridori pin is the
-# most-constrained search's.
+# search's with forced pairing.
 
 def test_long_numberlink_path_solves():
     inst = nl.NumberlinkInstance(40, 40, ((1, (0, 0), (39, 39)),))
@@ -147,10 +148,10 @@ def test_long_wataridori_path_solves():
         nl.NumberlinkInstance(4, 4, ((1, (0, 0), (3, 3)),)))
     assert (h.width, h.height) == (36, 36)
     result = wd.solve(h)
-    assert (result.status, result.nodes) == (wd.SOLVED, 5391)
+    assert (result.status, result.nodes) == (wd.SOLVED, 5026)
     assert wd.verify_solution(h, result.solution)
     assert digest(wd.serialize_solution(result.solution)) == \
-        "f09a6c01c8f8d271ba3ea1f24c34d750008277ccaa276ed45ad557368c92cf89"
+        "46d8a1391f30a14fda7eb919247a2312810ba82832c6852861553dadd568bdea"
 
 
 # 7x7 boards pinned with the tuple-cell solvers: the Numberlink boards
@@ -290,6 +291,32 @@ def test_numberlink_solve_equals_reference_on_seeded_boards():
     assert (statuses.count(nl.SOLVED), statuses.count(nl.UNSAT)) == (5, 13)
 
 
+def seeded_wataridori_boards():
+    """Sixty 5x5 boards with six, eight or ten circles, numbered mostly 1
+    and 2, and walls drawn from a fixed seed: a pairing there often leaves
+    a circle with one partner, or none, and may force two at once."""
+    rng = random.Random(3)
+    candidates = [Wall(VERTICAL, x, y) for x in range(1, 5) for y in range(5)]
+    candidates += [Wall(HORIZONTAL, x, y)
+                   for x in range(5) for y in range(1, 5)]
+    cells = [(x, y) for y in range(5) for x in range(5)]
+    for i in range(60):
+        rmap = regions_from_walls(
+            [wall for wall in candidates if rng.random() < 0.5], 5, 5)
+        yield wd.WataridoriInstance(rmap, tuple(
+            wd.Circle(x, y, rng.choice([None, 1, 1, 2, 2, 3]))
+            for x, y in rng.sample(cells, 6 + 2 * (i % 3))))
+
+
+def test_wataridori_solve_equals_reference_on_seeded_boards():
+    statuses = []
+    for inst in seeded_wataridori_boards():
+        result = wd.solve(inst)
+        assert result == oracles.wataridori_solve_reference(inst), inst
+        statuses.append(result.status)
+    assert (statuses.count(wd.SOLVED), statuses.count(wd.UNSAT)) == (1, 59)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_wataridori_solve_agrees_with_brute_force(data):
@@ -317,6 +344,69 @@ def test_wataridori_solve_agrees_with_brute_force(data):
         oracles.wataridori_brute_solvable(inst)
     if result.solution is not None:
         assert wd.verify_solution(inst, result.solution)
+
+
+# A generalization pin.  The benchmark's solve boards are one fixed set, so
+# a search tuned to them could get slower elsewhere; these boards come from
+# a planter of their own and a seed the benchmark does not use.
+
+def planted_wataridori_boards(count, side=6, regions=9, pairs=4):
+    """Boards with planted solutions: regions grown from random seed cells,
+    then walks that never re-enter a region they have left.  Each walk's
+    ends carry its region-run count, or are wildcards with probability
+    0.3.  Yields (instance, planted paths)."""
+    rng = random.Random(20)
+    cells = [(x, y) for y in range(side) for x in range(side)]
+
+    def steps_from(x, y):
+        return [(nx, ny) for nx, ny in ((x, y + 1), (x, y - 1), (x - 1, y),
+                                        (x + 1, y))
+                if 0 <= nx < side and 0 <= ny < side]
+
+    while count:
+        owner = {c: rid for rid, c in enumerate(rng.sample(cells, regions))}
+        while len(owner) < len(cells):
+            nxt = rng.choice(steps_from(*rng.choice(list(owner))))
+            owner.setdefault(nxt, owner[rng.choice(
+                [c for c in steps_from(*nxt) if c in owner])])
+        rmap = region_map_from_rows([[owner[x, y] for x in range(side)]
+                                     for y in range(side)])
+        used, walks = set(), []
+        for _ in range(pairs):
+            path = [rng.choice([c for c in cells if c not in used])]
+            runs = [rmap.id_at(path[0])]
+            for _ in range(rng.randint(1, 9)):
+                options = [c for c in steps_from(*path[-1])
+                           if c not in used and c not in path and (
+                               rmap.id_at(c) == runs[-1]
+                               or rmap.id_at(c) not in runs)]
+                if not options:
+                    break
+                path.append(rng.choice(options))
+                if rmap.id_at(path[-1]) != runs[-1]:
+                    runs.append(rmap.id_at(path[-1]))
+            if len(path) < 2:
+                break
+            used.update(path)
+            walks.append((tuple(path), len(runs)))
+        else:
+            inst = wd.WataridoriInstance(rmap, tuple(
+                wd.Circle(*end, None if rng.random() < 0.3 else runs)
+                for path, runs in walks for end in (path[0], path[-1])))
+            count -= 1
+            yield inst, wd.WataridoriSolution(tuple(p for p, _ in walks))
+
+
+def test_wataridori_solves_planted_boards_off_the_benchmark():
+    total = 0
+    for inst, planted in planted_wataridori_boards(30):
+        assert wd.verify_solution(inst, planted)
+        result = wd.solve(inst)
+        assert result.status == wd.SOLVED, inst
+        assert wd.verify_solution(inst, result.solution)
+        total += result.nodes
+    # 59,274 nodes before forced pairing.
+    assert total == 37709
 
 
 def test_solvers_share_one_contract():
