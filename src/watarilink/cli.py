@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or parse failure, 2 negative result
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Any, Optional, Tuple
 
@@ -197,11 +198,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command leaves no reference cycles of its own (the solvers break
+    # theirs), so the cyclic collector would only walk its large grids and
+    # path lists and find nothing to free.  It is paused while the command
+    # runs; the caller's setting is restored.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except PuzzleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

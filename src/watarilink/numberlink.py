@@ -16,7 +16,7 @@ from .errors import ParseError, ValidationError, Verdict, accept, reject
 from .grid import Cell, Path, first_shared_cell, is_simple_orthogonal_path
 # The statuses are read through this module as nl.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
-                     Budget, SolveResult, run, steps)
+                     OutOfBudget, SolveResult, node_limit, run, steps)
 
 
 class NumberlinkInstance(NamedTuple):
@@ -146,8 +146,8 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
         occ[a] = occ[b] = 1
 
     neighbors = steps(width, inst.height)
-    bud = Budget(budget)
-    spend = bud.spend
+    budget = node_limit(budget)
+    nodes = 0
     paths: List[List[int]] = []
     # A flood marks the cells it has seen with its own generation number,
     # so no flood clears or allocates a visited set.
@@ -223,8 +223,11 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
 
     def extend(idx: int, path: List[int], goal: int):
         """Frame: grow `path` by one cell in each direction in turn."""
+        nonlocal nodes
         for nxt in neighbors[path[-1]]:
-            spend()
+            nodes += 1
+            if nodes > budget:
+                raise OutOfBudget
             if nxt == goal:
                 path.append(nxt)
                 yield route(idx + 1)
@@ -239,7 +242,7 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
             path.pop()
             occ[nxt] = 0
 
-    result = run(route(0), bud, lambda: NumberlinkSolution(tuple(
+    result = run(route(0), lambda: nodes, lambda: NumberlinkSolution(tuple(
         (label, tuple((i % width, i // width) for i in path))
         for (label, _, _), path in zip(pairs, paths))))
     # `route` and `extend` refer to each other; break the cycle so this

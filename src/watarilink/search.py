@@ -19,7 +19,8 @@ search's.  The test suite keeps such searches as references and compares.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, NamedTuple, Tuple
+from typing import (Any, Callable, Iterator, List, NamedTuple, Optional,
+                    Sequence)
 
 SOLVED = "solved"
 UNSAT = "unsat"
@@ -36,43 +37,48 @@ class SolveResult(NamedTuple):
     nodes: int = 0
 
 
-def steps(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
+def steps(width: int, height: int,
+          ids: Optional[Sequence[Any]] = None) -> List[list]:
     """The in-bounds neighbors of every cell index i = y*width + x, in the
-    order both searches try them: up, down, left, right."""
+    order both searches try them: up, down, left, right.  Given per-cell
+    `ids`, each neighbor j is listed as the pair (j, ids[j])."""
     n = width * height
-    return tuple(tuple(j for j, inside in ((i + width, i + width < n),
-                                           (i - width, i >= width),
-                                           (i - 1, i % width > 0),
-                                           (i + 1, i % width < width - 1))
-                       if inside)
-                 for i in range(n))
+    right = width - 1
+    tag = (lambda j: j) if ids is None else (lambda j: (j, ids[j]))
+    rows = []
+    for i in range(n):
+        x = i % width
+        row = []
+        if i + width < n:
+            row.append(tag(i + width))
+        if i >= width:
+            row.append(tag(i - width))
+        if x:
+            row.append(tag(i - 1))
+        if x < right:
+            row.append(tag(i + 1))
+        rows.append(row)
+    return rows
 
 
-class _OutOfBudget(Exception):
-    pass
+class OutOfBudget(Exception):
+    """Raised by a search at the node after the last one its budget
+    allows."""
 
 
-class Budget:
-    """Counts search nodes; the node after the last allowed one raises."""
-
-    __slots__ = ("limit", "nodes")
-
-    def __init__(self, limit: int):
-        if limit < 0:
-            raise ValueError(f"node budget must be non-negative, got {limit}")
-        self.limit = limit
-        self.nodes = 0
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise _OutOfBudget
+def node_limit(budget: int) -> int:
+    """The node budget a search may spend; a negative one is refused."""
+    if budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {budget}")
+    return budget
 
 
-def run(root: Iterator, budget: Budget,
+def run(root: Iterator, nodes: Callable[[], int],
         solution: Callable[[], Any]) -> SolveResult:
     """Drive the frames from `root` depth-first; on `FOUND`, read the
-    solution off the applied moves."""
+    solution off the applied moves.  The frames count their own nodes and
+    raise `OutOfBudget` at the first one over budget; `nodes()` reads the
+    count when the search ends."""
     stack = [root]
     push, pop = stack.append, stack.pop
     frame = root
@@ -82,12 +88,12 @@ def run(root: Iterator, budget: Budget,
             if child is None:
                 pop()
                 if not stack:
-                    return SolveResult(UNSAT, nodes=budget.nodes)
+                    return SolveResult(UNSAT, nodes=nodes())
                 frame = stack[-1]
             elif child is FOUND:
-                return SolveResult(SOLVED, solution(), budget.nodes)
+                return SolveResult(SOLVED, solution(), nodes())
             else:
                 push(child)
                 frame = child
-    except _OutOfBudget:
-        return SolveResult(BUDGET_EXCEEDED, nodes=budget.nodes)
+    except OutOfBudget:
+        return SolveResult(BUDGET_EXCEEDED, nodes=nodes())

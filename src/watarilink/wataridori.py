@@ -20,7 +20,7 @@ from .grid import (Cell, Path, RegionMap, first_shared_cell,
                    region_runs)
 # The statuses are read through this module as wd.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
-                     Budget, SolveResult, run, steps)
+                     OutOfBudget, SolveResult, node_limit, run, steps)
 
 
 class Circle(NamedTuple):
@@ -167,8 +167,8 @@ def solve(inst: WataridoriInstance,
     rmap = inst.regions
     width = rmap.width
     n_cells = width * rmap.height
-    bud = Budget(budget)
-    spend = bud.spend
+    budget = node_limit(budget)
+    nodes = 0
     circles = sorted(inst.circles, key=lambda c: (
         c.number is None, -(c.number or 0), c.y, c.x))
     n = len(circles)
@@ -179,8 +179,7 @@ def solve(inst: WataridoriInstance,
     # region id.  No path crosses a circle or another path: circles and
     # path cells are `blocked`, so only a blocked cell can be the goal.
     region = list(chain.from_iterable(rmap.ids))
-    neighbors = [[(j, region[j]) for j in row]
-                 for row in steps(width, rmap.height)]
+    neighbors = steps(width, rmap.height, region)
     cells = [c.y * width + c.x for c in circles]
     blocked = bytearray(n_cells)
     for i in cells:
@@ -256,8 +255,11 @@ def solve(inst: WataridoriInstance,
         last cell `head` is in region `rid`, it has `runs` region runs,
         `entered` flags the regions it has entered, and it may enter region
         r while `runs + dist[r] < limit`."""
+        nonlocal nodes
         for nxt, nrid in neighbors[head]:
-            spend()
+            nodes += 1
+            if nodes > budget:
+                raise OutOfBudget
             if blocked[nxt]:
                 if nxt != goal:
                     continue
@@ -291,6 +293,7 @@ def solve(inst: WataridoriInstance,
         route a path between them.  The circle is the one forced most
         recently if it is unpaired, else the first unpaired one; every
         circle before `after` is paired already, so the scan starts there."""
+        nonlocal nodes
         if forced and not paired[forced[-1]]:
             first = forced[-1]
         else:
@@ -310,7 +313,9 @@ def solve(inst: WataridoriInstance,
         for j in partners[first]:
             if paired[j]:
                 continue
-            spend()
+            nodes += 1
+            if nodes > budget:
+                raise OutOfBudget
             paired[j] = True
             mark = len(forced)
             live = True
@@ -340,7 +345,7 @@ def solve(inst: WataridoriInstance,
             path.append(end)
         return tuple((i % width, i // width) for i in reversed(path))
 
-    result = run(pair_next(0), bud, lambda: WataridoriSolution(tuple(
+    result = run(pair_next(0), lambda: nodes, lambda: WataridoriSolution(tuple(
         map(path_cells, ends))))
     # `pair_next` and `dfs` refer to each other; break the cycle so this
     # solve's tables are freed on return, not by the cyclic collector.

@@ -13,8 +13,24 @@ from watarilink import numberlink as nl
 from watarilink import reduction as rd
 from watarilink import wataridori as wd
 from watarilink.grid import HORIZONTAL, VERTICAL, RegionMap, Wall
-from watarilink.search import (DEFAULT_BUDGET, FOUND, UNSAT, Budget,
-                               SolveResult, run)
+from watarilink.search import (DEFAULT_BUDGET, FOUND, UNSAT, OutOfBudget,
+                               SolveResult, node_limit, run)
+
+
+class Budget:
+    """Counts a reference search's nodes by a method call per node; the
+    node after the last allowed one raises."""
+
+    __slots__ = ("limit", "nodes")
+
+    def __init__(self, limit):
+        self.limit = node_limit(limit)
+        self.nodes = 0
+
+    def spend(self):
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise OutOfBudget
 
 
 def wall_blocks(walls, a, b):
@@ -348,9 +364,10 @@ def numberlink_solve_reference(inst, budget=DEFAULT_BUDGET):
             path.pop()
             occ[ny][nx] = 0
 
-    return run(route(0), bud, lambda: nl.NumberlinkSolution(tuple(
-        (label, tuple(path))
-        for (label, _, _), path in zip(pairs, paths))))
+    return run(route(0), lambda: bud.nodes,
+               lambda: nl.NumberlinkSolution(tuple(
+                   (label, tuple(path))
+                   for (label, _, _), path in zip(pairs, paths))))
 
 
 def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
@@ -489,5 +506,5 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
             paired[j] = False
         paired[first] = False
 
-    return run(pair_next(), bud,
+    return run(pair_next(), lambda: bud.nodes,
                lambda: wd.WataridoriSolution(tuple(paths)))

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from conftest import FIXTURES, fixture_text
 from watarilink import numberlink as nl
 from watarilink import wataridori as wd
 from watarilink import render
-from watarilink.cli import main
+from watarilink.cli import build_parser, main
 
 SAMPLE_NL = str(FIXTURES / "numberlink_6x6.json")
 SAMPLE_NL_SOL = str(FIXTURES / "numberlink_6x6_solution.json")
@@ -31,15 +32,7 @@ class TestSolve:
         assert wd.verify_solution(inst, sol)
 
     def test_unsat_exits_2(self, tmp_path):
-        puzzle = tmp_path / "unsat.json"
-        puzzle.write_text(json.dumps({
-            "puzzle": "numberlink", "width": 2, "height": 2,
-            "terminals": [
-                {"label": 1, "cells": [[0, 0], [1, 1]]},
-                {"label": 2, "cells": [[1, 0], [0, 1]]},
-            ],
-        }))
-        assert main(["solve", str(puzzle)]) == 2
+        assert main(["solve", _crossing(tmp_path)]) == 2
 
     def test_budget_exits_3(self, tmp_path):
         assert main(["solve", SAMPLE_NL, "--budget", "2",
@@ -287,6 +280,86 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+
+def _crossing(tmp_path):
+    """A 2x2 Numberlink board whose two pairs must cross: unsolvable."""
+    puzzle = tmp_path / "crossing.json"
+    puzzle.write_text(json.dumps({
+        "puzzle": "numberlink", "width": 2, "height": 2,
+        "terminals": [{"label": 1, "cells": [[0, 0], [1, 1]]},
+                      {"label": 2, "cells": [[1, 0], [0, 1]]}],
+    }))
+    return str(puzzle)
+
+
+def _garbage_after(action):
+    """How many objects the cyclic collector frees after `action` runs
+    with it off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic collector paused.  That is safe only
+    while a command leaves no reference cycles of its own."""
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_callers_setting_is_restored(self, enabled, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"paths": []}))
+        cases = [
+            (["solve", SAMPLE_WD], 0),
+            (["solve", str(tmp_path / "nope.json")], 1),
+            (["solve", _crossing(tmp_path)], 2),
+            (["verify", SAMPLE_WD, str(empty)], 2),
+            (["solve", SAMPLE_NL, "--budget", "1"], 3),
+            (["frobnicate"], 1),
+        ]
+        before = gc.isenabled()
+        try:
+            for argv, code in cases:
+                (gc.enable if enabled else gc.disable)()
+                try:
+                    got = main(argv)
+                except SystemExit as exc:
+                    got = exc.code
+                assert (got, gc.isenabled()) == (code, enabled), argv
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert "REJECT UNPAIRED_CIRCLE" in capsys.readouterr().out
+
+    def test_commands_leave_no_cycles(self, tmp_path):
+        h, m = str(tmp_path / "h.json"), str(tmp_path / "map.json")
+        hsol = str(tmp_path / "hsol.json")
+        commands = [
+            (["reduce", "-i", SAMPLE_NL, "-o", h, "--map", m], 0),
+            (["lift", "-g", SAMPLE_NL, "-s", SAMPLE_NL_SOL, "--map", m,
+              "-o", hsol], 0),
+            (["verify", h, hsol], 0),
+            (["unlift", "-s", hsol, "--map", m,
+              "-o", str(tmp_path / "gsol.json")], 0),
+            (["render", h, hsol, "-o", str(tmp_path / "h.txt")], 0),
+            (["solve", SAMPLE_NL], 0),
+            (["solve", SAMPLE_WD], 0),
+            (["solve", _crossing(tmp_path)], 2),
+            (["solve", SAMPLE_NL, "--budget", "2"], 3),
+            (["solve", SAMPLE_WD, "--budget", "2"], 3),
+        ]
+        parser_only = _garbage_after(build_parser)
+        for argv, code in commands:
+            codes = []
+            garbage = _garbage_after(lambda: codes.append(main(argv)))
+            assert codes == [code], argv
+            assert garbage <= parser_only, (argv, garbage, parser_only)
 
 
 def test_ascii_snapshot_is_stable(sample_wataridori):

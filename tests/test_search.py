@@ -409,6 +409,20 @@ def test_wataridori_solves_planted_boards_off_the_benchmark():
     assert total == 37709
 
 
+@pytest.mark.parametrize("width, height",
+                         [(1, 1), (1, 3), (3, 1), (2, 2), (4, 3), (5, 5)])
+def test_steps_match_tuple_cell_neighbors(width, height):
+    """Flat neighbor lists, bare and paired with per-cell ids, list the
+    same cells in the same order as the references' tuple-cell ones."""
+    ids = [i * 7 % 5 for i in range(width * height)]
+    cells = oracles.tuple_steps(width, height)
+    want = [[y * width + x for x, y in cells[i % width, i // width]]
+            for i in range(width * height)]
+    assert search.steps(width, height) == want
+    assert search.steps(width, height, ids) == \
+        [[(j, ids[j]) for j in row] for row in want]
+
+
 def test_solvers_share_one_contract():
     for name in ("SOLVED", "UNSAT", "BUDGET_EXCEEDED", "DEFAULT_BUDGET",
                  "SolveResult"):
@@ -434,28 +448,28 @@ def _chain(depth, budget, found_at=None):
 
 def test_driver_depth_is_not_bounded_by_the_call_stack():
     depth = 20 * sys.getrecursionlimit()
-    budget = search.Budget(search.DEFAULT_BUDGET)
+    budget = oracles.Budget(search.DEFAULT_BUDGET)
     root, trail = _chain(depth, budget, found_at=depth)
-    result = search.run(root, budget, lambda: len(trail))
+    result = search.run(root, lambda: budget.nodes, lambda: len(trail))
     assert result == search.SolveResult(search.SOLVED, depth, depth + 1)
 
 
 def test_driver_unsat_undoes_every_move_and_overrun_counts_one_more():
-    budget = search.Budget(100)
+    budget = oracles.Budget(100)
     root, trail = _chain(50, budget)
-    assert search.run(root, budget, list) == \
+    assert search.run(root, lambda: budget.nodes, list) == \
         search.SolveResult(search.UNSAT, None, 51)
     assert trail == []
-    budget = search.Budget(100)
+    budget = oracles.Budget(100)
     root, _ = _chain(500, budget)
-    assert search.run(root, budget, list) == \
+    assert search.run(root, lambda: budget.nodes, list) == \
         search.SolveResult(search.BUDGET_EXCEEDED, None, 101)
 
 
 def test_budget_refuses_a_negative_limit(sample_numberlink):
-    assert search.Budget(0).limit == 0
+    assert search.node_limit(0) == 0
     with pytest.raises(ValueError):
-        search.Budget(-1)
+        search.node_limit(-1)
     with pytest.raises(ValueError):
         nl.solve(sample_numberlink, budget=-5)
     odd = wd.WataridoriInstance(regions_from_walls([], 2, 1),
