@@ -16,7 +16,8 @@ from .errors import ParseError, ValidationError, Verdict, accept, reject
 from .grid import Cell, Path, first_shared_cell, is_simple_orthogonal_path
 # The statuses are read through this module as nl.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
-                     OutOfBudget, SolveResult, node_limit, run, steps)
+                     OutOfBudget, SolveResult, node_limit, run, steps,
+                     toward, toward_keys)
 
 
 class NumberlinkInstance(NamedTuple):
@@ -129,11 +130,12 @@ def verify_solution(inst: NumberlinkInstance, sol: NumberlinkSolution,
 def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Complete deterministic backtracking search.
 
-    Labels are routed in order 1..p; each path grows with fixed neighbor
-    order (up, down, left, right).  A partial state is cut when any pending
-    pair's endpoints are no longer connectable through free cells, which
-    never discards a completable state.  A pending pair is flooded again
-    only when the head lands on the free path last found for it.
+    Labels are routed in order 1..p; each path grows by the steps towards
+    its goal first, then the rest, and tries every one.  A partial state is
+    cut when any pending pair's endpoints are no longer connectable through
+    free cells, which never discards a completable state.  A pending pair
+    is flooded again only when the head lands on the free path last found
+    for it.
     """
     inst = validate_instance(inst)
     width = inst.width
@@ -146,6 +148,7 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
         occ[a] = occ[b] = 1
 
     neighbors = steps(width, inst.height)
+    order = toward(width)
     budget = node_limit(budget)
     nodes = 0
     paths: List[List[int]] = []
@@ -218,16 +221,22 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
         label, a, b = pairs[idx]
         path = [a]
         paths.append(path)
-        yield extend(idx, path, b)
+        yield extend(idx, path, b,
+                     *toward_keys(width, inst.height, b % width, b // width))
         paths.pop()
 
-    def extend(idx: int, path: List[int], goal: int):
-        """Frame: grow `path` by one cell in each direction in turn."""
+    def extend(idx: int, path: List[int], goal: int, cols: List[int],
+               rows: List[int]):
+        """Frame: grow `path` by one cell in each direction in turn, those
+        towards `goal` first, by the `toward_keys` lists `cols` and
+        `rows`."""
         nonlocal nodes
-        for nxt in neighbors[path[-1]]:
+        head = path[-1]
+        for d in order[cols[head % width] + rows[head // width]]:
             nodes += 1
             if nodes > budget:
                 raise OutOfBudget
+            nxt = head + d
             if nxt == goal:
                 path.append(nxt)
                 yield route(idx + 1)
@@ -238,7 +247,7 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
             occ[nxt] = 1
             path.append(nxt)
             if pending_ok(idx, nxt):
-                yield extend(idx, path, goal)
+                yield extend(idx, path, goal, cols, rows)
             path.pop()
             occ[nxt] = 0
 

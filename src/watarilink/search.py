@@ -1,5 +1,5 @@
 """The search contract both exact solvers share: statuses, node budget,
-result, neighbor order, and one driver that runs a search on an explicit
+result, neighbor orders, and one driver that runs a search on an explicit
 stack.
 
 A search is a tree of frames.  A frame is a generator: it applies a move,
@@ -8,19 +8,21 @@ when it is resumed.  It yields `FOUND` when the search is complete, which
 leaves every move on the way there applied.  Depth therefore costs list
 slots, not Python call-stack frames.
 
-Both solvers search on flat cell indices i = y*width + x: `steps` gives
-each index its neighbor indices, occupancy and region ids are flat arrays,
-and paths are kept as indices, turned back into (x, y) cells only when
-`run` reads the solution.  The guarantee is node for node: each solver
-makes every move and every cut at the same node as a plain search over
-(x, y) tuple cells, so status, solution and node count all equal that
+Both solvers search on flat cell indices i = y*width + x: a path grows
+by the offsets `toward` lists for its head and goal, `steps` gives each
+index its neighbor indices for the floods, occupancy and region ids are
+flat arrays, and paths are kept as indices, turned back into (x, y) cells
+only when `run` reads the solution.  The guarantee is node for node: each
+solver makes every move and every cut at the same node as a plain search
+over (x, y) tuple cells, so status, solution and node count all equal that
 search's.  The test suite keeps such searches as references and compares.
 """
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Iterator, List, NamedTuple, Optional,
-                    Sequence)
+from functools import lru_cache
+from itertools import product
+from typing import Any, Callable, Iterator, List, NamedTuple, Tuple
 
 SOLVED = "solved"
 UNSAT = "unsat"
@@ -37,28 +39,68 @@ class SolveResult(NamedTuple):
     nodes: int = 0
 
 
-def steps(width: int, height: int,
-          ids: Optional[Sequence[Any]] = None) -> List[list]:
-    """The in-bounds neighbors of every cell index i = y*width + x, in the
-    order both searches try them: up, down, left, right.  Given per-cell
-    `ids`, each neighbor j is listed as the pair (j, ids[j])."""
+def steps(width: int, height: int) -> List[List[int]]:
+    """The in-bounds neighbors of every cell index i = y*width + x, in a
+    fixed order: up, down, left, right."""
     n = width * height
     right = width - 1
-    tag = (lambda j: j) if ids is None else (lambda j: (j, ids[j]))
     rows = []
     for i in range(n):
         x = i % width
         row = []
         if i + width < n:
-            row.append(tag(i + width))
+            row.append(i + width)
         if i >= width:
-            row.append(tag(i - width))
+            row.append(i - width)
         if x:
-            row.append(tag(i - 1))
+            row.append(i - 1)
         if x < right:
-            row.append(tag(i + 1))
+            row.append(i + 1)
         rows.append(row)
     return rows
+
+
+@lru_cache(maxsize=64)
+def toward(width: int) -> Tuple[Tuple[int, ...], ...]:
+    """The steps out of a cell on a grid `width` wide, as flat-index
+    offsets, those towards a goal first.
+
+    Entry `36*edge_y + 9*edge_x + 3*sign(dy) + sign(dx) + 4` serves a cell
+    (x, y) and a goal (x + dx, y + dy).  `edge_x` is 1 on column 0, 2 on
+    the last column and 3 when both hold; `edge_y` is the same for rows.
+    The entry lists every step that stays on the grid: first those that
+    bring the goal closer, then the rest, each part in the order of
+    `steps`.  Both searches try a path's next cell in this order; every
+    step is still tried, so the order changes which solution is found
+    first and never whether one is."""
+    table = []
+    for edge_y, edge_x, sign_y, sign_x in product(range(4), range(4),
+                                                  (-1, 0, 1), (-1, 0, 1)):
+        near, far = [], []
+        for offset, dy, dx, edge in ((width, 1, 0, edge_y & 2),
+                                     (-width, -1, 0, edge_y & 1),
+                                     (-1, 0, -1, edge_x & 1),
+                                     (1, 0, 1, edge_x & 2)):
+            if not edge:
+                (near if dx * sign_x + dy * sign_y > 0 else far).append(offset)
+        table.append(tuple(near + far))
+    return tuple(table)
+
+
+def toward_keys(width: int, height: int, gx: int,
+                gy: int) -> Tuple[List[int], List[int]]:
+    """Lists `cols, rows` such that `cols[x] + rows[y]` is the `toward`
+    key of a cell (x, y) on a width x height grid for the goal (gx, gy):
+    `cols[x]` is `9*edge_x + sign(gx - x) + 4` and `rows[y]` is
+    `36*edge_y + 3*sign(gy - y)`.  A search builds them once per path it
+    routes, so a frame reads its key with two lookups."""
+    cols = [5] * gx + [4] + [3] * (width - 1 - gx)
+    cols[0] += 9
+    cols[-1] += 18
+    rows = [3] * gy + [0] + [-3] * (height - 1 - gy)
+    rows[0] += 36
+    rows[-1] += 72
+    return cols, rows
 
 
 class OutOfBudget(Exception):

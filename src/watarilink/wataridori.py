@@ -20,7 +20,8 @@ from .grid import (Cell, Path, RegionMap, first_shared_cell,
                    region_runs)
 # The statuses are read through this module as wd.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
-                     OutOfBudget, SolveResult, node_limit, run, steps)
+                     OutOfBudget, SolveResult, node_limit, run, toward,
+                     toward_keys)
 
 
 class Circle(NamedTuple):
@@ -148,13 +149,13 @@ def solve(inst: WataridoriInstance,
     Circles are ordered most constrained first: numbered circles before
     wildcards, higher numbers first, then by (y, x).  One circle is paired
     with each unpaired partner in turn, and each pair is routed at once by
-    DFS with fixed neighbor order; branching on every partner keeps the
-    search complete.  A circle numbered t pairs with circles numbered t or
-    wildcards in the regions within t - 1 steps of its own.  Each numbered
-    circle counts its unpaired partners: a pair that leaves one without any
-    is skipped unrouted, and one left with a single partner is forced.  The
-    circle forced most recently is paired next while it is unpaired;
-    otherwise the first unpaired circle is.
+    DFS that tries the steps towards the partner first; branching on every
+    partner and every step keeps the search complete.  A circle numbered t
+    pairs with circles numbered t or wildcards in the regions within t - 1
+    steps of its own.  Each numbered circle counts its unpaired partners: a
+    pair that leaves one without any is skipped unrouted, and one left with
+    a single partner is forced.  The circle forced most recently is paired
+    next while it is unpaired; otherwise the first unpaired circle is.
 
     A path to a numbered target is bounded by region distances: entering
     region r needs `runs + 1 + dist(r, goal region) <= target`, where
@@ -165,8 +166,8 @@ def solve(inst: WataridoriInstance,
     """
     inst = validate_instance(inst)
     rmap = inst.regions
-    width = rmap.width
-    n_cells = width * rmap.height
+    width, height = rmap.width, rmap.height
+    n_cells = width * height
     budget = node_limit(budget)
     nodes = 0
     circles = sorted(inst.circles, key=lambda c: (
@@ -175,13 +176,14 @@ def solve(inst: WataridoriInstance,
     if n % 2 == 1:
         return SolveResult(UNSAT, nodes=0)
 
-    # Cells are flat indices y*width + x, each neighbor paired with its
-    # region id.  No path crosses a circle or another path: circles and
-    # path cells are `blocked`, so only a blocked cell can be the goal.
+    # Cells are flat indices y*width + x.  No path crosses a circle or
+    # another path: circles and path cells are `blocked`, so only a blocked
+    # cell can be the goal.  `blocked` is read at every node, and the
+    # interpreter specializes list reads, not bytearray ones.
     region = list(chain.from_iterable(rmap.ids))
-    neighbors = steps(width, rmap.height, region)
+    order = toward(width)
     cells = [c.y * width + c.x for c in circles]
-    blocked = bytearray(n_cells)
+    blocked = [0] * n_cells
     for i in cells:
         blocked[i] = 1
     # Each path cell records the cell it was entered from, and its first
@@ -191,10 +193,15 @@ def solve(inst: WataridoriInstance,
     ends: List[int] = []
     paired = [False] * n
 
+    # Regions meet where a cell and the one right of it or below it differ.
+    touching = set(zip(region, region[width:]))
+    for row in rmap.ids:
+        touching.update(zip(row, row[1:]))
     adjacent: List[set] = [set() for _ in range(rmap.region_count)]
-    for rid, row in zip(region, neighbors):
-        for _, nrid in row:
-            adjacent[rid].add(nrid)
+    for a, b in touching:
+        if a != b:
+            adjacent[a].add(b)
+            adjacent[b].add(a)
     # A wildcard pair has no target: it reads zero distances, and its limit
     # `n_cells` never cuts, since a path has at most `n_cells` runs.  A
     # pair numbered 1 reads them too: with limit 1 it enters no region.
@@ -250,19 +257,23 @@ def solve(inst: WataridoriInstance,
     forced: List[int] = []
 
     def dfs(after: int, head: int, rid: int, runs: int, entered: bytearray,
-            dist: List[int], limit: int, target: Optional[int], goal: int):
-        """Frame: grow a path by one cell in each direction in turn.  Its
-        last cell `head` is in region `rid`, it has `runs` region runs,
+            dist: List[int], limit: int, target: Optional[int], goal: int,
+            cols: List[int], rows: List[int]):
+        """Frame: grow a path by one cell in each direction in turn, those
+        towards `goal` first, by the `toward_keys` lists `cols` and `rows`.
+        Its last cell `head` is in region `rid`, it has `runs` region runs,
         `entered` flags the regions it has entered, and it may enter region
         r while `runs + dist[r] < limit`."""
         nonlocal nodes
-        for nxt, nrid in neighbors[head]:
+        for d in order[cols[head % width] + rows[head // width]]:
             nodes += 1
             if nodes > budget:
                 raise OutOfBudget
+            nxt = head + d
             if blocked[nxt]:
                 if nxt != goal:
                     continue
+                nrid = region[nxt]
                 if nrid == rid:
                     total = runs
                 elif entered[nrid]:
@@ -275,17 +286,19 @@ def solve(inst: WataridoriInstance,
                 ends.append(nxt)
                 yield pair_next(after)
                 ends.pop()
-            elif nrid == rid:
+                continue
+            nrid = region[nxt]
+            if nrid == rid:
                 blocked[nxt] = 1
                 came[nxt] = head
                 yield dfs(after, nxt, rid, runs, entered, dist, limit, target,
-                          goal)
+                          goal, cols, rows)
                 blocked[nxt] = 0
             elif not entered[nrid] and runs + dist[nrid] < limit:
                 entered[nrid] = blocked[nxt] = 1
                 came[nxt] = head
                 yield dfs(after, nxt, nrid, runs + 1, entered, dist, limit,
-                          target, goal)
+                          target, goal, cols, rows)
                 entered[nrid] = blocked[nxt] = 0
 
     def pair_next(after: int):
@@ -329,8 +342,11 @@ def solve(inst: WataridoriInstance,
             if live:
                 entered = bytearray(rmap.region_count)
                 entered[rid] = 1
+                goal = cells[j]
                 yield dfs(after, start, rid, 1, entered, distances(rids[j])
-                          if bounded else no_bound, limit, target, cells[j])
+                          if bounded else no_bound, limit, target, goal,
+                          *toward_keys(width, height, goal % width,
+                                       goal // width))
             for c in chain(mine, watch[j]):
                 if not paired[c]:
                     count[c] += 1

@@ -299,6 +299,15 @@ def tuple_steps(width, height):
             for y in range(height) for x in range(width)}
 
 
+def steps_toward(neighbors, cell, goal):
+    """The neighbors of `cell` that are nearer `goal`, then the rest, each
+    part in the order `neighbors` lists them."""
+    gx, gy = goal
+    here = abs(gx - cell[0]) + abs(gy - cell[1])
+    return sorted(neighbors[cell],
+                  key=lambda c: abs(gx - c[0]) + abs(gy - c[1]) > here)
+
+
 def numberlink_solve_reference(inst, budget=DEFAULT_BUDGET):
     inst = nl.validate_instance(inst)
     width, height = inst.width, inst.height
@@ -347,7 +356,7 @@ def numberlink_solve_reference(inst, budget=DEFAULT_BUDGET):
         paths.pop()
 
     def extend(idx, path, goal):
-        for nxt in neighbors[path[-1]]:
+        for nxt in steps_toward(neighbors, path[-1], goal):
             nx, ny = nxt
             spend()
             if nxt == goal:
@@ -435,7 +444,7 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
     forced = []
 
     def dfs(path, run_ids, run_set, target, goal):
-        for nxt in neighbors[path[-1]]:
+        for nxt in steps_toward(neighbors, path[-1], goal):
             nx, ny = nxt
             spend()
             rid = rmap.ids[ny][nx]

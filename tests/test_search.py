@@ -6,7 +6,10 @@ nodes), same solutions.  The Numberlink pins were recorded with the
 recursive solver that came before the explicit-stack driver.  The
 Wataridori pins were recorded when that search took its most-constrained
 pairing order and region-distance bound; those on boards with more than
-two circles moved again when it took forced pairing.
+two circles moved again when it took forced pairing.  Every pin on a
+solvable board moved again when both searches began to try the steps
+towards the goal first; an unsatisfiable board's tree is walked whole in
+any step order, so those pins held.
 """
 
 import hashlib
@@ -33,9 +36,9 @@ def digest(text):
 
 
 SAMPLE_PINS = [
-    (nl, "sample_numberlink", 134,
+    (nl, "sample_numberlink", 49,
      "dde44a8a6ad4a66fff95d1f2789dc0be0d77a7c021c86daa089cbe9babf1b350"),
-    (wd, "sample_wataridori", 103,
+    (wd, "sample_wataridori", 83,
      "cb9f3f8203351f8c3785821d6d43bbfbda718781f6fb6549a067c4ccb5d23013"),
 ]
 
@@ -51,7 +54,7 @@ def test_sample_solution_and_node_count(mod, fixture, nodes, sha, request):
 
 @pytest.mark.parametrize("mod, fixture, nodes, sha", SAMPLE_PINS,
                          ids=["numberlink", "wataridori"])
-@pytest.mark.parametrize("budget", [1, 3, 100])
+@pytest.mark.parametrize("budget", [1, 3, 40])
 def test_sample_overrun_reports_budget_plus_one(mod, fixture, nodes, sha,
                                                 budget, request):
     result = mod.solve(request.getfixturevalue(fixture), budget=budget)
@@ -71,14 +74,14 @@ def test_sample_budget_boundary(mod, fixture, nodes, sha, request):
 
 
 PLANTED = {
-    "2x1": ((2, 1, ((1, (0, 0), (1, 0)),)), 514,
-            "bd8c8d04b201903092fa61dcfb071bd6ebc3ea4e808d7a6cb4674e9f2063a179"),
-    "3x1": ((3, 1, ((1, (0, 0), (2, 0)),)), 852,
-            "2bbe08936b15121b66aab3b80262dda27b4f8b38280d6583c72285471935d8d8"),
-    "2x2": ((2, 2, ((1, (0, 0), (0, 1)), (2, (1, 0), (1, 1)))), 875,
-            "c917bf55a474e675cd9c5555a4a6a4ee492d48c0d41073c5a5bef1f0f289bc07"),
-    "3x2": ((3, 2, ((1, (0, 0), (2, 0)), (2, (0, 1), (2, 1)))), 1867,
-            "ac15cef1fdae28f1e19ed365cccc02bd7f1231385dcbbd78a388dfb3e6a47206"),
+    "2x1": ((2, 1, ((1, (0, 0), (1, 0)),)), 220,
+            "de045bf0af082c3b568212652b90ac5371cafda88386b8584d79de74c1ed5aca"),
+    "3x1": ((3, 1, ((1, (0, 0), (2, 0)),)), 293,
+            "46275692f4b0fca08bccf550e854de32bfcc6f481e4fcbca641d0ee64639058c"),
+    "2x2": ((2, 2, ((1, (0, 0), (0, 1)), (2, (1, 0), (1, 1)))), 457,
+            "f40009c6eb17a2a4a6fcf06a616fb1741a9e3240649bb4e5826154f64e4fa903"),
+    "3x2": ((3, 2, ((1, (0, 0), (2, 0)), (2, (0, 1), (2, 1)))), 602,
+            "1108cd3f661de5ea1cb37bd620c5432b5d95c6e90fbab5b54a3f5ec0342d45f6"),
 }
 
 
@@ -111,7 +114,7 @@ def test_crossing_reduction_is_refuted():
 
 
 def test_node_total_over_small_numberlink_family():
-    assert sum(nl.solve(inst).nodes for inst in all_small_instances()) == 3294
+    assert sum(nl.solve(inst).nodes for inst in all_small_instances()) == 1973
 
 
 def test_node_total_over_two_circle_family():
@@ -126,21 +129,20 @@ def test_node_total_over_two_circle_family():
                 rmap, (wd.Circle(*a, na), wd.Circle(*b, nb)))
             total += wd.solve(inst).nodes
             count += 1
-    assert (count, total) == (5026, 236427)
+    assert (count, total) == (5026, 230240)
 
 
 # Both boards used to die with RecursionError: each solver recursed once
-# per path cell.  The Numberlink pin was recorded from the recursive solver
-# run with a raised recursion limit; the Wataridori pin is the
-# search's with forced pairing.
+# per path cell.  Both pins are the goal-directed searches'; the Numberlink
+# one is a straight walk, one node per step of the 78-step path.
 
 def test_long_numberlink_path_solves():
     inst = nl.NumberlinkInstance(40, 40, ((1, (0, 0), (39, 39)),))
     result = nl.solve(inst)
-    assert (result.status, result.nodes) == (nl.SOLVED, 2359)
+    assert (result.status, result.nodes) == (nl.SOLVED, 78)
     assert nl.verify_solution(nl.validate_instance(inst), result.solution)
     assert digest(nl.serialize_solution(result.solution)) == \
-        "6bb1d3abc38e77f7f2559871ca70d85b6413e529f8ce52cff5d54772dd38240f"
+        "1e1d5a0f40adf5619d68ea74b458f589073ee04e0c91a9a82662d4f0c57811b2"
 
 
 def test_long_wataridori_path_solves():
@@ -148,10 +150,10 @@ def test_long_wataridori_path_solves():
         nl.NumberlinkInstance(4, 4, ((1, (0, 0), (3, 3)),)))
     assert (h.width, h.height) == (36, 36)
     result = wd.solve(h)
-    assert (result.status, result.nodes) == (wd.SOLVED, 5026)
+    assert (result.status, result.nodes) == (wd.SOLVED, 1161)
     assert wd.verify_solution(h, result.solution)
     assert digest(wd.serialize_solution(result.solution)) == \
-        "46d8a1391f30a14fda7eb919247a2312810ba82832c6852861553dadd568bdea"
+        "fe5b63aa1b52321c9d800e4113ccefc43045a1a3a08a4f6b2d8f5a817a54abe5"
 
 
 # 7x7 boards pinned with the tuple-cell solvers: the Numberlink boards
@@ -182,12 +184,12 @@ WILDCARDS_7X7 = wd.WataridoriInstance(region_map_from_rows([
 
 @pytest.mark.parametrize("mod, inst, budget, status, nodes, sha", [
     (nl, REFUTED_7X7, search.DEFAULT_BUDGET, search.UNSAT, 2861, None),
-    (nl, PLANTED_7X7, search.DEFAULT_BUDGET, search.SOLVED, 3035,
-     "503a0ca29abe1e0db2516cc5abd508e075d300aaff27955bb332c8d6251a60d4"),
-    (nl, PLANTED_7X7, 1000, search.BUDGET_EXCEEDED, 1001, None),
-    (wd, WILDCARDS_7X7, search.DEFAULT_BUDGET, search.SOLVED, 165,
-     "52c1d25903f59701493f7237f896f85ff43cc08dc11b7f3e8e5672b0f1fb21ca"),
-    (wd, WILDCARDS_7X7, 100, search.BUDGET_EXCEEDED, 101, None),
+    (nl, PLANTED_7X7, search.DEFAULT_BUDGET, search.SOLVED, 23,
+     "be3f11e343b9284a5c6843d58b3f1da3b9e2d4a5a9a2352b89b879c520aab69d"),
+    (nl, PLANTED_7X7, 20, search.BUDGET_EXCEEDED, 21, None),
+    (wd, WILDCARDS_7X7, search.DEFAULT_BUDGET, search.SOLVED, 32,
+     "5e1fb4d40dddde7ecbfea600d5ebbf56a70796c07c8e5d8b0ee89a674ff257f5"),
+    (wd, WILDCARDS_7X7, 30, search.BUDGET_EXCEEDED, 31, None),
 ], ids=["nl-refuted", "nl-planted", "nl-planted-overrun", "wd-wildcards",
         "wd-wildcards-overrun"])
 def test_7x7_board(mod, inst, budget, status, nodes, sha):
@@ -406,21 +408,43 @@ def test_wataridori_solves_planted_boards_off_the_benchmark():
         assert wd.verify_solution(inst, result.solution)
         total += result.nodes
     # 59,274 nodes before forced pairing.
-    assert total == 37709
+    assert total == 33935
 
 
 @pytest.mark.parametrize("width, height",
                          [(1, 1), (1, 3), (3, 1), (2, 2), (4, 3), (5, 5)])
 def test_steps_match_tuple_cell_neighbors(width, height):
-    """Flat neighbor lists, bare and paired with per-cell ids, list the
-    same cells in the same order as the references' tuple-cell ones."""
-    ids = [i * 7 % 5 for i in range(width * height)]
+    """Flat neighbor lists list the same cells in the same order as the
+    references' tuple-cell ones."""
     cells = oracles.tuple_steps(width, height)
     want = [[y * width + x for x, y in cells[i % width, i // width]]
             for i in range(width * height)]
     assert search.steps(width, height) == want
-    assert search.steps(width, height, ids) == \
-        [[(j, ids[j]) for j in row] for row in want]
+
+
+@pytest.mark.parametrize("width, height",
+                         [(1, 2), (2, 1), (1, 4), (4, 1), (2, 2), (3, 5),
+                          (6, 4)])
+def test_toward_matches_the_references_step_order(width, height):
+    """For every cell and goal, the key the searches add up is the one
+    `toward` documents, and its entry lists the same cells in the same
+    order as the references' `steps_toward`."""
+    table = search.toward(width)
+    assert len(table) == 16 * 9
+    cells = oracles.tuple_steps(width, height)
+    right, bottom = width - 1, height - 1
+    for (x, y), (gx, gy) in product(cells, repeat=2):
+        cols, rows = search.toward_keys(width, height, gx, gy)
+        key = cols[x] + rows[y]
+        assert key == (36 * ((y == 0) + 2 * (y == bottom))
+                       + 9 * ((x == 0) + 2 * (x == right))
+                       + 3 * ((gy > y) - (gy < y)) + (gx > x) - (gx < x)
+                       + 4)
+        i = y * width + x
+        assert [i + d for d in table[key]] == [
+            ny * width + nx for nx, ny in
+            oracles.steps_toward(cells, (x, y), (gx, gy))]
+    assert search.toward(width) is table
 
 
 def test_solvers_share_one_contract():
