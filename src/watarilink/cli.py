@@ -11,8 +11,8 @@ import gc
 import sys
 from typing import Any, Optional, Tuple
 
-from . import (documents, lifting, numberlink, reduction, render, search,
-               wataridori)
+from . import (documents, grid, lifting, numberlink, reduction, render,
+               search, wataridori)
 from .errors import PuzzleError
 
 EXIT_OK = 0
@@ -192,6 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_render)
+
+    for p in sub.choices.values():
+        p.add_argument("--max-cells", type=_positive_int,
+                       default=grid.MAX_CELLS,
+                       help="refuse grids with more cells than this "
+                            f"(default {grid.MAX_CELLS})")
     return parser
 
 
@@ -204,12 +210,14 @@ def main(argv=None) -> int:
     # runs; the caller's setting is restored.
     enabled = gc.isenabled()
     gc.disable()
+    max_cells, grid.MAX_CELLS = grid.MAX_CELLS, args.max_cells
     try:
         return args.func(args)
     except PuzzleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
+        grid.MAX_CELLS = max_cells
         if enabled:
             gc.enable()
 

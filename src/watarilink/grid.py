@@ -11,12 +11,28 @@ from operator import eq
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .errors import Cell, ValidationError
+from .errors import Cell, ParseError, ValidationError
 
 Path = Tuple[Cell, ...]
 
 HORIZONTAL = "h"
 VERTICAL = "v"
+
+# The most cells a grid may have: parsing, solving and the reduction's
+# target are checked against it before anything is allocated for a grid.
+# It admits a 300x300 target; each command's `--max-cells` raises it.
+MAX_CELLS = 250_000
+
+
+def check_size(width: int, height: int,
+               location: Optional[str] = None) -> None:
+    """Refuse a grid of more than `MAX_CELLS` cells with a `TOO_LARGE`
+    error, a `ParseError` at `location` if one is given."""
+    if width * height > MAX_CELLS:
+        message = f"a {width}x{height} grid has more than {MAX_CELLS} cells"
+        if location:
+            raise ParseError("TOO_LARGE", message, location)
+        raise ValidationError("TOO_LARGE", message)
 
 
 class Wall(NamedTuple):

@@ -13,7 +13,8 @@ from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 from . import documents as docs
 from . import errors
 from .errors import ParseError, ValidationError, Verdict, accept, reject
-from .grid import Cell, Path, first_shared_cell, is_simple_orthogonal_path
+from .grid import (Cell, Path, check_size, first_shared_cell,
+                   is_simple_orthogonal_path)
 # The statuses are read through this module as nl.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
                      OutOfBudget, SolveResult, node_limit, run, steps,
@@ -131,24 +132,30 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     """Complete deterministic backtracking search.
 
     Labels are routed in order 1..p; each path grows by the steps towards
-    its goal first, then the rest, and tries every one.  A partial state is
-    cut when any pending pair's endpoints are no longer connectable through
-    free cells, which never discards a completable state.  A pending pair
-    is flooded again only when the head lands on the free path last found
-    for it.
+    its goal first, then the rest, and tries every one.  A path may not
+    step next to one of its own earlier cells: a solution whose path
+    touches itself has a shorter one through the touch, so a solution with
+    the fewest path cells has no touch.  A partial state is cut when any
+    pending pair's endpoints are no longer connectable through free cells,
+    which never discards a completable state.  A pending pair is flooded
+    again only when the head lands on the free path last found for it.
     """
     inst = validate_instance(inst)
-    width = inst.width
-    n = width * inst.height
-    # Cells are flat indices y*width + x; `occ` marks terminals and paths.
+    width, height = inst.width, inst.height
+    check_size(width, height)
+    n = width * height
+    # Cells are flat indices y*width + x.  `occ` is 0 on a free cell, 1 on
+    # a terminal and i + 2 on a cell of path i, its start terminal included
+    # while it is routed.
     pairs = [(label, a[1] * width + a[0], b[1] * width + b[0])
              for label, a, b in inst.terminals]
-    occ = bytearray(n)
+    occ = [0] * n
     for _, a, b in pairs:
         occ[a] = occ[b] = 1
 
-    neighbors = steps(width, inst.height)
+    neighbors = steps(width, height)
     order = toward(width)
+    lines: Dict[int, List[int]] = {}
     budget = node_limit(budget)
     nodes = 0
     paths: List[List[int]] = []
@@ -221,35 +228,40 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
         label, a, b = pairs[idx]
         path = [a]
         paths.append(path)
+        occ[a] = idx + 2
         yield extend(idx, path, b,
-                     *toward_keys(width, inst.height, b % width, b // width))
+                     *toward_keys(width, height, b % width, b // width, lines))
+        occ[a] = 1
         paths.pop()
 
     def extend(idx: int, path: List[int], goal: int, cols: List[int],
                rows: List[int]):
         """Frame: grow `path` by one cell in each direction in turn, those
         towards `goal` first, by the `toward_keys` lists `cols` and
-        `rows`."""
+        `rows`, onto no cell next to an earlier cell of `path`."""
         nonlocal nodes
         head = path[-1]
+        tag = idx + 2
         for d in order[cols[head % width] + rows[head // width]]:
             nodes += 1
             if nodes > budget:
                 raise OutOfBudget
             nxt = head + d
-            if nxt == goal:
+            if occ[nxt] and nxt != goal:
+                continue
+            for m in neighbors[nxt]:
+                if occ[m] == tag and m != head:
+                    break
+            else:
                 path.append(nxt)
-                yield route(idx + 1)
+                if nxt == goal:
+                    yield route(idx + 1)
+                else:
+                    occ[nxt] = tag
+                    if pending_ok(idx, nxt):
+                        yield extend(idx, path, goal, cols, rows)
+                    occ[nxt] = 0
                 path.pop()
-                continue
-            if occ[nxt]:
-                continue
-            occ[nxt] = 1
-            path.append(nxt)
-            if pending_ok(idx, nxt):
-                yield extend(idx, path, goal, cols, rows)
-            path.pop()
-            occ[nxt] = 0
 
     result = run(route(0), lambda: nodes, lambda: NumberlinkSolution(tuple(
         (label, tuple((i % width, i // width) for i in path))
@@ -286,6 +298,7 @@ def parse_instance(text: Any) -> NumberlinkInstance:
                          "puzzle")
     width = docs.as_int(doc["width"], "width")
     height = docs.as_int(doc["height"], "height")
+    check_size(width, height, "width")
     terminals = []
     for i, entry in enumerate(docs.as_list(doc["terminals"], "terminals")):
         loc = f"terminals[{i}]"

@@ -29,7 +29,7 @@ from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
 from . import documents as docs
 from .errors import ParseError, ValidationError
 from .grid import (Cell, HORIZONTAL, VERTICAL, RegionMap, Wall, _flood,
-                   regions_from_walls)
+                   check_size, regions_from_walls)
 from .numberlink import (NumberlinkInstance, _instance_document,
                          parse_instance, validate_instance)
 from .wataridori import Circle, WataridoriInstance
@@ -262,6 +262,7 @@ def reduce_instance(g: NumberlinkInstance
     k = choose_k(p)
     s = 4 * k + 5
     width, height = s * g.width, s * g.height
+    check_size(width, height)
 
     # Every join starts open; each placed block cuts its own walls.  A
     # block wall on the outer boundary cuts a join across the grid's edge,

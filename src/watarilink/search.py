@@ -10,9 +10,9 @@ slots, not Python call-stack frames.
 
 Both solvers search on flat cell indices i = y*width + x: a path grows
 by the offsets `toward` lists for its head and goal, `steps` gives each
-index its neighbor indices for the floods, occupancy and region ids are
-flat arrays, and paths are kept as indices, turned back into (x, y) cells
-only when `run` reads the solution.  The guarantee is node for node: each
+index its neighbor indices for the floods and touch checks, occupancy
+and region ids are flat arrays, and paths are kept as indices, turned
+back into (x, y) cells only when `run` reads the solution.  The guarantee is node for node: each
 solver makes every move and every cut at the same node as a plain search
 over (x, y) tuple cells, so status, solution and node count all equal that
 search's.  The test suite keeps such searches as references and compares.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Any, Callable, Iterator, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 SOLVED = "solved"
 UNSAT = "unsat"
@@ -39,9 +39,10 @@ class SolveResult(NamedTuple):
     nodes: int = 0
 
 
-def steps(width: int, height: int) -> List[List[int]]:
+@lru_cache(maxsize=64)
+def steps(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
     """The in-bounds neighbors of every cell index i = y*width + x, in a
-    fixed order: up, down, left, right."""
+    fixed order: up, down, left, right.  Built on first use per shape."""
     n = width * height
     right = width - 1
     rows = []
@@ -56,8 +57,8 @@ def steps(width: int, height: int) -> List[List[int]]:
             row.append(i - 1)
         if x < right:
             row.append(i + 1)
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=64)
@@ -87,19 +88,25 @@ def toward(width: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(table)
 
 
-def toward_keys(width: int, height: int, gx: int,
-                gy: int) -> Tuple[List[int], List[int]]:
+def toward_keys(width: int, height: int, gx: int, gy: int,
+                lines: Dict[int, List[int]]) -> Tuple[List[int], List[int]]:
     """Lists `cols, rows` such that `cols[x] + rows[y]` is the `toward`
     key of a cell (x, y) on a width x height grid for the goal (gx, gy):
     `cols[x]` is `9*edge_x + sign(gx - x) + 4` and `rows[y]` is
-    `36*edge_y + 3*sign(gy - y)`.  A search builds them once per path it
-    routes, so a frame reads its key with two lookups."""
-    cols = [5] * gx + [4] + [3] * (width - 1 - gx)
-    cols[0] += 9
-    cols[-1] += 18
-    rows = [3] * gy + [0] + [-3] * (height - 1 - gy)
-    rows[0] += 36
-    rows[-1] += 72
+    `36*edge_y + 3*sign(gy - y)`.  A search builds them once per goal, so
+    a frame reads its key with two lookups, and keeps the lists it built
+    in `lines` (`cols` at `gx`, `rows` at `~gy`), so goals in one column
+    or one row share them."""
+    cols = lines.get(gx)
+    if cols is None:
+        cols = lines[gx] = [5] * gx + [4] + [3] * (width - 1 - gx)
+        cols[0] += 9
+        cols[-1] += 18
+    rows = lines.get(~gy)
+    if rows is None:
+        rows = lines[~gy] = [3] * gy + [0] + [-3] * (height - 1 - gy)
+        rows[0] += 36
+        rows[-1] += 72
     return cols, rows
 
 

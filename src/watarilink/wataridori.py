@@ -15,13 +15,13 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import documents as docs
 from . import errors
 from .errors import ParseError, ValidationError, Verdict, accept, reject
-from .grid import (Cell, Path, RegionMap, first_shared_cell,
+from .grid import (Cell, Path, RegionMap, check_size, first_shared_cell,
                    is_simple_orthogonal_path, region_map_from_rows,
                    region_runs)
 # The statuses are read through this module as wd.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
-                     OutOfBudget, SolveResult, node_limit, run, toward,
-                     toward_keys)
+                     OutOfBudget, SolveResult, node_limit, run, steps,
+                     toward, toward_keys)
 
 
 class Circle(NamedTuple):
@@ -161,12 +161,16 @@ def solve(inst: WataridoriInstance,
     region r needs `runs + 1 + dist(r, goal region) <= target`, where
     `dist` counts steps in the region adjacency graph.  Walls and blocked
     cells only lengthen real paths, so the bound never cuts a solution.  A
-    partial path is also cut when it re-enters a region.  Designed for
-    boards up to about 7x7 with up to about 16 circles.
+    partial path is also cut when it re-enters a region, and when it steps
+    next to one of its own earlier cells, in the same region for a
+    numbered pair: the path through such a touch keeps the run count, so
+    a solution with the fewest path cells has none.  Designed for boards
+    up to about 7x7 with up to about 16 circles.
     """
     inst = validate_instance(inst)
     rmap = inst.regions
     width, height = rmap.width, rmap.height
+    check_size(width, height)
     n_cells = width * height
     budget = node_limit(budget)
     nodes = 0
@@ -179,10 +183,17 @@ def solve(inst: WataridoriInstance,
     # Cells are flat indices y*width + x.  No path crosses a circle or
     # another path: circles and path cells are `blocked`, so only a blocked
     # cell can be the goal.  `blocked` is read at every node, and the
-    # interpreter specializes list reads, not bytearray ones.
+    # interpreter specializes list reads, not bytearray ones.  It is 1 on a
+    # circle and, on a path cell, the tag of the path's run that holds it:
+    # ~ the run's first cell, a negative number no other run alive carries.
+    # A path's start circle carries its first run's tag while it is routed.
     region = list(chain.from_iterable(rmap.ids))
+    neighbors = steps(width, height)
     order = toward(width)
     cells = [c.y * width + c.x for c in circles]
+    # Each circle's `toward_keys` lists, built when it is first a goal.
+    keys: List[Optional[Tuple[List[int], List[int]]]] = [None] * n
+    lines: Dict[int, List[int]] = {}
     blocked = [0] * n_cells
     for i in cells:
         blocked[i] = 1
@@ -256,6 +267,16 @@ def solve(inst: WataridoriInstance,
     count = [len(p) - 1 for p in partners]
     forced: List[int] = []
 
+    def touches(cell: int, head: int) -> bool:
+        """Whether `cell` is next to a cell other than `head` with the tag
+        of `head`.  A run of one cell, tagged `~head`, has none."""
+        tag = blocked[head]
+        if tag != ~head:
+            for m in neighbors[cell]:
+                if blocked[m] == tag and m != head:
+                    return True
+        return False
+
     def dfs(after: int, head: int, rid: int, runs: int, entered: bytearray,
             dist: List[int], limit: int, target: Optional[int], goal: int,
             cols: List[int], rows: List[int]):
@@ -263,7 +284,12 @@ def solve(inst: WataridoriInstance,
         towards `goal` first, by the `toward_keys` lists `cols` and `rows`.
         Its last cell `head` is in region `rid`, it has `runs` region runs,
         `entered` flags the regions it has entered, and it may enter region
-        r while `runs + dist[r] < limit`."""
+        r while `runs + dist[r] < limit`.
+
+        The path steps onto no cell next to one of its earlier cells with
+        the tag the step would carry: a wildcard path's runs share one tag,
+        and a numbered path's do not, since only a touch within one region
+        keeps the run count when cut short."""
         nonlocal nodes
         for d in order[cols[head % width] + rows[head // width]]:
             nodes += 1
@@ -282,6 +308,8 @@ def solve(inst: WataridoriInstance,
                     total = runs + 1
                 if target and total != target:
                     continue
+                if (nrid == rid or target is None) and touches(nxt, head):
+                    continue
                 came[nxt] = head
                 ends.append(nxt)
                 yield pair_next(after)
@@ -289,13 +317,21 @@ def solve(inst: WataridoriInstance,
                 continue
             nrid = region[nxt]
             if nrid == rid:
-                blocked[nxt] = 1
+                if touches(nxt, head):
+                    continue
+                blocked[nxt] = blocked[head]
                 came[nxt] = head
                 yield dfs(after, nxt, rid, runs, entered, dist, limit, target,
                           goal, cols, rows)
                 blocked[nxt] = 0
             elif not entered[nrid] and runs + dist[nrid] < limit:
-                entered[nrid] = blocked[nxt] = 1
+                if target:
+                    blocked[nxt] = ~nxt
+                elif touches(nxt, head):
+                    continue
+                else:
+                    blocked[nxt] = blocked[head]
+                entered[nrid] = 1
                 came[nxt] = head
                 yield dfs(after, nxt, nrid, runs + 1, entered, dist, limit,
                           target, goal, cols, rows)
@@ -321,6 +357,7 @@ def solve(inst: WataridoriInstance,
         bounded = target is not None and target > 1
         start = cells[first]
         came[start] = -1
+        blocked[start] = ~start
         rid = rids[first]
         mine = watch[first]
         for j in partners[first]:
@@ -343,15 +380,18 @@ def solve(inst: WataridoriInstance,
                 entered = bytearray(rmap.region_count)
                 entered[rid] = 1
                 goal = cells[j]
+                if keys[j] is None:
+                    keys[j] = toward_keys(width, height, goal % width,
+                                          goal // width, lines)
                 yield dfs(after, start, rid, 1, entered, distances(rids[j])
                           if bounded else no_bound, limit, target, goal,
-                          *toward_keys(width, height, goal % width,
-                                       goal // width))
+                          *keys[j])
             for c in chain(mine, watch[j]):
                 if not paired[c]:
                     count[c] += 1
             del forced[mark:]
             paired[j] = False
+        blocked[start] = 1
         paired[first] = False
 
     def path_cells(end: int) -> Path:
@@ -382,6 +422,7 @@ def parse_instance(text: Any) -> WataridoriInstance:
                          f"{doc['puzzle']!r}", "puzzle")
     width = docs.as_int(doc["width"], "width")
     height = docs.as_int(doc["height"], "height")
+    check_size(width, height, "width")
     rows = docs.as_list(doc["regions"], "regions")
     if len(rows) != height:
         raise ParseError("BAD_REGIONS", f"expected {height} region rows, "

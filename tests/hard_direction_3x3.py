@@ -16,7 +16,7 @@ from watarilink import wataridori as wd
 
 # The most nodes any one reduction takes, pinned so that a weaker cut
 # fails here rather than only slowing down.
-MAX_NODES = 3589
+MAX_NODES = 3557
 
 
 def main():

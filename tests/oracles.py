@@ -308,6 +308,17 @@ def steps_toward(neighbors, cell, goal):
                   key=lambda c: abs(gx - c[0]) + abs(gy - c[1]) > here)
 
 
+def touches_itself(neighbors, path, nxt, region=None):
+    """Whether `nxt` is next to a cell of `path` other than its last one,
+    in the same region as `nxt` if a `region` map is given.  The searches
+    never step onto such a cell: the path through the touch is a shortcut,
+    and within one region it keeps the region runs."""
+    def zone(cell):
+        return region.ids[cell[1]][cell[0]] if region else 0
+    return any(m in path[:-1] and zone(m) == zone(nxt)
+               for m in neighbors[nxt])
+
+
 def numberlink_solve_reference(inst, budget=DEFAULT_BUDGET):
     inst = nl.validate_instance(inst)
     width, height = inst.width, inst.height
@@ -359,6 +370,8 @@ def numberlink_solve_reference(inst, budget=DEFAULT_BUDGET):
         for nxt in steps_toward(neighbors, path[-1], goal):
             nx, ny = nxt
             spend()
+            if touches_itself(neighbors, path, nxt):
+                continue
             if nxt == goal:
                 path.append(nxt)
                 yield route(idx + 1)
@@ -448,6 +461,9 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
             nx, ny = nxt
             spend()
             rid = rmap.ids[ny][nx]
+            if touches_itself(neighbors, path, nxt,
+                              None if target is None else rmap):
+                continue
             if nxt == goal:
                 if rid == run_ids[-1]:
                     total = len(run_ids)

@@ -6,7 +6,7 @@ import pytest
 from conftest import FIXTURES, fixture_text
 from watarilink import numberlink as nl
 from watarilink import wataridori as wd
-from watarilink import render
+from watarilink import grid, render
 from watarilink.cli import build_parser, main
 
 SAMPLE_NL = str(FIXTURES / "numberlink_6x6.json")
@@ -280,6 +280,36 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+
+class TestSizeGuard:
+    def test_board_over_the_default_cap_exits_1(self, tmp_path, capsys):
+        puzzle = tmp_path / "huge.json"
+        puzzle.write_text(json.dumps({
+            "puzzle": "numberlink", "width": 100000, "height": 100000,
+            "terminals": [{"label": 1, "cells": [[0, 0], [99999, 99999]]}],
+        }))
+        assert main(["solve", str(puzzle)]) == 1
+        assert "TOO_LARGE" in capsys.readouterr().err
+
+    def test_max_cells_sets_the_cap_for_one_command(self, capsys):
+        cap = grid.MAX_CELLS
+        assert main(["solve", SAMPLE_NL, "--max-cells", "35"]) == 1
+        assert "TOO_LARGE" in capsys.readouterr().err
+        assert grid.MAX_CELLS == cap
+        assert main(["solve", SAMPLE_NL, "--max-cells", "36"]) == 0
+        assert main(["solve", SAMPLE_WD, "--max-cells", str(2 * cap)]) == 0
+        assert main(["render", SAMPLE_WD, "--max-cells", "35"]) == 1
+        assert main(["verify", SAMPLE_WD, SAMPLE_WD_SOL,
+                     "--max-cells", "36"]) == 0
+
+    @pytest.mark.parametrize("value", ["0", "-1", "many"])
+    def test_max_cells_must_be_a_positive_integer(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", SAMPLE_NL, "--max-cells", value])
+        assert exc.value.code == 1
+        assert "--max-cells: must be a positive integer" in \
+            capsys.readouterr().err
 
 
 def _crossing(tmp_path):

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from watarilink.errors import ValidationError
+from watarilink import grid
+from watarilink import numberlink as nl
+from watarilink import reduction as rd
+from watarilink import wataridori as wd
+from watarilink.errors import ParseError, PuzzleError, ValidationError
 from watarilink.grid import (HORIZONTAL, VERTICAL, Wall, first_shared_cell,
                              is_simple_orthogonal_path, region_map_from_rows,
                              region_runs, regions_from_walls)
@@ -199,3 +205,58 @@ class TestPairwiseDisjoint:
         assert first_shared_cell(paths) == (len(paths) - 1, paths[3][1])
         assert first_shared_cell(list(reversed(paths))) == (
             len(paths) - 4, paths[3][1])
+
+
+class TestSizeGuard:
+    """A grid over `MAX_CELLS` is refused with TOO_LARGE before anything
+    is allocated for it.  The cap is lowered to 10,000 cells, so each grid
+    below is refused at a size where a missing guard costs megabytes, not
+    the machine."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(grid, "MAX_CELLS", 10_000)
+
+    def refused(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PuzzleError) as exc:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == "TOO_LARGE"
+        assert peak < 100_000
+        return exc.value
+
+    def test_cap_counts_cells(self, monkeypatch):
+        grid.check_size(100, 100)
+        grid.check_size(10_000, 1)
+        self.refused(lambda: grid.check_size(101, 100))
+        monkeypatch.undo()
+        assert grid.MAX_CELLS >= 300 * 300
+        grid.check_size(300, 300)
+
+    def test_solvers_refuse_before_allocating(self):
+        self.refused(lambda: nl.solve(nl.NumberlinkInstance(
+            400, 400, ((1, (0, 0), (399, 399)),))))
+        # A region map whose rows were never built: the guard must fire
+        # before the solver reads them.
+        rmap = grid.RegionMap(width=400, height=400, ids=(), region_count=1)
+        self.refused(lambda: wd.solve(wd.WataridoriInstance(
+            rmap, (wd.Circle(0, 0), wd.Circle(399, 399)))))
+
+    def test_reduction_refuses_a_target_over_the_cap(self):
+        # 40 x 40 is under the cap; its 360 x 360 target is not.
+        g = nl.NumberlinkInstance(40, 40, ((1, (0, 0), (39, 39)),))
+        assert "360x360" in self.refused(lambda: rd.reduce_instance(g)).message
+
+    @pytest.mark.parametrize("puzzle, parse", [
+        ({"puzzle": "numberlink", "terminals": []}, nl.parse_instance),
+        ({"puzzle": "wataridori", "regions": [], "circles": []},
+         wd.parse_instance),
+    ])
+    def test_parsers_refuse_before_reading_the_grid(self, puzzle, parse):
+        error = self.refused(lambda: parse(dict(puzzle, width=400,
+                                                height=400)))
+        assert isinstance(error, ParseError) and error.location == "width"

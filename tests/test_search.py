@@ -9,7 +9,9 @@ pairing order and region-distance bound; those on boards with more than
 two circles moved again when it took forced pairing.  Every pin on a
 solvable board moved again when both searches began to try the steps
 towards the goal first; an unsatisfiable board's tree is walked whole in
-any step order, so those pins held.
+any step order, so those pins held.  Pins moved once more, unsat ones
+included, when both searches stopped stepping next to a path's own
+earlier cells.
 """
 
 import hashlib
@@ -129,7 +131,7 @@ def test_node_total_over_two_circle_family():
                 rmap, (wd.Circle(*a, na), wd.Circle(*b, nb)))
             total += wd.solve(inst).nodes
             count += 1
-    assert (count, total) == (5026, 230240)
+    assert (count, total) == (5026, 131917)
 
 
 # Both boards used to die with RecursionError: each solver recursed once
@@ -183,12 +185,12 @@ WILDCARDS_7X7 = wd.WataridoriInstance(region_map_from_rows([
 
 
 @pytest.mark.parametrize("mod, inst, budget, status, nodes, sha", [
-    (nl, REFUTED_7X7, search.DEFAULT_BUDGET, search.UNSAT, 2861, None),
-    (nl, PLANTED_7X7, search.DEFAULT_BUDGET, search.SOLVED, 23,
-     "be3f11e343b9284a5c6843d58b3f1da3b9e2d4a5a9a2352b89b879c520aab69d"),
+    (nl, REFUTED_7X7, search.DEFAULT_BUDGET, search.UNSAT, 460, None),
+    (nl, PLANTED_7X7, search.DEFAULT_BUDGET, search.SOLVED, 80,
+     "307d4fdd474d4c4d21f0076e4c14a24ac4759769c27e827bd5a18a04958834dc"),
     (nl, PLANTED_7X7, 20, search.BUDGET_EXCEEDED, 21, None),
-    (wd, WILDCARDS_7X7, search.DEFAULT_BUDGET, search.SOLVED, 32,
-     "5e1fb4d40dddde7ecbfea600d5ebbf56a70796c07c8e5d8b0ee89a674ff257f5"),
+    (wd, WILDCARDS_7X7, search.DEFAULT_BUDGET, search.SOLVED, 54,
+     "303e6793f84cb1cf2881dff2023da1451db2de7d7ab086d1e44d6d0161730a96"),
     (wd, WILDCARDS_7X7, 30, search.BUDGET_EXCEEDED, 31, None),
 ], ids=["nl-refuted", "nl-planted", "nl-planted-overrun", "wd-wildcards",
         "wd-wildcards-overrun"])
@@ -407,18 +409,18 @@ def test_wataridori_solves_planted_boards_off_the_benchmark():
         assert result.status == wd.SOLVED, inst
         assert wd.verify_solution(inst, result.solution)
         total += result.nodes
-    # 59,274 nodes before forced pairing.
-    assert total == 33935
+    # 59,274 nodes before forced pairing, 33,935 before the self-touch cut.
+    assert total == 10425
 
 
 @pytest.mark.parametrize("width, height",
                          [(1, 1), (1, 3), (3, 1), (2, 2), (4, 3), (5, 5)])
 def test_steps_match_tuple_cell_neighbors(width, height):
-    """Flat neighbor lists list the same cells in the same order as the
+    """Flat neighbor tuples list the same cells in the same order as the
     references' tuple-cell ones."""
     cells = oracles.tuple_steps(width, height)
-    want = [[y * width + x for x, y in cells[i % width, i // width]]
-            for i in range(width * height)]
+    want = tuple(tuple(y * width + x for x, y in cells[i % width, i // width])
+                 for i in range(width * height))
     assert search.steps(width, height) == want
 
 
@@ -433,8 +435,12 @@ def test_toward_matches_the_references_step_order(width, height):
     assert len(table) == 16 * 9
     cells = oracles.tuple_steps(width, height)
     right, bottom = width - 1, height - 1
+    lines = {}
     for (x, y), (gx, gy) in product(cells, repeat=2):
-        cols, rows = search.toward_keys(width, height, gx, gy)
+        cols, rows = search.toward_keys(width, height, gx, gy, lines)
+        # Goals in one column share `cols`, and goals in one row `rows`.
+        assert (cols, rows) == search.toward_keys(width, height, gx, gy, {})
+        assert cols is lines[gx] and rows is lines[~gy]
         key = cols[x] + rows[y]
         assert key == (36 * ((y == 0) + 2 * (y == bottom))
                        + 9 * ((x == 0) + 2 * (x == right))
@@ -501,3 +507,89 @@ def test_budget_refuses_a_negative_limit(sample_numberlink):
     assert wd.solve(odd, budget=0) == search.SolveResult(search.UNSAT)
     with pytest.raises(ValueError):
         wd.solve(odd, budget=-5)
+
+
+# The self-touch cut.  A path never steps next to one of its own earlier
+# cells where the shortcut through the touch would also be a solution:
+# anywhere for Numberlink and for a pair of wildcards, within one region
+# for a numbered pair.  A solution with the fewest path cells has no such
+# touch, so the cut keeps every verdict.
+
+U_TURN = region_map_from_rows([[0, 2], [1, 1]])
+
+
+def test_numbered_path_may_touch_itself_across_regions():
+    """Two 3s side by side in regions A and C, under a row B: only the U
+    through B has three runs, and its ends touch across regions."""
+    inst = wd.WataridoriInstance(U_TURN, (wd.Circle(0, 0, 3),
+                                          wd.Circle(1, 0, 3)))
+    result = wd.solve(inst)
+    assert result.status == wd.SOLVED
+    assert result.solution.paths == (((0, 0), (0, 1), (1, 1), (1, 0)),)
+    assert wd.verify_solution(inst, result.solution)
+
+
+def test_wildcard_path_takes_the_shortcut():
+    inst = wd.WataridoriInstance(U_TURN, (wd.Circle(0, 0), wd.Circle(1, 0)))
+    result = wd.solve(inst)
+    assert result.status == wd.SOLVED
+    assert result.solution.paths == (((0, 0), (1, 0)),)
+
+
+def cuttable_touch(width, height, path, region=None):
+    """Whether some cell of `path` touches an earlier one other than its
+    predecessor, within one region if a `region` map is given."""
+    neighbors = oracles.tuple_steps(width, height)
+    return any(oracles.touches_itself(neighbors, path[:k], path[k], region)
+               for k in range(2, len(path)))
+
+
+def test_solvers_decide_small_boards_as_brute_force_does():
+    """Both searches, cut as above, against the oracles that enumerate
+    every path system, on seeded boards with unsat ones and wildcard
+    pairs among them; no path found has a cuttable touch."""
+    rng = random.Random(12)
+    statuses = []
+    for _ in range(400):
+        width, height = rng.randint(2, 4), rng.randint(2, 4)
+        cells = [(x, y) for y in range(height) for x in range(width)]
+        ends = rng.sample(cells, 2 * rng.randint(1, min(3, len(cells) // 2)))
+        inst = nl.NumberlinkInstance(width, height, tuple(
+            (i + 1, ends[2 * i], ends[2 * i + 1])
+            for i in range(len(ends) // 2)))
+        result = nl.solve(inst)
+        statuses.append(result.status)
+        assert (result.status == nl.SOLVED) == \
+            oracles.numberlink_brute_solvable(inst), inst
+        if result.solution is not None:
+            assert nl.verify_solution(nl.validate_instance(inst),
+                                      result.solution)
+            assert not any(cuttable_touch(width, height, path)
+                           for _, path in result.solution.paths)
+    for _ in range(300):
+        width, height = rng.randint(2, 4), rng.randint(2, 3)
+        cells = [(x, y) for y in range(height) for x in range(width)]
+        walls = [Wall(VERTICAL, x, y)
+                 for x in range(1, width) for y in range(height)]
+        walls += [Wall(HORIZONTAL, x, y)
+                  for x in range(width) for y in range(1, height)]
+        rmap = regions_from_walls(
+            [w for w in walls if rng.random() < 0.4], width, height)
+        ends = rng.sample(cells, 2 * rng.randint(1, 2))
+        inst = wd.WataridoriInstance(rmap, tuple(
+            wd.Circle(x, y, rng.choice([None, None, 1, 2, 3, 4]))
+            for x, y in ends))
+        result = wd.solve(inst)
+        statuses.append(result.status)
+        assert (result.status == wd.SOLVED) == \
+            oracles.wataridori_brute_solvable(inst), inst
+        if result.solution is not None:
+            assert wd.verify_solution(inst, result.solution)
+            number = {(c.x, c.y): c.number for c in inst.circles}
+            for path in result.solution.paths:
+                wild = number[path[0]] is None and number[path[-1]] is None
+                assert not cuttable_touch(width, height, path,
+                                          None if wild else rmap)
+    assert search.BUDGET_EXCEEDED not in statuses
+    assert (statuses[:400].count(search.UNSAT),
+            statuses[400:].count(search.UNSAT)) == (106, 245)
