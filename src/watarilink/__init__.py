@@ -9,23 +9,19 @@ lifting in both directions.
 """
 
 from .errors import ParseError, PuzzleError, ValidationError, Verdict
-from .grid import (Cell, Path, RegionMap, Wall, first_shared_cell,
-                   is_simple_orthogonal_path, region_runs,
-                   regions_from_walls)
-from .lifting import ArmRoute, lift, route_arm, unlift, zigzag_split
+from .grid import (Cell, Path, RegionMap, Wall, is_simple_orthogonal_path,
+                   region_runs, regions_from_walls)
+from .lifting import lift, unlift
 from .numberlink import NumberlinkInstance, NumberlinkSolution
-from .reduction import (BlockTemplate, ReductionMap, build_empty_block,
-                        build_number_block, choose_k, reduce_instance)
+from .reduction import ReductionMap, choose_k, reduce_instance
 from .wataridori import Circle, WataridoriInstance, WataridoriSolution
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmRoute", "BlockTemplate", "Cell", "Circle", "NumberlinkInstance",
-    "NumberlinkSolution", "ParseError", "Path", "PuzzleError", "ReductionMap",
-    "RegionMap", "ValidationError", "Verdict", "Wall", "WataridoriInstance",
-    "WataridoriSolution", "build_empty_block", "build_number_block",
-    "choose_k", "first_shared_cell", "is_simple_orthogonal_path", "lift",
-    "reduce_instance", "region_runs", "regions_from_walls", "route_arm",
-    "unlift", "zigzag_split",
+    "Cell", "Circle", "NumberlinkInstance", "NumberlinkSolution",
+    "ParseError", "Path", "PuzzleError", "ReductionMap", "RegionMap",
+    "ValidationError", "Verdict", "Wall", "WataridoriInstance",
+    "WataridoriSolution", "choose_k", "is_simple_orthogonal_path", "lift",
+    "reduce_instance", "region_runs", "regions_from_walls", "unlift",
 ]

@@ -38,14 +38,15 @@ class ArmRoute(NamedTuple):
     cells: Path
 
 
-def zigzag_split(label: int, k: int) -> Tuple[int, int]:
-    """Split the label's required label-1 zig-zags across the two endpoint
-    blocks, loading the first block as heavily as possible."""
-    if not 1 <= label <= 2 * k + 1:
+def zigzag_split(rank: int, k: int) -> Tuple[int, int]:
+    """Split the rank - 1 zig-zags a path of the label ranked `rank`
+    needs across its two endpoint blocks, loading the first block as
+    heavily as possible."""
+    if not 1 <= rank <= 2 * k + 1:
         raise ValidationError("BAD_LABEL",
-                              f"label {label} outside 1..{2 * k + 1}")
-    za = min(label - 1, k)
-    return za, label - 1 - za
+                              f"label rank {rank} outside 1..{2 * k + 1}")
+    za = min(rank - 1, k)
+    return za, rank - 1 - za
 
 
 def route_arm(k: int, arm: str, zigzags: int) -> ArmRoute:
@@ -84,26 +85,6 @@ def _direction(frm: Cell, to: Cell) -> str:
     return arm
 
 
-def _arm_line(arm: str, s: int) -> List[Cell]:
-    """Corridor cells from just outside the center to the border, inclusive."""
-    c = (s - 5) // 2 + 2  # == 2k + 2
-    if arm == EAST:
-        return [(x, c) for x in range(c + 1, s)]
-    if arm == WEST:
-        return [(x, c) for x in range(c - 1, -1, -1)]
-    if arm == NORTH:
-        return [(c, y) for y in range(c + 1, s)]
-    return [(c, y) for y in range(c - 1, -1, -1)]
-
-
-def _corridor_route(s: int, enter_arm: str, exit_arm: str) -> List[Cell]:
-    """Cross an empty block from one border cell to another via the center."""
-    c = (s - 5) // 2 + 2
-    entry = list(reversed(_arm_line(enter_arm, s)))
-    exit_ = _arm_line(exit_arm, s)
-    return entry + [(c, c)] + exit_
-
-
 def _offset(cells: Sequence[Cell], ox: int, oy: int) -> List[Cell]:
     return [(x + ox, y + oy) for x, y in cells]
 
@@ -119,18 +100,23 @@ def lift(g: NumberlinkInstance, sol: NumberlinkSolution,
         raise ValidationError("LIFT_PRECONDITION",
                               f"source solution does not verify: {verdict}")
     k, s = rmap.k, rmap.block_size
+    rank = {label: i for i, (label, _) in
+            enumerate(rmap.number_assignment, 1)}
+    # An empty block is crossed from one arm's entry cell to the center
+    # and out along another arm, on the straight routes.
+    straight = {arm: route_arm(k, arm, 0).cells for arm in _ARMS}
     paths: List[Path] = []
-    for label, gpath in sorted(sol.paths, key=lambda lp: lp[0]):
-        za, zb = zigzag_split(label, k)
+    for label, gpath in sorted(sol.paths, key=lambda lp: rank[lp[0]]):
+        za, zb = zigzag_split(rank[label], k)
         first_arm = _direction(gpath[0], gpath[1])
         last_arm = _direction(gpath[-1], gpath[-2])
         cells: List[Cell] = []
         cells += _offset(route_arm(k, first_arm, za).cells,
                          s * gpath[0][0], s * gpath[0][1])
         for j in range(1, len(gpath) - 1):
-            enter_arm = _direction(gpath[j], gpath[j - 1])
-            exit_arm = _direction(gpath[j], gpath[j + 1])
-            cells += _offset(_corridor_route(s, enter_arm, exit_arm),
+            enter = straight[_direction(gpath[j], gpath[j - 1])]
+            exit_ = straight[_direction(gpath[j], gpath[j + 1])]
+            cells += _offset(enter[::-1] + exit_[1:],
                              s * gpath[j][0], s * gpath[j][1])
         cells += _offset(reversed(route_arm(k, last_arm, zb).cells),
                          s * gpath[-1][0], s * gpath[-1][1])

@@ -39,9 +39,9 @@ class NumberlinkSolution(NamedTuple):
 def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
     """Check structure and return the normalized form of the instance.
 
-    Labels are renumbered 1..p in first-appearance order and each pair's
-    two cells are ordered by (y, x), so equal puzzles compare equal no
-    matter how they were written down.
+    Labels are kept as written; each pair's two cells are ordered by
+    (y, x), so equal puzzles compare equal no matter which end of a pair
+    was written first.
     """
     if inst.width < 1 or inst.height < 1:
         raise ValidationError("BAD_DIMENSIONS",
@@ -67,7 +67,7 @@ def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
                                       f"cell {cell} holds two terminals")
             seen_cells[cell] = label
         a, b = sorted((a, b), key=lambda c: (c[1], c[0]))
-        normalized.append((len(normalized) + 1, a, b))
+        normalized.append((label, a, b))
     return NumberlinkInstance(inst.width, inst.height, tuple(normalized))
 
 
@@ -131,7 +131,7 @@ def verify_solution(inst: NumberlinkInstance, sol: NumberlinkSolution,
 def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Complete deterministic backtracking search.
 
-    Labels are routed in order 1..p; each path grows by the steps towards
+    Labels are routed in terminal order; each path grows by the steps towards
     its goal first, then the rest, and tries every one.  A path may not
     step next to one of its own earlier cells: a solution whose path
     touches itself has a shorter one through the touch, so a solution with

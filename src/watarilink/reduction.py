@@ -15,7 +15,7 @@ each corridor arm, isolating four 1-cell entry regions at the block edges
 and a 5-cell plus region around the center circle.  Corridor openings on
 block borders line up, so corridor regions merge across adjacent blocks.
 
-The center circle of the block for the cell labeled i gets number 4k+2i+1.
+The center circles of the i-th label in terminal order get number 4k+2i+1.
 With k chosen so that 2k+1 >= p, those numbers are distinct odd values in
 {4k+3, ..., 8k+3}, which pins each pairing in the target puzzle to the
 pairing of the source puzzle.
@@ -23,8 +23,7 @@ pairing of the source puzzle.
 
 from __future__ import annotations
 
-from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import Any, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from . import documents as docs
 from .errors import ParseError, ValidationError
@@ -34,15 +33,10 @@ from .numberlink import (NumberlinkInstance, _instance_document,
                          parse_instance, validate_instance)
 from .wataridori import Circle, WataridoriInstance
 
-NUMBER = "number"
-EMPTY = "empty"
-
 
 class BlockTemplate(NamedTuple):
     """One block's geometry in block-local coordinates."""
 
-    kind: str
-    k: int
     size: int
     walls: FrozenSet[Wall]
     circles: Tuple[Circle, ...]
@@ -64,20 +58,19 @@ class ReductionMap(NamedTuple):
 
     @property
     def number_assignment(self) -> Tuple[Tuple[int, int], ...]:
-        """(label, center circle number) per source label."""
-        return tuple((label, assigned_number(self.k, label))
-                     for label, _, _ in self.source.terminals)
+        """(label, center circle number) per source label, in terminal
+        order: the i-th label's centers get 4k + 2i + 1."""
+        k, terminals = self.k, self.source.terminals
+        return tuple((label, 4 * k + 2 * i + 1)
+                     for i, (label, _, _) in enumerate(terminals, 1))
 
     @property
     def filler_pairs(self) -> Tuple[Tuple[Cell, Cell], ...]:
-        """Every pre-matched filler pair, in target-grid coordinates.  A
-        number block's pairs do not depend on its center number, so one
-        number template serves every label."""
+        """Every pre-matched filler pair, in target-grid coordinates."""
         g, k, s = self.source, self.k, self.block_size
         ends = {cell for _, a, b in g.terminals for cell in (a, b)}
-        number = build_number_block(k, assigned_number(k, 1)).filler_pairs
-        empty = build_empty_block(k).filler_pairs
-        blocks = ((s * gx, s * gy, number if (gx, gy) in ends else empty)
+        kinds = [_block(k, ladders).filler_pairs for ladders in (False, True)]
+        blocks = ((s * gx, s * gy, kinds[(gx, gy) in ends])
                   for gy in range(g.height) for gx in range(g.width))
         return tuple(((ax + ox, ay + oy), (bx + ox, by + oy))
                      for ox, oy, pairs in blocks
@@ -89,10 +82,6 @@ def choose_k(pair_count: int) -> int:
     if pair_count < 1:
         raise ValidationError("NO_LABELS", "need at least one pair")
     return max(1, pair_count // 2)
-
-
-def assigned_number(k: int, label: int) -> int:
-    return 4 * k + 2 * label + 1
 
 
 def _rot_cell(cell: Cell, size: int) -> Cell:
@@ -129,111 +118,61 @@ def _lattice_walls(x0: int, x1: int, y0: int, y1: int) -> Set[Wall]:
     return walls
 
 
-def _rotated_quadrants(base_circles: Sequence[Cell],
-                       base_pairs: Sequence[Tuple[Cell, Cell]],
-                       size: int) -> Tuple[List[Cell],
-                                           List[Tuple[Cell, Cell]]]:
-    """Replicate the bottom-left quadrant content into all four quadrants
-    by repeated 90-degree rotation about the block center."""
-    circles = list(base_circles)
-    pairs = list(base_pairs)
-    cur_circles = list(base_circles)
-    cur_pairs = list(base_pairs)
-    for _ in range(3):
-        cur_circles = [_rot_cell(c, size) for c in cur_circles]
-        cur_pairs = [(_rot_cell(a, size), _rot_cell(b, size))
-                     for a, b in cur_pairs]
-        circles.extend(cur_circles)
-        pairs.extend(cur_pairs)
-    return circles, pairs
+def _yx(cell: Cell) -> Tuple[int, int]:
+    return cell[1], cell[0]
 
 
-def _canonical_pairs(pairs: Sequence[Tuple[Cell, Cell]]
-                     ) -> Tuple[Tuple[Cell, Cell], ...]:
-    normed = []
-    for a, b in pairs:
-        a, b = sorted((a, b), key=lambda cc: (cc[1], cc[0]))
-        normed.append((a, b))
-    normed.sort(key=lambda pr: (pr[0][1], pr[0][0], pr[1][1], pr[1][0]))
-    return tuple(normed)
-
-
-def build_empty_block(k: int) -> BlockTemplate:
+def _block(k: int, ladders: bool) -> BlockTemplate:
+    """The skeleton both gadgets share: four walled quadrants, each ringed
+    by number-1 filler circles matched in pairs along its sides.  With
+    `ladders` it is the number block without its center circle: each arm
+    carries a ladder, whose flank column pushes the bottom-left ring's
+    inner column in from x = 2k+1 to x = 2k.  The bottom-left ring is
+    rotated into the other three quadrants."""
     if k < 1:
         raise ValidationError("BAD_K", f"k must be at least 1, got {k}")
     s = 4 * k + 5
-    q = 2 * k + 2  # quadrant side
-
-    # Bottom-left quadrant: full perimeter ring, matched along each side.
-    ring = []
-    for x in range(q):
-        ring.append((x, 0))
-        ring.append((x, q - 1))
-    for y in range(1, q - 1):
-        ring.append((0, y))
-        ring.append((q - 1, y))
+    c = 2 * k + 2  # quadrant side
+    walls = _quadrant_frame_walls(k)
+    if ladders:
+        walls |= _lattice_walls(c - 1, c + 1, 1, 2 * k + 1)      # bottom arm
+        walls |= _lattice_walls(1, 2 * k + 1, c, c + 2)          # left arm
+        walls |= _lattice_walls(c, c + 2, c + 2, s - 1)          # top arm
+        walls |= _lattice_walls(c + 2, s - 1, c - 1, c + 1)      # right arm
+    inner = 2 * k if ladders else 2 * k + 1
+    # The bottom-left ring's pairs: along its bottom and top rows, then up
+    # its outer and inner columns.  They cover every ring cell.
+    quadrant = [((2 * j, y), (2 * j + 1, y))
+                for j in range(k + 1) for y in (0, c - 1)]
+    quadrant += [((x, 2 * j + 1), (x, 2 * j + 2))
+                 for j in range(k) for x in (0, inner)]
     pairs = []
-    for j in range(k + 1):
-        pairs.append(((2 * j, 0), (2 * j + 1, 0)))
-        pairs.append(((2 * j, q - 1), (2 * j + 1, q - 1)))
-    for j in range(k):
-        pairs.append(((0, 2 * j + 1), (0, 2 * j + 2)))
-        pairs.append(((q - 1, 2 * j + 1), (q - 1, 2 * j + 2)))
+    for _ in range(4):
+        pairs += quadrant
+        quadrant = [(_rot_cell(a, s), _rot_cell(b, s)) for a, b in quadrant]
+    pairs = [tuple(sorted(pair, key=_yx)) for pair in pairs]
+    pairs.sort(key=lambda pr: (_yx(pr[0]), _yx(pr[1])))
+    cells = sorted({cell for pair in pairs for cell in pair}, key=_yx)
+    return BlockTemplate(size=s, walls=frozenset(walls),
+                         circles=tuple(Circle(x, y, 1) for x, y in cells),
+                         filler_pairs=tuple(pairs),
+                         center=(c, c) if ladders else None)
 
-    cells, all_pairs = _rotated_quadrants(ring, pairs, s)
-    circles = tuple(Circle(x, y, 1)
-                    for x, y in sorted(set(cells), key=lambda c: (c[1], c[0])))
-    return BlockTemplate(kind=EMPTY, k=k, size=s,
-                         walls=frozenset(_quadrant_frame_walls(k)),
-                         circles=circles,
-                         filler_pairs=_canonical_pairs(all_pairs))
+
+def build_empty_block(k: int) -> BlockTemplate:
+    return _block(k, ladders=False)
 
 
 def build_number_block(k: int, center_number: int) -> BlockTemplate:
-    if k < 1:
-        raise ValidationError("BAD_K", f"k must be at least 1, got {k}")
+    tpl = _block(k, ladders=True)
     lo, hi = 4 * k + 3, 8 * k + 3
     if center_number % 2 == 0 or not lo <= center_number <= hi:
         raise ValidationError("BAD_CENTER_NUMBER",
                               f"center number must be odd in [{lo}, {hi}], "
                               f"got {center_number}")
-    s = 4 * k + 5
-    c = 2 * k + 2
-    q = c
-
-    walls = _quadrant_frame_walls(k)
-    walls |= _lattice_walls(c - 1, c + 1, 1, 2 * k + 1)      # bottom arm
-    walls |= _lattice_walls(1, 2 * k + 1, c, c + 2)          # left arm
-    walls |= _lattice_walls(c, c + 2, c + 2, s - 1)          # top arm
-    walls |= _lattice_walls(c + 2, s - 1, c - 1, c + 1)      # right arm
-
-    # Bottom-left quadrant ring, pushed inward along the side the bottom
-    # arm's flank column (x = q-1, y 1..2k) intrudes on.
-    ring = []
-    for x in range(q):
-        ring.append((x, 0))
-        ring.append((x, q - 1))
-    for y in range(1, q - 1):
-        ring.append((0, y))
-    for y in range(1, 2 * k + 1):
-        ring.append((q - 2, y))
-    pairs = []
-    for j in range(k + 1):
-        pairs.append(((2 * j, 0), (2 * j + 1, 0)))
-        pairs.append(((2 * j, q - 1), (2 * j + 1, q - 1)))
-    for j in range(k):
-        pairs.append(((0, 2 * j + 1), (0, 2 * j + 2)))
-        pairs.append(((q - 2, 2 * j + 1), (q - 2, 2 * j + 2)))
-
-    cells, all_pairs = _rotated_quadrants(ring, pairs, s)
-    circles = [Circle(x, y, 1)
-               for x, y in sorted(set(cells), key=lambda cc: (cc[1], cc[0]))]
-    circles.append(Circle(c, c, center_number))
-    circles.sort(key=lambda circ: (circ.y, circ.x))
-    return BlockTemplate(kind=NUMBER, k=k, size=s, walls=frozenset(walls),
-                         circles=tuple(circles),
-                         filler_pairs=_canonical_pairs(all_pairs),
-                         center=(c, c))
+    center = Circle(*tpl.center, center_number)
+    return tpl._replace(circles=tuple(sorted(
+        tpl.circles + (center,), key=lambda circ: (circ.y, circ.x))))
 
 
 def block_region_map(block: BlockTemplate) -> RegionMap:
@@ -258,9 +197,8 @@ def reduce_instance(g: NumberlinkInstance
                     ) -> Tuple[WataridoriInstance, ReductionMap]:
     """Build the equivalent Wataridori instance plus the relating map."""
     g = validate_instance(g)
-    p = g.pair_count
-    k = choose_k(p)
-    s = 4 * k + 5
+    rmap = ReductionMap(choose_k(g.pair_count), g)
+    k, s = rmap.k, rmap.block_size
     width, height = s * g.width, s * g.height
     check_size(width, height)
 
@@ -270,32 +208,35 @@ def reduce_instance(g: NumberlinkInstance
     right = bytearray(b"\x01") * (width * height)
     up = bytearray(b"\x01") * (width * height)
     circle_at: List[Optional[Circle]] = [None] * (width * height)
-    label_at = {cell: label for label, a, b in g.terminals
-                for cell in (a, b)}
-    # Each distinct template is built once, with the joins it cuts.
-    placed: Dict[Optional[int], Tuple[Any, ...]] = {}
+    numbers = dict(rmap.number_assignment)
+    number_at = {cell: numbers[label] for label, a, b in g.terminals
+                 for cell in (a, b)}
+    # One skeleton per kind, with the joins it cuts; a number block's
+    # center circle is stamped with its label's number.
+    placed = [(tpl, *_cut_offsets(tpl, width))
+              for tpl in (_block(k, False), _block(k, True))]
+    c = 2 * k + 2
     for gy in range(g.height):
         for gx in range(g.width):
-            label = label_at.get((gx, gy))
-            if label not in placed:
-                tpl = (build_empty_block(k) if label is None else
-                       build_number_block(k, assigned_number(k, label)))
-                placed[label] = (tpl, *_cut_offsets(tpl, width))
-            tpl, right_cuts, up_cuts = placed[label]
+            number = number_at.get((gx, gy))
+            tpl, right_cuts, up_cuts = placed[number is not None]
             ox, oy = s * gx, s * gy
             base = oy * width + ox
             for i in right_cuts:
                 right[base + i] = 0
             for i in up_cuts:
                 up[base + i] = 0
-            for x, y, number in tpl.circles:
+            for x, y, one in tpl.circles:
                 circle_at[(y + oy) * width + x + ox] = Circle(
-                    x + ox, y + oy, number)
+                    x + ox, y + oy, one)
+            if number is not None:
+                circle_at[(c + oy) * width + c + ox] = Circle(
+                    c + ox, c + oy, number)
 
     # Cell index order is (y, x) order, the order circles are kept in.
     h = WataridoriInstance(_flood(width, height, right, up),
                            tuple(filter(None, circle_at)))
-    return h, ReductionMap(k, g)
+    return h, rmap
 
 
 # ------------------------------------------------------------- documents

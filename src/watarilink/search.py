@@ -39,10 +39,11 @@ class SolveResult(NamedTuple):
     nodes: int = 0
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def steps(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
     """The in-bounds neighbors of every cell index i = y*width + x, in a
-    fixed order: up, down, left, right.  Built on first use per shape."""
+    fixed order: up, down, left, right.  Built on first use per shape;
+    the eight shapes used last stay cached."""
     n = width * height
     right = width - 1
     rows = []

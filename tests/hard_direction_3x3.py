@@ -1,5 +1,5 @@
 """The reduction's hard direction over every 3x3 Numberlink source with at
-most two pairs: the Wataridori solver must decide each reduction exactly
+most three pairs: the Wataridori solver must decide each reduction exactly
 as the source is decided, and every solution it finds must unlift to a
 solution of the source.
 
@@ -10,25 +10,28 @@ Too slow for the test suite; run it from the repository root:
 
 import time
 
-from test_acceptance import check_reduction_decides, small_sources
+from test_acceptance import check_reduction_decides, small_sources, sources
 from watarilink import wataridori as wd
 
 
-# The most nodes any one reduction takes, pinned so that a weaker cut
-# fails here rather than only slowing down.
-MAX_NODES = 3557
+# Per family: its sources, how many are unsatisfiable, and the most nodes
+# any one reduction takes, pinned so that a weaker cut fails here rather
+# than only slowing down.
+FAMILIES = [("p <= 2", lambda: small_sources(3, 3, 2), (414, 74, 3557)),
+            ("p = 3", lambda: sources(3, 3, 3), (1260, 918, 3549))]
 
 
 def main():
-    start = time.perf_counter()
-    sources = small_sources(3, 3, 2)
-    results = [check_reduction_decides(g) for g in sources]
-    unsat = sum(r.status == wd.UNSAT for r in results)
-    most = max(r.nodes for r in results)
-    print(f"{len(results)} sources, {unsat} unsat, "
-          f"at most {most} nodes per reduction, "
-          f"{time.perf_counter() - start:.1f}s")
-    assert (len(results), unsat, most) == (414, 74, MAX_NODES)
+    for name, family, want in FAMILIES:
+        start = time.perf_counter()
+        results = [check_reduction_decides(g) for g in family()]
+        unsat = sum(r.status == wd.UNSAT for r in results)
+        most = max(r.nodes for r in results)
+        print(f"3x3, {name}: {len(results)} sources, {unsat} unsat, "
+              f"at most {most} nodes per reduction, "
+              f"{sum(r.nodes for r in results)} in all, "
+              f"{time.perf_counter() - start:.1f}s", flush=True)
+        assert (len(results), unsat, most) == want
 
 
 if __name__ == "__main__":

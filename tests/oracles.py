@@ -114,39 +114,38 @@ def walls_between_regions(rows):
     return walls
 
 
+def _placed_templates(g):
+    """(gx, gy, block size, template) for every block of the reduction of
+    `g`, a number template built for its own label's center number."""
+    rmap = rd.ReductionMap(rd.choose_k(g.pair_count), nl.validate_instance(g))
+    k, s = rmap.k, rmap.block_size
+    numbers = dict(rmap.number_assignment)
+    number_at = {c: numbers[label] for label, a, b in rmap.source.terminals
+                 for c in (a, b)}
+    for gy in range(g.height):
+        for gx in range(g.width):
+            number = number_at.get((gx, gy))
+            yield gx, gy, s, (rd.build_empty_block(k) if number is None else
+                              rd.build_number_block(k, number))
+
+
 def placed_template_walls(g):
     """Union of every block template's walls, placed at its block of the
     reduction of `g`, in target-grid coordinates."""
-    g = nl.validate_instance(g)
-    k = rd.choose_k(g.pair_count)
-    s = 4 * k + 5
-    label_at = {c: label for label, a, b in g.terminals for c in (a, b)}
     walls = set()
-    for gy in range(g.height):
-        for gx in range(g.width):
-            label = label_at.get((gx, gy))
-            tpl = (rd.build_empty_block(k) if label is None else
-                   rd.build_number_block(k, rd.assigned_number(k, label)))
-            walls |= {Wall(kind, x + s * gx, y + s * gy)
-                      for kind, x, y in tpl.walls}
+    for gx, gy, s, tpl in _placed_templates(g):
+        walls |= {Wall(kind, x + s * gx, y + s * gy)
+                  for kind, x, y in tpl.walls}
     return walls
 
 
 def placed_filler_pairs(g):
     """Every block template's filler pairs, each template built for its own
     label, placed at its block of the reduction of `g`."""
-    g = nl.validate_instance(g)
-    k = rd.choose_k(g.pair_count)
-    s = 4 * k + 5
-    label_at = {c: label for label, a, b in g.terminals for c in (a, b)}
     pairs = []
-    for gy in range(g.height):
-        for gx in range(g.width):
-            label = label_at.get((gx, gy))
-            tpl = (rd.build_empty_block(k) if label is None else
-                   rd.build_number_block(k, rd.assigned_number(k, label)))
-            pairs += [((ax + s * gx, ay + s * gy), (bx + s * gx, by + s * gy))
-                      for (ax, ay), (bx, by) in tpl.filler_pairs]
+    for gx, gy, s, tpl in _placed_templates(g):
+        pairs += [((ax + s * gx, ay + s * gy), (bx + s * gx, by + s * gy))
+                  for (ax, ay), (bx, by) in tpl.filler_pairs]
     return tuple(pairs)
 
 
@@ -162,9 +161,9 @@ def v1_map_document(rmap):
         for gx in range(g.width):
             label = label_at.get((gx, gy))
             blocks.append(
-                {"gx": gx, "gy": gy, "kind": rd.EMPTY, "label": None,
+                {"gx": gx, "gy": gy, "kind": "empty", "label": None,
                  "center": None} if label is None else
-                {"gx": gx, "gy": gy, "kind": rd.NUMBER, "label": label,
+                {"gx": gx, "gy": gy, "kind": "number", "label": label,
                  "center": [s * gx + c, s * gy + c]})
     return json.dumps({
         "k": k,

@@ -216,6 +216,39 @@ class TestPipeline:
                      "-o", str(tmp_path / "g.json")]) == 1
         assert "BAD_VERSION" in capsys.readouterr().err
 
+    def test_labels_round_trip_as_written(self, tmp_path, capsys):
+        def path(name):
+            return str(tmp_path / f"{name}.json")
+
+        def read(name):
+            return json.loads((tmp_path / f"{name}.json").read_text())
+
+        (tmp_path / "g.json").write_text(json.dumps(
+            {"puzzle": "numberlink", "width": 3, "height": 2,
+             "terminals": [{"label": 7, "cells": [[0, 0], [2, 0]]},
+                           {"label": 3, "cells": [[0, 1], [2, 1]]}]}))
+        (tmp_path / "gsol.json").write_text(json.dumps(
+            {"paths": [{"label": 7, "cells": [[0, 0], [1, 0], [2, 0]]},
+                       {"label": 3, "cells": [[0, 1], [1, 1], [2, 1]]}]}))
+        g, gsol, h, rmap, hsol = map(path, ("g", "gsol", "h", "map", "hsol"))
+
+        assert main(["verify", g, gsol]) == 0
+        assert capsys.readouterr().out == "ACCEPT\n"
+        assert main(["solve", g, "-o", path("solved")]) == 0
+        assert [p["label"] for p in read("solved")["paths"]] == [7, 3]
+        assert main(["verify", g, path("solved")]) == 0
+        assert main(["reduce", "-i", g, "-o", h, "--map", rmap]) == 0
+        assert [t["label"] for t in read("map")["source"]["terminals"]] == \
+            [7, 3]
+        assert main(["lift", "-g", g, "-s", gsol, "--map", rmap,
+                     "-o", hsol]) == 0
+        assert main(["verify", h, hsol]) == 0
+        assert main(["unlift", "-s", hsol, "--map", rmap,
+                     "-o", path("back")]) == 0
+        assert nl.parse_solution(read("back")) == nl.normalize_solution(
+            nl.parse_solution(read("gsol")))
+        assert [p["label"] for p in read("back")["paths"]] == [3, 7]
+
     def test_reduce_is_idempotent_bytes(self, tmp_path):
         outs = []
         for tag in ("a", "b"):

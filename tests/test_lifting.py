@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from watarilink import lifting as lf
 from watarilink import numberlink as nl
@@ -232,3 +233,49 @@ def test_lift_verifies_over_solver_found_solutions():
         assert lf.unlift(h_sol, rmap) == nl.normalize_solution(result.solution)
         lifted += 1
     assert lifted >= 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_relabeling_commutes_with_solve_verify_and_the_round_trip(data):
+    """Renaming labels injectively renames them in every result and
+    changes nothing else: the solver's search, the verdicts, the reduced
+    instance and the lifted solution are those of the labels 1..p."""
+    width = data.draw(st.integers(1, 4), label="width")
+    height = data.draw(st.integers(1 if width > 1 else 2, 3), label="height")
+    cells = data.draw(st.permutations(
+        [(x, y) for x in range(width) for y in range(height)]), label="cells")
+    pairs = data.draw(st.integers(1, min(4, len(cells) // 2)), label="pairs")
+    names = data.draw(st.lists(st.integers(-50, 50), min_size=pairs,
+                               max_size=pairs, unique=True), label="labels")
+    rename = dict(zip(range(1, pairs + 1), names))
+    g = nl.NumberlinkInstance(width, height, tuple(
+        (i + 1, cells[2 * i], cells[2 * i + 1]) for i in range(pairs)))
+    renamed = nl.NumberlinkInstance(width, height, tuple(
+        (rename[label], a, b) for label, a, b in g.terminals))
+
+    def relabel(sol):
+        return nl.NumberlinkSolution(tuple(
+            (rename[label], path) for label, path in sol.paths))
+
+    assert nl.validate_instance(renamed).terminals == tuple(
+        (rename[label], a, b)
+        for label, a, b in nl.validate_instance(g).terminals)
+    result, renamed_result = nl.solve(g), nl.solve(renamed)
+    assert (renamed_result.status, renamed_result.nodes) == \
+        (result.status, result.nodes)
+    h, rmap = rd.reduce_instance(g)
+    renamed_h, renamed_rmap = rd.reduce_instance(renamed)
+    assert renamed_h == h
+    assert [num for _, num in renamed_rmap.number_assignment] == \
+        [num for _, num in rmap.number_assignment]
+    if result.status != nl.SOLVED:
+        return
+    sol = result.solution
+    assert renamed_result.solution == relabel(sol)
+    assert nl.verify_solution(renamed, relabel(sol))
+    h_sol = lf.lift(renamed, relabel(sol), renamed_rmap)
+    assert h_sol == lf.lift(g, sol, rmap)
+    assert wd.verify_solution(h, h_sol)
+    assert lf.unlift(h_sol, renamed_rmap) == \
+        nl.normalize_solution(relabel(sol))

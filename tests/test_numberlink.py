@@ -24,11 +24,10 @@ class TestValidate:
             nl.validate_instance(inst)
         assert err.value.code == "LABEL_MULTIPLICITY"
 
-    def test_labels_renumbered_in_first_appearance_order(self):
+    def test_labels_kept_and_pair_cells_ordered(self):
         inst = make(3, 3, [(9, (0, 0), (1, 1)), (4, (2, 2), (0, 2))])
         norm = nl.validate_instance(inst)
-        assert [label for label, _, _ in norm.terminals] == [1, 2]
-        assert norm.terminals[0][1] == (0, 0)
+        assert norm.terminals == ((9, (0, 0), (1, 1)), (4, (0, 2), (2, 2)))
 
     def test_normalization_idempotent(self, sample_numberlink):
         once = nl.validate_instance(sample_numberlink)

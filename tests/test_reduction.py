@@ -70,6 +70,45 @@ class TestAgainstFixtures:
         assert sizes == [25, 36, 36, 36, 36]  # plus corridor + 4 quadrants
 
 
+def template_digest(templates):
+    """sha256 of the templates' size, center, walls, circles and filler
+    pairs, as compact JSON."""
+    docs = [{"size": tpl.size, "center": tpl.center and list(tpl.center),
+             "walls": sorted([kind, x, y] for (kind, x, y) in tpl.walls),
+             "circles": [[c.x, c.y, c.number] for c in tpl.circles],
+             "filler_pairs": [[list(a), list(b)]
+                              for a, b in tpl.filler_pairs]}
+            for tpl in templates]
+    text = json.dumps(docs, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Per k: the empty block, and the number blocks at every valid center
+# number 4k+3, 4k+5, ..., 8k+3 in that order.
+TEMPLATE_DIGESTS = {
+    1: ("67adc052950cd588be8ed41b20d06f0c75f0fd5471475ca8caa116a5a7e4d37a",
+        "2aac715347ee947eeda2652b8413f220d87ca960ff6cedbafdd21b18fdcf40c6"),
+    2: ("93414884bc9a72c7d5fa317e8a0cc7e9592ec70a4c03d08640128e80b88070fc",
+        "8d5d7b0df47245700bebf030f12d9c6cf052c6cc77bc96e3b585ed625abea11a"),
+    3: ("162369f3d5be7a9ab4c3751e2f8d24f7c9e4a1a5d6123741b4b75d5068837d03",
+        "9a7729d50da8869fea7b26fae258672a09c6597ece0dafd0f31417ca24429781"),
+    4: ("d1047908bd9f285b4e44688d2884edaf6d56406362f3fc9cd4dd66c2c7a77bb6",
+        "775e26f3841f59aa09e15b3e65de83bdcb5b2a5a77711058d6c8a1985ed6046e"),
+    5: ("668550abf1957ffe38640ee62538a1123b8b101a7f1c4aff271b12a50cf3224d",
+        "579cfd899d076983f40d6f9500fd87219bc1130f8bac20da429e8ba8b578a448"),
+    6: ("ac9a484598422a4276684f21bdadbc1c1354136318707ffd3216f788a654ba9b",
+        "346854ce76930bfcc5b1a277fdf5578bd87824c84f77b664df56b0811d18ffd3"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(TEMPLATE_DIGESTS))
+def test_templates_pinned(k):
+    numbers = range(4 * k + 3, 8 * k + 4, 2)
+    assert (template_digest([rd.build_empty_block(k)]),
+            template_digest([rd.build_number_block(k, n) for n in numbers])
+            ) == TEMPLATE_DIGESTS[k]
+
+
 class TestBlockErrors:
     def test_small_k_rejected(self):
         with pytest.raises(ValidationError):

@@ -424,6 +424,16 @@ def test_steps_match_tuple_cell_neighbors(width, height):
     assert search.steps(width, height) == want
 
 
+def test_steps_keeps_at_most_eight_shapes():
+    """A neighbor table is cached per shape, and a large one holds tens of
+    megabytes, so only the last few shapes stay cached."""
+    for width in range(2, 11):
+        result = nl.solve(nl.NumberlinkInstance(
+            width, 1, ((1, (0, 0), (width - 1, 0)),)))
+        assert result.status == nl.SOLVED
+    assert search.steps.cache_info().currsize <= 8
+
+
 @pytest.mark.parametrize("width, height",
                          [(1, 2), (2, 1), (1, 4), (4, 1), (2, 2), (3, 5),
                           (6, 4)])
