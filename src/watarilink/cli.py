@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from types import ModuleType
 from typing import Any, Optional, Tuple
 
 from . import (documents, grid, lifting, numberlink, reduction, render,
@@ -58,22 +59,25 @@ def _write(path: Optional[str], text: str) -> None:
         raise PuzzleError("IO_ERROR", f"cannot write {path}: {exc}")
 
 
-def _read_puzzle(path: str) -> Tuple[str, Any]:
-    """The kind of a puzzle file and its decoded document, which the
-    parsers take as is, so each puzzle file is decoded once."""
+def _read_puzzle(path: str) -> Tuple[ModuleType, Any]:
+    """The module of a puzzle file's kind and its validated instance.  The
+    file is decoded once; the Wataridori parser validates what it reads,
+    the Numberlink one leaves that to `validate_instance`."""
     doc = documents.loads(_read(path))
     if not isinstance(doc, dict) or "puzzle" not in doc:
         raise PuzzleError("MISSING_FIELD", "document has no 'puzzle' field")
     kind = doc["puzzle"]
-    if kind not in ("numberlink", "wataridori"):
-        raise PuzzleError("WRONG_PUZZLE", f"unknown puzzle kind {kind!r}")
-    return kind, doc
+    if kind == "numberlink":
+        return numberlink, numberlink.validate_instance(
+            numberlink.parse_instance(doc))
+    if kind == "wataridori":
+        return wataridori, wataridori.parse_instance(doc)
+    raise PuzzleError("WRONG_PUZZLE", f"unknown puzzle kind {kind!r}")
 
 
 def cmd_solve(args) -> int:
-    kind, doc = _read_puzzle(args.puzzle)
-    puzzle = numberlink if kind == "numberlink" else wataridori
-    result = puzzle.solve(puzzle.parse_instance(doc), budget=args.budget)
+    puzzle, inst = _read_puzzle(args.puzzle)
+    result = puzzle.solve(inst, budget=args.budget)
     if result.status == search.BUDGET_EXCEEDED:
         print(f"BUDGET_EXCEEDED after {result.nodes} nodes", file=sys.stderr)
         return EXIT_BUDGET
@@ -85,16 +89,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kind, doc = _read_puzzle(args.puzzle)
-    sol_text = _read(args.solution)
-    if kind == "numberlink":
-        inst = numberlink.validate_instance(numberlink.parse_instance(doc))
-        sol = numberlink.parse_solution(sol_text)
+    puzzle, inst = _read_puzzle(args.puzzle)
+    sol = puzzle.parse_solution(_read(args.solution))
+    if puzzle is numberlink:
         verdict = numberlink.verify_solution(
             inst, sol, require_full_coverage=args.require_coverage)
     else:
-        inst = wataridori.parse_instance(doc)
-        sol = wataridori.parse_solution(sol_text)
         verdict = wataridori.verify_solution(inst, sol)
     print(str(verdict))
     return EXIT_OK if verdict else EXIT_NEGATIVE
@@ -109,8 +109,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    g = numberlink.validate_instance(
-        numberlink.parse_instance(_read(args.source)))
+    g = numberlink.parse_instance(_read(args.source))
     sol = numberlink.parse_solution(_read(args.solution))
     rmap = reduction.parse_map(_read(args.map))
     h_sol = lifting.lift(g, sol, rmap)
@@ -132,11 +131,11 @@ def cmd_unlift(args) -> int:
 
 
 def cmd_render(args) -> int:
-    kind, doc = _read_puzzle(args.puzzle)
-    sol_text = _read(args.solution) if args.solution else None
-    puzzle = numberlink if kind == "numberlink" else wataridori
-    inst = puzzle.parse_instance(doc)
-    sol = puzzle.parse_solution(sol_text) if sol_text is not None else None
+    puzzle, inst = _read_puzzle(args.puzzle)
+    sol = None
+    if args.solution:
+        sol = puzzle.parse_solution(_read(args.solution))
+    kind = puzzle.__name__.rpartition(".")[2]
     draw = getattr(render, f"render_{kind}_{args.format}")
     _write(args.output, draw(inst, sol))
     return EXIT_OK

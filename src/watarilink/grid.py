@@ -18,21 +18,29 @@ Path = Tuple[Cell, ...]
 HORIZONTAL = "h"
 VERTICAL = "v"
 
-# The most cells a grid may have: parsing, solving and the reduction's
-# target are checked against it before anything is allocated for a grid.
+# The most cells a grid may have: parsing, validation, solving, region
+# maps from walls and the reduction's target are checked against it before
+# anything is allocated for a grid.
 # It admits a 300x300 target; each command's `--max-cells` raises it.
 MAX_CELLS = 250_000
 
 
 def check_size(width: int, height: int,
                location: Optional[str] = None) -> None:
-    """Refuse a grid of more than `MAX_CELLS` cells with a `TOO_LARGE`
-    error, a `ParseError` at `location` if one is given."""
-    if width * height > MAX_CELLS:
+    """Refuse an empty grid with a `BAD_DIMENSIONS` error and one of more
+    than `MAX_CELLS` cells with a `TOO_LARGE` error, a `ParseError` at
+    `location` if one is given."""
+    if width < 1 or height < 1:
+        code = "BAD_DIMENSIONS"
+        message = f"grid must be non-empty, got {width}x{height}"
+    elif width * height > MAX_CELLS:
+        code = "TOO_LARGE"
         message = f"a {width}x{height} grid has more than {MAX_CELLS} cells"
-        if location:
-            raise ParseError("TOO_LARGE", message, location)
-        raise ValidationError("TOO_LARGE", message)
+    else:
+        return
+    if location:
+        raise ParseError(code, message, location)
+    raise ValidationError(code, message)
 
 
 class Wall(NamedTuple):
@@ -173,9 +181,7 @@ def regions_from_walls(walls: Iterable[Wall], width: int,
     The outer boundary is implicitly walled.  Two orthogonally adjacent
     cells share a region iff no wall separates them.
     """
-    if width < 1 or height < 1:
-        raise ValidationError("BAD_DIMENSIONS",
-                              f"grid must be non-empty, got {width}x{height}")
+    check_size(width, height)
     n = width * height
     right = bytearray(b"\x01") * n
     up = bytearray(b"\x01") * n

@@ -43,10 +43,7 @@ def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
     (y, x), so equal puzzles compare equal no matter which end of a pair
     was written first.
     """
-    if inst.width < 1 or inst.height < 1:
-        raise ValidationError("BAD_DIMENSIONS",
-                              f"grid must be non-empty, got "
-                              f"{inst.width}x{inst.height}")
+    check_size(inst.width, inst.height)
     if not inst.terminals:
         raise ValidationError("NO_LABELS", "instance has no terminal pairs")
     seen_labels = set()
@@ -142,7 +139,6 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     """
     inst = validate_instance(inst)
     width, height = inst.width, inst.height
-    check_size(width, height)
     n = width * height
     # Cells are flat indices y*width + x.  `occ` is 0 on a free cell, 1 on
     # a terminal and i + 2 on a cell of path i, its start terminal included

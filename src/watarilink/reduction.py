@@ -89,21 +89,13 @@ def _rot_cell(cell: Cell, size: int) -> Cell:
     return (size - 1 - y, x)
 
 
-def _quadrant_frame_walls(k: int) -> Set[Wall]:
-    s = 4 * k + 5
-    c = 2 * k + 2
-    walls: Set[Wall] = set()
-    for x in (0, c, c + 1, s):
-        for y in range(0, c):
-            walls.add(Wall(VERTICAL, x, y))
-        for y in range(c + 1, s):
-            walls.add(Wall(VERTICAL, x, y))
-    for y in (0, c, c + 1, s):
-        for x in range(0, c):
-            walls.add(Wall(HORIZONTAL, x, y))
-        for x in range(c + 1, s):
-            walls.add(Wall(HORIZONTAL, x, y))
-    return walls
+def _rot_wall(wall: Wall, size: int) -> Wall:
+    """`wall` turned a quarter like `_rot_cell`, its lattice points
+    (x, y) going to (size - y, x)."""
+    kind, x, y = wall
+    if kind == HORIZONTAL:
+        return Wall(VERTICAL, size - y, x)
+    return Wall(HORIZONTAL, size - 1 - y, x)
 
 
 def _lattice_walls(x0: int, x1: int, y0: int, y1: int) -> Set[Wall]:
@@ -126,29 +118,32 @@ def _block(k: int, ladders: bool) -> BlockTemplate:
     """The skeleton both gadgets share: four walled quadrants, each ringed
     by number-1 filler circles matched in pairs along its sides.  With
     `ladders` it is the number block without its center circle: each arm
-    carries a ladder, whose flank column pushes the bottom-left ring's
-    inner column in from x = 2k+1 to x = 2k.  The bottom-left ring is
-    rotated into the other three quadrants."""
+    carries a ladder, whose flank column pushes the ring's inner column
+    in from x = 2k+1 to x = 2k.  The bottom-left quarter is built and
+    turned into the other three."""
     if k < 1:
         raise ValidationError("BAD_K", f"k must be at least 1, got {k}")
     s = 4 * k + 5
     c = 2 * k + 2  # quadrant side
-    walls = _quadrant_frame_walls(k)
+    # The quarter: its quadrant's frame, the bottom arm's ladder, and its
+    # ring's pairs along the bottom and top rows, then up the outer and
+    # inner columns.  The pairs cover every ring cell.
+    quarter = {wall for i in range(c) for wall in (
+        Wall(VERTICAL, 0, i), Wall(VERTICAL, c, i),
+        Wall(HORIZONTAL, i, 0), Wall(HORIZONTAL, i, c))}
     if ladders:
-        walls |= _lattice_walls(c - 1, c + 1, 1, 2 * k + 1)      # bottom arm
-        walls |= _lattice_walls(1, 2 * k + 1, c, c + 2)          # left arm
-        walls |= _lattice_walls(c, c + 2, c + 2, s - 1)          # top arm
-        walls |= _lattice_walls(c + 2, s - 1, c - 1, c + 1)      # right arm
+        quarter |= _lattice_walls(c - 1, c + 1, 1, 2 * k + 1)
     inner = 2 * k if ladders else 2 * k + 1
-    # The bottom-left ring's pairs: along its bottom and top rows, then up
-    # its outer and inner columns.  They cover every ring cell.
     quadrant = [((2 * j, y), (2 * j + 1, y))
                 for j in range(k + 1) for y in (0, c - 1)]
     quadrant += [((x, 2 * j + 1), (x, 2 * j + 2))
                  for j in range(k) for x in (0, inner)]
+    walls: Set[Wall] = set()
     pairs = []
     for _ in range(4):
+        walls |= quarter
         pairs += quadrant
+        quarter = {_rot_wall(wall, s) for wall in quarter}
         quadrant = [(_rot_cell(a, s), _rot_cell(b, s)) for a, b in quadrant]
     pairs = [tuple(sorted(pair, key=_yx)) for pair in pairs]
     pairs.sort(key=lambda pr: (_yx(pr[0]), _yx(pr[1])))

@@ -1,11 +1,13 @@
-"""The reduction's hard direction over every 3x3 Numberlink source with at
-most three pairs: the Wataridori solver must decide each reduction exactly
+"""The reduction's hard direction over every small Numberlink source in
+four families: the Wataridori solver must decide each reduction exactly
 as the source is decided, and every solution it finds must unlift to a
-solution of the source.
+solution of the source.  The 3x3 sources with at most three pairs reduce
+with k = 1; the 3x3 sources with four pairs and the 2x5 sources with
+five, the largest pair count k = 2 serves, reduce with k = 2.
 
 Too slow for the test suite; run it from the repository root:
 
-    PYTHONPATH=src:tests python tests/hard_direction_3x3.py
+    PYTHONPATH=src:tests python tests/hard_direction.py
 """
 
 import time
@@ -16,9 +18,12 @@ from watarilink import wataridori as wd
 
 # Per family: its sources, how many are unsatisfiable, and the most nodes
 # any one reduction takes, pinned so that a weaker cut fails here rather
-# than only slowing down.
-FAMILIES = [("p <= 2", lambda: small_sources(3, 3, 2), (414, 74, 3557)),
-            ("p = 3", lambda: sources(3, 3, 3), (1260, 918, 3549))]
+# than only slowing down.  With k = 2 the most is an unsatisfiable
+# reduction's, walked whole, so the step order does not move it.
+FAMILIES = [("3x3, p <= 2", lambda: small_sources(3, 3, 2), (414, 74, 3557)),
+            ("3x3, p = 3", lambda: sources(3, 3, 3), (1260, 918, 3549)),
+            ("3x3, p = 4", lambda: sources(3, 3, 4), (945, 907, 3734373)),
+            ("2x5, p = 5", lambda: sources(2, 5, 5), (945, 937, 1331042))]
 
 
 def main():
@@ -27,7 +32,7 @@ def main():
         results = [check_reduction_decides(g) for g in family()]
         unsat = sum(r.status == wd.UNSAT for r in results)
         most = max(r.nodes for r in results)
-        print(f"3x3, {name}: {len(results)} sources, {unsat} unsat, "
+        print(f"{name}: {len(results)} sources, {unsat} unsat, "
               f"at most {most} nodes per reduction, "
               f"{sum(r.nodes for r in results)} in all, "
               f"{time.perf_counter() - start:.1f}s", flush=True)

@@ -1,7 +1,10 @@
 import gc
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES, fixture_text
 from watarilink import numberlink as nl
@@ -302,6 +305,33 @@ class TestRender:
         text = out.read_text()
         assert " 5 " in text and "*" in text
 
+    @pytest.mark.parametrize("fields, code", [
+        ({"width": 0}, "BAD_DIMENSIONS"),
+        ({"height": -1}, "BAD_DIMENSIONS"),
+        ({"terminals": [{"label": 1, "cells": [[0, 0], [1, 0]]},
+                        {"label": 2, "cells": [[0, 0], [1, 1]]}]},
+         "DUPLICATE_TERMINAL"),
+        ({"terminals": [{"label": 1, "cells": [[0, 0], [1, 0]]},
+                        {"label": 1, "cells": [[0, 1], [1, 1]]}]},
+         "LABEL_MULTIPLICITY"),
+        ({"terminals": [{"label": 1, "cells": [[0, 0], [2, 0]]}]},
+         "OUT_OF_BOUNDS"),
+        ({"terminals": []}, "NO_LABELS"),
+    ], ids=["width-0", "height-negative", "shared-cell", "repeated-label",
+            "off-grid", "no-terminals"])
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    def test_refuses_what_solve_refuses(self, tmp_path, capsys, fields,
+                                        code, fmt):
+        puzzle = tmp_path / "bad.json"
+        puzzle.write_text(json.dumps(dict({
+            "puzzle": "numberlink", "width": 2, "height": 2,
+            "terminals": [{"label": 1, "cells": [[0, 0], [1, 1]]}]},
+            **fields)))
+        for argv in (["solve", str(puzzle)],
+                     ["render", str(puzzle), "--format", fmt]):
+            assert main(argv) == 1
+            assert f"error: {code}:" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_command_exits_1(self):
@@ -343,6 +373,67 @@ class TestSizeGuard:
         assert exc.value.code == 1
         assert "--max-cells: must be a positive integer" in \
             capsys.readouterr().err
+
+
+_COORD = st.integers(-1, 4)
+_CELL = st.lists(_COORD, min_size=2, max_size=2)
+
+
+@st.composite
+def _puzzle_files(draw):
+    """A small puzzle document of either kind, often malformed, and a
+    solution document for it: sides from -2 to 4, and terminals or
+    circles that may be missing, off the grid, on one cell or, for
+    Numberlink, under a repeated label."""
+    width, height = draw(st.integers(-2, 4)), draw(st.integers(-2, 4))
+    path = st.lists(_CELL, max_size=4)
+    if draw(st.booleans()):
+        puzzle = {"puzzle": "numberlink", "width": width, "height": height,
+                  "terminals": draw(st.lists(st.fixed_dictionaries({
+                      "label": st.integers(1, 3),
+                      "cells": st.lists(_CELL, min_size=2, max_size=2)}),
+                      max_size=3))}
+        solution = {"paths": draw(st.lists(st.fixed_dictionaries({
+            "label": st.integers(1, 3), "cells": path}), max_size=3))}
+    else:
+        # One region, one region per row, or a disconnected checkerboard.
+        ids = draw(st.sampled_from([lambda x, y: 0, lambda x, y: y,
+                                    lambda x, y: (x + y) % 2]))
+        puzzle = {"puzzle": "wataridori", "width": width, "height": height,
+                  "regions": [[ids(x, y) for x in range(width)]
+                              for y in range(height)],
+                  "circles": draw(st.lists(st.fixed_dictionaries(
+                      {"x": _COORD, "y": _COORD},
+                      optional={"number": st.integers(-1, 3)}),
+                      max_size=4))}
+        solution = {"paths": draw(st.lists(st.fixed_dictionaries(
+            {"cells": path}), max_size=3))}
+    return puzzle, solution
+
+
+@settings(max_examples=150, deadline=None)
+@given(_puzzle_files())
+def test_no_puzzle_command_raises(files):
+    """Every puzzle command ends in an exit status, never a traceback,
+    whatever shape of puzzle file it is given."""
+    puzzle_doc, solution_doc = files
+    with tempfile.TemporaryDirectory() as tmp:
+        puzzle, solution, out, rmap = (
+            os.path.join(tmp, name)
+            for name in ("puzzle.json", "solution.json", "out", "map.json"))
+        for path, doc in ((puzzle, puzzle_doc), (solution, solution_doc)):
+            with open(path, "w") as f:
+                json.dump(doc, f)
+        commands = [["solve", puzzle, "--budget", "1000", "-o", out],
+                    ["verify", puzzle, solution],
+                    ["render", puzzle, solution, "-o", out],
+                    ["render", puzzle, solution, "--format", "svg",
+                     "-o", out]]
+        if puzzle_doc["puzzle"] == "numberlink":
+            commands.append(["reduce", "-i", puzzle, "-o", out,
+                             "--map", rmap])
+        for argv in commands:
+            assert main(argv) in (0, 1, 2, 3), argv
 
 
 def _crossing(tmp_path):

@@ -246,6 +246,9 @@ class TestSizeGuard:
         self.refused(lambda: wd.solve(wd.WataridoriInstance(
             rmap, (wd.Circle(0, 0), wd.Circle(399, 399)))))
 
+    def test_regions_from_walls_refuses_before_allocating(self):
+        self.refused(lambda: regions_from_walls([], 400, 400))
+
     def test_reduction_refuses_a_target_over_the_cap(self):
         # 40 x 40 is under the cap; its 360 x 360 target is not.
         g = nl.NumberlinkInstance(40, 40, ((1, (0, 0), (39, 39)),))
@@ -260,3 +263,20 @@ class TestSizeGuard:
         error = self.refused(lambda: parse(dict(puzzle, width=400,
                                                 height=400)))
         assert isinstance(error, ParseError) and error.location == "width"
+
+
+@pytest.mark.parametrize("width, height",
+                         [(0, 3), (3, 0), (-1, 3), (3, -2),
+                          (-100_000, -100_000)])
+@pytest.mark.parametrize("puzzle, parse", [
+    ({"puzzle": "numberlink",
+      "terminals": [{"label": 1, "cells": [[0, 0], [1, 0]]}]},
+     nl.parse_instance),
+    ({"puzzle": "wataridori", "regions": [], "circles": []},
+     wd.parse_instance),
+], ids=["numberlink", "wataridori"])
+def test_parsers_refuse_an_empty_grid(puzzle, parse, width, height):
+    with pytest.raises(ParseError) as exc:
+        parse(dict(puzzle, width=width, height=height))
+    assert exc.value.code == "BAD_DIMENSIONS"
+    assert exc.value.location == "width"
