@@ -9,7 +9,7 @@ from __future__ import annotations
 from operator import ne
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .grid import Cell
+from .grid import Cell, check_size
 from .numberlink import NumberlinkInstance, NumberlinkSolution
 from .wataridori import WataridoriInstance, WataridoriSolution
 
@@ -74,6 +74,8 @@ def render_wataridori_ascii(inst: WataridoriInstance,
 
 def render_numberlink_ascii(inst: NumberlinkInstance,
                             sol: Optional[NumberlinkSolution] = None) -> str:
+    w, h = inst.width, inst.height
+    check_size(w, h)
     content: Dict[Cell, str] = {}
     if sol is not None:
         for _, path in sol.paths:
@@ -82,9 +84,9 @@ def render_numberlink_ascii(inst: NumberlinkInstance,
     for label, a, b in inst.terminals:
         content[a] = str(label)
         content[b] = str(label)
-    cell_w = max(3, max(len(str(label)) for label, _, _ in inst.terminals) + 2)
+    cell_w = max(3, max((len(str(label)) for label, _, _ in inst.terminals),
+                        default=1) + 2)
     # Every cell is a region of its own, so every grid line is drawn.
-    w, h = inst.width, inst.height
     cells = [range(y * w, y * w + w) for y in range(h)]
     return _ascii_board(w, h, _walls(cells, w, h), content, cell_w)
 
@@ -173,6 +175,7 @@ def render_wataridori_svg(inst: WataridoriInstance,
 def render_numberlink_svg(inst: NumberlinkInstance,
                           sol: Optional[NumberlinkSolution] = None) -> str:
     w, h = inst.width, inst.height
+    check_size(w, h)
     parts = _svg_open(w, h)
     parts += _svg_grid(w, h)
     # One region covering the board leaves only its outer boundary.

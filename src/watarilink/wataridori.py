@@ -152,10 +152,12 @@ def solve(inst: WataridoriInstance,
     DFS that tries the steps towards the partner first; branching on every
     partner and every step keeps the search complete.  A circle numbered t
     pairs with circles numbered t or wildcards in the regions within t - 1
-    steps of its own.  Each numbered circle counts its unpaired partners: a
-    pair that leaves one without any is skipped unrouted, and one left with
-    a single partner is forced.  The circle forced most recently is paired
-    next while it is unpaired; otherwise the first unpaired circle is.
+    steps of its own, and for t > 1 not in its own region, which a path of
+    two or more runs ending there would re-enter.  Each numbered circle
+    counts its unpaired partners, and a pair that leaves one without any is
+    skipped unrouted.  The circle paired next is the unpaired numbered
+    circle with the fewest unpaired partners, the first on a tie, and once
+    every numbered circle is paired the first unpaired wildcard.
 
     A path to a numbered target is bounded by region distances: entering
     region r needs `runs + 1 + dist(r, goal region) <= target`, where
@@ -238,11 +240,13 @@ def solve(inst: WataridoriInstance,
     # Partner lists in index order.  Wildcards sort last, so a wildcard
     # pairs with the later circles.  The circles numbered t in one region
     # share one list: the circles numbered t or wildcards in the regions
-    # within t - 1 steps, themselves included, which pairing skips as
-    # paired.  Numbered circles list each other symmetrically, so the
-    # numbered part of a circle's list also names the circles that list it.
-    # `count[i]` is how many of numbered circle i's partners are unpaired,
-    # and `watch[j]` lists the numbered circles that list j.
+    # within t - 1 steps.  For t > 1 that excludes their own region, since
+    # a path with two or more runs that ends where it starts re-enters it;
+    # for t = 1 it is their own region, themselves included, which pairing
+    # skips as paired.  Numbered circles list each other symmetrically, so
+    # the numbered part of a circle's list also names the circles that list
+    # it.  `count[i]` is how many of numbered circle i's partners are
+    # unpaired, and `watch[j]` lists the numbered circles that list j.
     numbers = [c.number for c in circles]
     rids = [region[i] for i in cells]
     bucket: List[List[int]] = [[] for _ in range(rmap.region_count)]
@@ -257,15 +261,18 @@ def solve(inst: WataridoriInstance,
         if (rid, t) not in groups:
             dist = distances(rid) if t > 1 else None
             near = bucket[rid] if dist is None else [
-                j for j, r in enumerate(rids) if dist[r] < t]
+                j for j, r in enumerate(rids) if 0 < dist[r] < t]
             mates = [j for j in near if numbers[j] in (None, t)]
             k = bisect_left(mates, numbered)
             groups[rid, t] = mates, mates[:k], mates[k:]
         partners[i], watch[i], wild = groups[rid, t]
         for j in wild:
             watch[j].append(i)
-    count = [len(p) - 1 for p in partners]
-    forced: List[int] = []
+    count = [len(p) - (t == 1) for p, t in zip(partners, numbers)]
+    # A numbered circle with no partner at all refutes the board; during
+    # the search no unpaired one is left without a partner.
+    if 0 in count[:numbered]:
+        return SolveResult(UNSAT, nodes=0)
 
     def touches(cell: int, head: int) -> bool:
         """Whether `cell` is next to a cell other than `head` with the tag
@@ -339,18 +346,25 @@ def solve(inst: WataridoriInstance,
 
     def pair_next(after: int):
         """Frame: pair a circle with each unpaired partner in turn and
-        route a path between them.  The circle is the one forced most
-        recently if it is unpaired, else the first unpaired one; every
-        circle before `after` is paired already, so the scan starts there."""
+        route a path between them.  The circle is the unpaired numbered
+        circle with the fewest unpaired partners, the first of them, or
+        once every numbered circle is paired the first unpaired wildcard.
+        Every circle before `after` is paired already, so the scan starts
+        there, and it stops at a circle with one partner: every unpaired
+        numbered circle keeps at least one."""
         nonlocal nodes
-        if forced and not paired[forced[-1]]:
-            first = forced[-1]
-        else:
-            first = next((i for i in range(after, n) if not paired[i]), None)
-            if first is None:
-                yield FOUND
-                return
-            after = first + 1
+        first = next((i for i in range(after, n) if not paired[i]), None)
+        if first is None:
+            yield FOUND
+            return
+        after = first
+        fewest = count[first]
+        if first < numbered and fewest > 1:
+            for i in range(first + 1, numbered):
+                if count[i] < fewest and not paired[i]:
+                    first, fewest = i, count[i]
+                    if fewest == 1:
+                        break
         paired[first] = True
         target = numbers[first]
         limit = target or n_cells
@@ -367,14 +381,11 @@ def solve(inst: WataridoriInstance,
             if nodes > budget:
                 raise OutOfBudget
             paired[j] = True
-            mark = len(forced)
             live = True
             for c in chain(mine, watch[j]):
                 if not paired[c]:
                     count[c] -= 1
-                    if count[c] == 1:
-                        forced.append(c)
-                    elif not count[c]:
+                    if not count[c]:
                         live = False
             if live:
                 entered = bytearray(rmap.region_count)
@@ -389,7 +400,6 @@ def solve(inst: WataridoriInstance,
             for c in chain(mine, watch[j]):
                 if not paired[c]:
                     count[c] += 1
-            del forced[mark:]
             paired[j] = False
         blocked[start] = 1
         paired[first] = False

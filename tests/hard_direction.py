@@ -16,14 +16,19 @@ from test_acceptance import check_reduction_decides, small_sources, sources
 from watarilink import wataridori as wd
 
 
-# Per family: its sources, how many are unsatisfiable, and the most nodes
-# any one reduction takes, pinned so that a weaker cut fails here rather
-# than only slowing down.  With k = 2 the most is an unsatisfiable
-# reduction's, walked whole, so the step order does not move it.
-FAMILIES = [("3x3, p <= 2", lambda: small_sources(3, 3, 2), (414, 74, 3557)),
-            ("3x3, p = 3", lambda: sources(3, 3, 3), (1260, 918, 3549)),
-            ("3x3, p = 4", lambda: sources(3, 3, 4), (945, 907, 3734373)),
-            ("2x5, p = 5", lambda: sources(2, 5, 5), (945, 937, 1331042))]
+# Per family: its sources, how many are unsatisfiable, the most nodes any
+# one reduction takes and the nodes of all of them, pinned so that a weaker
+# cut fails here rather than only slowing down, and a change of pairing
+# order shows.  With k = 2 the most is an unsatisfiable reduction's, walked
+# whole, so the step order does not move it.
+FAMILIES = [("3x3, p <= 2", lambda: small_sources(3, 3, 2),
+             (414, 74, 3557, 411811)),
+            ("3x3, p = 3", lambda: sources(3, 3, 3),
+             (1260, 918, 3549, 1069654)),
+            ("3x3, p = 4", lambda: sources(3, 3, 4),
+             (945, 907, 3734373, 169490058)),
+            ("2x5, p = 5", lambda: sources(2, 5, 5),
+             (945, 937, 1331042, 14131825))]
 
 
 def main():
@@ -32,11 +37,11 @@ def main():
         results = [check_reduction_decides(g) for g in family()]
         unsat = sum(r.status == wd.UNSAT for r in results)
         most = max(r.nodes for r in results)
+        total = sum(r.nodes for r in results)
         print(f"{name}: {len(results)} sources, {unsat} unsat, "
-              f"at most {most} nodes per reduction, "
-              f"{sum(r.nodes for r in results)} in all, "
+              f"at most {most} nodes per reduction, {total} in all, "
               f"{time.perf_counter() - start:.1f}s", flush=True)
-        assert (len(results), unsat, most) == want
+        assert (len(results), unsat, most, total) == want
 
 
 if __name__ == "__main__":

@@ -438,9 +438,10 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
         return a.number is None or b.number is None or a.number == b.number
 
     # The circles each numbered circle may pair with: numbered alike or
-    # wildcards, in the regions within number - 1 steps of its own.  The
-    # relation is symmetric between numbered circles, so the distances are
-    # read from the lister's region.
+    # wildcards, in the regions within number - 1 steps of its own, and not
+    # in its own region unless its number is 1.  The relation is symmetric
+    # between numbered circles, so the distances are read from the lister's
+    # region.
     by_region = {}
     for j, b in enumerate(circles):
         by_region.setdefault(rmap.ids[b.y][b.x], []).append(j)
@@ -449,11 +450,11 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
     for c, a in enumerate(circles):
         if a.number is not None:
             mates[c] = {j for rid, d in distance_to(a.cell).items()
-                        if d < a.number for j in by_region.get(rid, ())
+                        if d < a.number and (d or a.number == 1)
+                        for j in by_region.get(rid, ())
                         if j != c and compatible(a, circles[j])}
             for j in mates[c]:
                 listers[j].add(c)
-    forced = []
 
     def dfs(path, run_ids, run_set, target, goal):
         for nxt in steps_toward(neighbors, path[-1], goal):
@@ -498,10 +499,15 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
                 run_ids.pop()
                 run_set.discard(rid)
 
+    def unpaired_mates(c):
+        return sum(not paired[i] for i in mates[c])
+
     def pair_next():
-        if forced and not paired[forced[-1]]:
-            first = forced[-1]
-        else:
+        # The numbered circle with the fewest unpaired partners, ties by
+        # index; once every numbered circle is paired, the first wildcard.
+        first = min((c for c in mates if not paired[c]),
+                    key=lambda c: (unpaired_mates(c), c), default=None)
+        if first is None:
             first = next((i for i in range(n) if not paired[i]), None)
         if first is None:
             yield FOUND
@@ -514,19 +520,12 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
                 continue
             spend()
             paired[j] = True
-            # Recount the unpaired partners of each circle listing an end.
-            left = {c: sum(not paired[i] for i in mates[c])
-                    for c in listers[first] | listers[j] if not paired[c]}
-            if all(left.values()):
-                # Each circle left with one is forced: those that list
-                # `first` only before those that list `j`, each by index.
-                mark = len(forced)
-                forced.extend(sorted((c for c, count in left.items()
-                                      if count == 1),
-                                     key=lambda c: (c in listers[j], c)))
+            # Route the pair only if each circle listing an end keeps an
+            # unpaired partner.
+            if all(unpaired_mates(c) for c in listers[first] | listers[j]
+                   if not paired[c]):
                 target = a.number if a.number is not None else b.number
                 yield dfs([a.cell], [rid], {rid}, target, b.cell)
-                del forced[mark:]
             paired[j] = False
         paired[first] = False
 

@@ -11,6 +11,7 @@ from watarilink import numberlink as nl
 from watarilink import wataridori as wd
 from watarilink import grid, render
 from watarilink.cli import build_parser, main
+from watarilink.errors import ValidationError
 
 SAMPLE_NL = str(FIXTURES / "numberlink_6x6.json")
 SAMPLE_NL_SOL = str(FIXTURES / "numberlink_6x6_solution.json")
@@ -524,3 +525,24 @@ def test_ascii_snapshot_is_stable(sample_wataridori):
     assert len(lines) == 13
     assert lines[0] == "+---+---+---+---+---+---+"
     assert all(line.startswith(("+", "|")) for line in lines[::2])
+
+
+@pytest.mark.parametrize("draw", [render.render_numberlink_ascii,
+                                  render.render_numberlink_svg])
+def test_numberlink_renders_refuse_a_bad_size(draw):
+    """The library renderers take unvalidated instances too, so each
+    checks the grid's size itself."""
+    for width, height, code in ((-1, 2, "BAD_DIMENSIONS"),
+                                (0, 3, "BAD_DIMENSIONS"),
+                                (1000, 1000, "TOO_LARGE")):
+        with pytest.raises(ValidationError) as err:
+            draw(nl.NumberlinkInstance(width, height, ()))
+        assert err.value.code == code
+
+
+def test_numberlink_renders_draw_a_board_without_terminals():
+    inst = nl.NumberlinkInstance(2, 1, ())
+    assert render.render_numberlink_ascii(inst) == \
+        "+---+---+\n|   |   |\n+---+---+\n"
+    svg = render.render_numberlink_svg(inst)
+    assert 'viewBox="0 0 80 40"' in svg and "<text" not in svg

@@ -11,7 +11,10 @@ solvable board moved again when both searches began to try the steps
 towards the goal first; an unsatisfiable board's tree is walked whole in
 any step order, so those pins held.  Pins moved once more, unsat ones
 included, when both searches stopped stepping next to a path's own
-earlier cells.
+earlier cells.  Wataridori pins moved again, unsat ones included, when
+its search began to pair the numbered circle with the fewest live
+partners first and stopped listing same-region partners for numbers
+above 1.
 """
 
 import hashlib
@@ -40,8 +43,8 @@ def digest(text):
 SAMPLE_PINS = [
     (nl, "sample_numberlink", 49,
      "dde44a8a6ad4a66fff95d1f2789dc0be0d77a7c021c86daa089cbe9babf1b350"),
-    (wd, "sample_wataridori", 83,
-     "cb9f3f8203351f8c3785821d6d43bbfbda718781f6fb6549a067c4ccb5d23013"),
+    (wd, "sample_wataridori", 79,
+     "62c4f089de8b4c886fd5d57f992dbf4253a22eb4f3dc0f9cbb8f640ec8a7dd89"),
 ]
 
 
@@ -76,14 +79,14 @@ def test_sample_budget_boundary(mod, fixture, nodes, sha, request):
 
 
 PLANTED = {
-    "2x1": ((2, 1, ((1, (0, 0), (1, 0)),)), 220,
-            "de045bf0af082c3b568212652b90ac5371cafda88386b8584d79de74c1ed5aca"),
-    "3x1": ((3, 1, ((1, (0, 0), (2, 0)),)), 293,
-            "46275692f4b0fca08bccf550e854de32bfcc6f481e4fcbca641d0ee64639058c"),
-    "2x2": ((2, 2, ((1, (0, 0), (0, 1)), (2, (1, 0), (1, 1)))), 457,
-            "f40009c6eb17a2a4a6fcf06a616fb1741a9e3240649bb4e5826154f64e4fa903"),
-    "3x2": ((3, 2, ((1, (0, 0), (2, 0)), (2, (0, 1), (2, 1)))), 602,
-            "1108cd3f661de5ea1cb37bd620c5432b5d95c6e90fbab5b54a3f5ec0342d45f6"),
+    "2x1": ((2, 1, ((1, (0, 0), (1, 0)),)), 221,
+            "f58d9d6564a80cf2af710708df9d33a5a7ea3b9b247c8d507eb84ff87afcd40d"),
+    "3x1": ((3, 1, ((1, (0, 0), (2, 0)),)), 294,
+            "40ec93254fdb48d7031019eb0a1e7ac74bf2b836d69d1deefc39f46617b6c963"),
+    "2x2": ((2, 2, ((1, (0, 0), (0, 1)), (2, (1, 0), (1, 1)))), 459,
+            "8b31da356c2859d0605f5d9a5929a8a924be57e76210c769ae2ff4f445083e7a"),
+    "3x2": ((3, 2, ((1, (0, 0), (2, 0)), (2, (0, 1), (2, 1)))), 604,
+            "3bd417806e81eaeee56cdd62cf46357744546815708c610b47806022fb2b2b63"),
 }
 
 
@@ -131,7 +134,7 @@ def test_node_total_over_two_circle_family():
                 rmap, (wd.Circle(*a, na), wd.Circle(*b, nb)))
             total += wd.solve(inst).nodes
             count += 1
-    assert (count, total) == (5026, 131917)
+    assert (count, total) == (5026, 102009)
 
 
 # Both boards used to die with RecursionError: each solver recursed once
@@ -152,10 +155,10 @@ def test_long_wataridori_path_solves():
         nl.NumberlinkInstance(4, 4, ((1, (0, 0), (3, 3)),)))
     assert (h.width, h.height) == (36, 36)
     result = wd.solve(h)
-    assert (result.status, result.nodes) == (wd.SOLVED, 1161)
+    assert (result.status, result.nodes) == (wd.SOLVED, 1162)
     assert wd.verify_solution(h, result.solution)
     assert digest(wd.serialize_solution(result.solution)) == \
-        "fe5b63aa1b52321c9d800e4113ccefc43045a1a3a08a4f6b2d8f5a817a54abe5"
+        "682eaa3b31325032d192d92ab6820c012e93645bd2807dfce015db52f9404f1b"
 
 
 # 7x7 boards pinned with the tuple-cell solvers: the Numberlink boards
@@ -183,17 +186,37 @@ WILDCARDS_7X7 = wd.WataridoriInstance(region_map_from_rows([
      wd.Circle(4, 6), wd.Circle(2, 2, 2), wd.Circle(6, 3, 3),
      wd.Circle(1, 6)))
 
+# The benchmark's solve board 24, four wildcards among ten circles.  It
+# overran a 200,000-node budget (585,416 nodes without one) until the
+# search paired the numbered circle with the fewest live partners first
+# and stopped listing same-region partners for numbers above 1.
+FOUR_WILDCARDS_7X7 = wd.WataridoriInstance(region_map_from_rows([
+    [6, 6, 6, 9, 5, 11, 11],
+    [6, 6, 6, 9, 5, 10, 11],
+    [6, 2, 6, 7, 5, 8, 8],
+    [4, 2, 5, 5, 5, 5, 3],
+    [4, 2, 5, 5, 5, 3, 3],
+    [2, 2, 2, 2, 2, 2, 3],
+    [0, 0, 1, 2, 2, 2, 2],
+]), (wd.Circle(5, 5, 6), wd.Circle(3, 2, 4), wd.Circle(0, 4, 4),
+     wd.Circle(4, 0, 2), wd.Circle(0, 0, 1), wd.Circle(0, 1, 1),
+     wd.Circle(2, 0), wd.Circle(5, 0), wd.Circle(3, 1), wd.Circle(4, 1)))
+
 
 @pytest.mark.parametrize("mod, inst, budget, status, nodes, sha", [
     (nl, REFUTED_7X7, search.DEFAULT_BUDGET, search.UNSAT, 460, None),
     (nl, PLANTED_7X7, search.DEFAULT_BUDGET, search.SOLVED, 80,
      "307d4fdd474d4c4d21f0076e4c14a24ac4759769c27e827bd5a18a04958834dc"),
     (nl, PLANTED_7X7, 20, search.BUDGET_EXCEEDED, 21, None),
-    (wd, WILDCARDS_7X7, search.DEFAULT_BUDGET, search.SOLVED, 54,
-     "303e6793f84cb1cf2881dff2023da1451db2de7d7ab086d1e44d6d0161730a96"),
+    (wd, WILDCARDS_7X7, search.DEFAULT_BUDGET, search.SOLVED, 395,
+     "f0cdf1e5253ec9af048e2bdbad21710a873b50b350bc4a63ad118a80740de464"),
     (wd, WILDCARDS_7X7, 30, search.BUDGET_EXCEEDED, 31, None),
+    (wd, FOUR_WILDCARDS_7X7, 200_000, search.SOLVED, 11531,
+     "5eaa07d0a7ec6fce97f4aa5649336bcba31e7b0171180c1231f6d168a092aa40"),
+    (wd, FOUR_WILDCARDS_7X7, 11530, search.BUDGET_EXCEEDED, 11531, None),
 ], ids=["nl-refuted", "nl-planted", "nl-planted-overrun", "wd-wildcards",
-        "wd-wildcards-overrun"])
+        "wd-wildcards-overrun", "wd-four-wildcards",
+        "wd-four-wildcards-overrun"])
 def test_7x7_board(mod, inst, budget, status, nodes, sha):
     result = mod.solve(inst, budget=budget)
     assert (result.status, result.nodes) == (status, nodes)
@@ -409,8 +432,9 @@ def test_wataridori_solves_planted_boards_off_the_benchmark():
         assert result.status == wd.SOLVED, inst
         assert wd.verify_solution(inst, result.solution)
         total += result.nodes
-    # 59,274 nodes before forced pairing, 33,935 before the self-touch cut.
-    assert total == 10425
+    # 59,274 nodes before forced pairing, 33,935 before the self-touch cut,
+    # 10,425 before fewest-partners-first pairing.
+    assert total == 10158
 
 
 @pytest.mark.parametrize("width, height",
@@ -544,6 +568,17 @@ def test_wildcard_path_takes_the_shortcut():
     result = wd.solve(inst)
     assert result.status == wd.SOLVED
     assert result.solution.paths == (((0, 0), (1, 0)),)
+
+
+def test_numbered_circle_never_pairs_within_its_region():
+    """A path numbered 2 or more that ends in the region it starts in
+    would re-enter it, so a 2 alone in one region with a wildcard has no
+    partner, and the board is refuted before any node."""
+    inst = wd.WataridoriInstance(region_map_from_rows([[0, 0], [0, 0]]),
+                                 (wd.Circle(0, 0), wd.Circle(1, 1, 2)))
+    assert wd.solve(inst) == oracles.wataridori_solve_reference(inst) == \
+        search.SolveResult(search.UNSAT, nodes=0)
+    assert not oracles.wataridori_brute_solvable(inst)
 
 
 def cuttable_touch(width, height, path, region=None):
