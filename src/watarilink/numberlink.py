@@ -136,6 +136,8 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     pending pair's endpoints are no longer connectable through free cells,
     which never discards a completable state.  A pending pair is flooded
     again only when the head lands on the free path last found for it.
+    Before any node, a board on which two pairs alternate around the
+    grid's edge is refuted (`_border_crossed`).
     """
     inst = validate_instance(inst)
     width, height = inst.width, inst.height
@@ -145,6 +147,9 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     # while it is routed.
     pairs = [(label, a[1] * width + a[0], b[1] * width + b[0])
              for label, a, b in inst.terminals]
+    budget = node_limit(budget)
+    if _border_crossed(width, height, pairs):
+        return SolveResult(UNSAT, nodes=0)
     occ = [0] * n
     for _, a, b in pairs:
         occ[a] = occ[b] = 1
@@ -152,7 +157,6 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     neighbors = steps(width, height)
     order = toward(width)
     lines: Dict[int, List[int]] = {}
-    budget = node_limit(budget)
     nodes = 0
     paths: List[List[int]] = []
     # A flood marks the cells it has seen with its own generation number,
@@ -266,6 +270,46 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     # solve's tables are freed on return, not by the cyclic collector.
     route = extend = None
     return result
+
+
+def _border_crossed(width: int, height: int,
+                    pairs: List[Tuple[int, int, int]]) -> bool:
+    """Whether two of the `(label, a, b)` pairs, on flat cell indices, have
+    all four ends on the grid's edge in alternating order around it.
+
+    The edge cells lie on the outer face of the planar grid graph, and two
+    disjoint paths cannot join pairs that alternate on the outer face (the
+    two-paths theorem), so such a board has no solution.  The edge is
+    walked once, clockwise from (0, 0): up the left column, right along
+    the top row, down the right column and left along the bottom row.  A
+    grid one cell wide or high is a line, walked end to end by the first
+    two legs, where alternating pairs cannot both be joined either.
+
+    The walk keeps one stack.  An end whose partner is on top pops it, and
+    any other end is pushed: pairs that nest empty the stack, and the
+    second end of a pair that crosses another is pushed and never popped.
+    A pair with an end off the edge takes no part."""
+    n = width * height
+    ring = chain(range(0, n, width), range(n - width + 1, n))
+    if width > 1 and height > 1:
+        ring = chain(ring, range(n - width - 1, 0, -width),
+                     range(width - 2, 0, -1))
+    sides = (0, width - 1)
+    mate: Dict[int, int] = {}
+    for _, a, b in pairs:
+        if (a < width or a >= n - width or a % width in sides) and \
+                (b < width or b >= n - width or b % width in sides):
+            mate[a], mate[b] = b, a
+    if len(mate) < 4:
+        return False
+    stack: List[int] = []
+    for i in ring:
+        if i in mate:
+            if stack and stack[-1] == mate[i]:
+                stack.pop()
+            else:
+                stack.append(i)
+    return bool(stack)
 
 
 def normalize_solution(sol: NumberlinkSolution) -> NumberlinkSolution:

@@ -273,6 +273,9 @@ def solve(inst: WataridoriInstance,
     # the search no unpaired one is left without a partner.
     if 0 in count[:numbered]:
         return SolveResult(UNSAT, nodes=0)
+    # A lower bound on the least count among unpaired numbered circles,
+    # so that a pairing frame's scan stops at the first circle reaching it.
+    least = min(count[:numbered], default=0)
 
     def touches(cell: int, head: int) -> bool:
         """Whether `cell` is next to a cell other than `head` with the tag
@@ -350,21 +353,26 @@ def solve(inst: WataridoriInstance,
         circle with the fewest unpaired partners, the first of them, or
         once every numbered circle is paired the first unpaired wildcard.
         Every circle before `after` is paired already, so the scan starts
-        there, and it stops at a circle with one partner: every unpaired
-        numbered circle keeps at least one."""
-        nonlocal nodes
+        there.  It stops at the first circle whose count is `least`, which
+        no unpaired numbered circle's count is below: `least` falls with
+        any such count that falls below it, when a count is decremented or
+        a circle unpaired, and a scan that runs to the end sets it to the
+        least count it saw."""
+        nonlocal nodes, least
         first = next((i for i in range(after, n) if not paired[i]), None)
         if first is None:
             yield FOUND
             return
         after = first
         fewest = count[first]
-        if first < numbered and fewest > 1:
+        if first < numbered and fewest > least:
             for i in range(first + 1, numbered):
                 if count[i] < fewest and not paired[i]:
                     first, fewest = i, count[i]
-                    if fewest == 1:
+                    if fewest == least:
                         break
+            else:
+                least = fewest
         paired[first] = True
         target = numbers[first]
         limit = target or n_cells
@@ -385,8 +393,12 @@ def solve(inst: WataridoriInstance,
             for c in chain(mine, watch[j]):
                 if not paired[c]:
                     count[c] -= 1
-                    if not count[c]:
-                        live = False
+                    if count[c] < least:
+                        # A count of 0 came from 1, so `least` is 1.
+                        if count[c]:
+                            least = count[c]
+                        else:
+                            live = False
             if live:
                 entered = bytearray(rmap.region_count)
                 entered[rid] = 1
@@ -401,8 +413,12 @@ def solve(inst: WataridoriInstance,
                 if not paired[c]:
                     count[c] += 1
             paired[j] = False
+            if j < numbered and count[j] < least:
+                least = count[j]
         blocked[start] = 1
         paired[first] = False
+        if first < numbered and count[first] < least:
+            least = count[first]
 
     def path_cells(end: int) -> Path:
         path = [end]

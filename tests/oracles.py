@@ -8,6 +8,7 @@ candidates.
 
 import json
 from collections import deque
+from itertools import combinations
 
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
@@ -318,6 +319,37 @@ def touches_itself(neighbors, path, nxt, region=None):
                for m in neighbors[nxt])
 
 
+def border_place(cell, width, height):
+    """How far along the grid's edge `cell` lies, counted from (0, 0) along
+    the bottom row, up the right column, left along the top row and down
+    the left column; None for a cell off the edge.  On a grid one cell
+    wide or high this is the cell's place along the line."""
+    x, y = cell
+    if y == 0:
+        return x
+    if x == width - 1:
+        return width - 1 + y
+    if y == height - 1:
+        return 2 * (width - 1) + y - x
+    if x == 0:
+        return 2 * (width - 1) + 2 * (height - 1) - y
+    return None
+
+
+def border_crossing(inst):
+    """Whether two pairs have their four ends on the grid's edge in
+    alternating order, by comparing the places of every two such pairs.
+    Two disjoint paths cannot join such pairs, since the edge bounds the
+    outer face of the planar grid."""
+    spans = []
+    for _, a, b in inst.terminals:
+        ends = [border_place(c, inst.width, inst.height) for c in (a, b)]
+        if None not in ends:
+            spans.append(sorted(ends))
+    return any(a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
+               for (a1, b1), (a2, b2) in combinations(spans, 2))
+
+
 def numberlink_solve_reference(inst, budget=DEFAULT_BUDGET):
     inst = nl.validate_instance(inst)
     width, height = inst.width, inst.height
@@ -329,6 +361,8 @@ def numberlink_solve_reference(inst, budget=DEFAULT_BUDGET):
     neighbors = tuple_steps(width, height)
     pairs = list(inst.terminals)
     bud = Budget(budget)
+    if border_crossing(inst):
+        return SolveResult(UNSAT, nodes=0)
     spend = bud.spend
     paths = []
 

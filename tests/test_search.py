@@ -14,7 +14,9 @@ included, when both searches stopped stepping next to a path's own
 earlier cells.  Wataridori pins moved again, unsat ones included, when
 its search began to pair the numbered circle with the fewest live
 partners first and stopped listing same-region partners for numbers
-above 1.
+above 1.  Numberlink pins on boards where two pairs alternate around the
+grid's edge fell to 0 when its search began to refute those boards
+before any node.
 """
 
 import hashlib
@@ -118,8 +120,56 @@ def test_crossing_reduction_is_refuted():
     assert (result.status, result.nodes) == (wd.UNSAT, 159)
 
 
+def test_crossing_is_refuted_before_any_node():
+    """The 2x2 crossing's pairs alternate around the edge, so no node is
+    spent on it, even under a budget of 0; a negative budget still
+    raises."""
+    unsat = search.SolveResult(search.UNSAT, nodes=0)
+    assert nl.solve(CROSSING) == nl.solve(CROSSING, budget=0) == unsat
+    with pytest.raises(ValueError):
+        nl.solve(CROSSING, budget=-1)
+
+
+def test_crossing_on_a_line_is_refuted_before_any_node():
+    """On a grid one cell wide the edge is the line itself: alternating
+    pairs are refuted at once, and nested ones, just as unsatisfiable,
+    are left to the search."""
+    crossed = nl.NumberlinkInstance(1, 5, ((1, (0, 0), (0, 2)),
+                                           (2, (0, 1), (0, 4))))
+    assert nl.solve(crossed) == search.SolveResult(search.UNSAT, nodes=0)
+    nested = nl.NumberlinkInstance(1, 4, ((1, (0, 0), (0, 3)),
+                                          (2, (0, 1), (0, 2))))
+    result = nl.solve(nested)
+    assert result.status == search.UNSAT and result.nodes > 0
+    for inst in (crossed, nested):
+        assert not oracles.numberlink_brute_solvable(inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_border_refutation_agrees_with_brute_force(data):
+    """The search refutes a board before any node exactly when two of its
+    pairs alternate around the edge, and every such board is
+    unsatisfiable by enumeration; one-wide grids included."""
+    width = data.draw(st.integers(1, 4), label="width")
+    height = data.draw(st.integers(2 if width < 2 else 1, 4), label="height")
+    cells = data.draw(st.permutations(
+        [(x, y) for x in range(width) for y in range(height)]), label="cells")
+    pairs = data.draw(st.integers(2 if len(cells) >= 4 else 1,
+                                  min(4, len(cells) // 2)), label="pairs")
+    inst = nl.NumberlinkInstance(width, height, tuple(
+        (i + 1, cells[2 * i], cells[2 * i + 1]) for i in range(pairs)))
+    result = nl.solve(inst)
+    crossed = oracles.border_crossing(inst)
+    assert (result.nodes == 0) == crossed
+    if crossed:
+        assert result.status == search.UNSAT
+        assert not oracles.numberlink_brute_solvable(inst)
+
+
 def test_node_total_over_small_numberlink_family():
-    assert sum(nl.solve(inst).nodes for inst in all_small_instances()) == 1973
+    # 1973 before the search refuted edge crossings before any node.
+    assert sum(nl.solve(inst).nodes for inst in all_small_instances()) == 1595
 
 
 def test_node_total_over_two_circle_family():
@@ -164,11 +214,19 @@ def test_long_wataridori_path_solves():
 # 7x7 boards pinned with the tuple-cell solvers: the Numberlink boards
 # before both moved onto flat cell indices, the Wataridori board when its
 # search took the most-constrained order and region-distance bound.
+# REFUTED_7X7's pairs 3 and 6 alternate around the edge, so it took 460
+# nodes until such boards were refuted before any node; SEARCHED_7X7 has no
+# two pairs that alternate there, so its search still refutes it.
 
 REFUTED_7X7 = nl.NumberlinkInstance(7, 7, (
     (1, (4, 3), (3, 4)), (2, (5, 0), (3, 1)), (3, (0, 4), (6, 6)),
     (4, (0, 5), (3, 2)), (5, (1, 1), (6, 3)), (6, (0, 6), (6, 5)),
     (7, (5, 3), (1, 3))))
+
+SEARCHED_7X7 = nl.NumberlinkInstance(7, 7, (
+    (1, (5, 0), (6, 3)), (2, (5, 3), (4, 0)), (3, (1, 2), (6, 6)),
+    (4, (0, 5), (5, 6)), (5, (3, 0), (1, 5)), (6, (0, 1), (0, 2)),
+    (7, (5, 5), (4, 3))))
 
 PLANTED_7X7 = nl.NumberlinkInstance(7, 7, (
     (1, (6, 1), (4, 1)), (2, (3, 2), (0, 2)), (3, (0, 5), (2, 5)),
@@ -204,7 +262,8 @@ FOUR_WILDCARDS_7X7 = wd.WataridoriInstance(region_map_from_rows([
 
 
 @pytest.mark.parametrize("mod, inst, budget, status, nodes, sha", [
-    (nl, REFUTED_7X7, search.DEFAULT_BUDGET, search.UNSAT, 460, None),
+    (nl, REFUTED_7X7, search.DEFAULT_BUDGET, search.UNSAT, 0, None),
+    (nl, SEARCHED_7X7, search.DEFAULT_BUDGET, search.UNSAT, 481, None),
     (nl, PLANTED_7X7, search.DEFAULT_BUDGET, search.SOLVED, 80,
      "307d4fdd474d4c4d21f0076e4c14a24ac4759769c27e827bd5a18a04958834dc"),
     (nl, PLANTED_7X7, 20, search.BUDGET_EXCEEDED, 21, None),
@@ -214,8 +273,8 @@ FOUR_WILDCARDS_7X7 = wd.WataridoriInstance(region_map_from_rows([
     (wd, FOUR_WILDCARDS_7X7, 200_000, search.SOLVED, 11531,
      "5eaa07d0a7ec6fce97f4aa5649336bcba31e7b0171180c1231f6d168a092aa40"),
     (wd, FOUR_WILDCARDS_7X7, 11530, search.BUDGET_EXCEEDED, 11531, None),
-], ids=["nl-refuted", "nl-planted", "nl-planted-overrun", "wd-wildcards",
-        "wd-wildcards-overrun", "wd-four-wildcards",
+], ids=["nl-refuted", "nl-searched", "nl-planted", "nl-planted-overrun",
+        "wd-wildcards", "wd-wildcards-overrun", "wd-four-wildcards",
         "wd-four-wildcards-overrun"])
 def test_7x7_board(mod, inst, budget, status, nodes, sha):
     result = mod.solve(inst, budget=budget)
