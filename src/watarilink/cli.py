@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or parse failure, 2 negative result
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 from types import ModuleType
@@ -192,24 +193,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_render)
 
+    # The cap's default is read when a command runs, not here, since one
+    # parser serves every command of a process.
     for p in sub.choices.values():
-        p.add_argument("--max-cells", type=_positive_int,
-                       default=grid.MAX_CELLS,
+        p.add_argument("--max-cells", type=_positive_int, default=None,
                        help="refuse grids with more cells than this "
-                            f"(default {grid.MAX_CELLS})")
+                            "(default: grid.MAX_CELLS)")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # A command leaves no reference cycles of its own (the solvers break
     # theirs), so the cyclic collector would only walk its large grids and
     # path lists and find nothing to free.  It is paused while the command
     # runs; the caller's setting is restored.
     enabled = gc.isenabled()
     gc.disable()
-    max_cells, grid.MAX_CELLS = grid.MAX_CELLS, args.max_cells
+    max_cells = grid.MAX_CELLS
+    grid.MAX_CELLS = args.max_cells or max_cells
     try:
         return args.func(args)
     except PuzzleError as exc:

@@ -15,6 +15,12 @@ each corridor arm, isolating four 1-cell entry regions at the block edges
 and a 5-cell plus region around the center circle.  Corridor openings on
 block borders line up, so corridor regions merge across adjacent blocks.
 
+The target is assembled from the two templates alone.  Each is flooded
+into regions once; every block is a copy of its kind's region map, and
+the border merge joins the template regions that meet across a block
+border and numbers the merged regions in canonical order.  No flood runs
+over the target grid.
+
 The center circles of the i-th label in terminal order get number 4k+2i+1.
 With k chosen so that 2k+1 >= p, those numbers are distinct odd values in
 {4k+3, ..., 8k+3}, which pins each pairing in the target puzzle to the
@@ -23,15 +29,23 @@ pairing of the source puzzle.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from bisect import bisect_left
+from functools import partial
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
+from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from . import documents as docs
 from .errors import ParseError, ValidationError
-from .grid import (Cell, HORIZONTAL, VERTICAL, RegionMap, Wall, _flood,
-                   check_size, regions_from_walls)
+from .grid import (Cell, HORIZONTAL, VERTICAL, RegionMap, Wall, check_size,
+                   regions_from_walls)
 from .numberlink import (NumberlinkInstance, _instance_document,
                          parse_instance, validate_instance)
 from .wataridori import Circle, WataridoriInstance
+
+
+WallFields = Tuple[str, int, int]
 
 
 class BlockTemplate(NamedTuple):
@@ -89,24 +103,30 @@ def _rot_cell(cell: Cell, size: int) -> Cell:
     return (size - 1 - y, x)
 
 
-def _rot_wall(wall: Wall, size: int) -> Wall:
+# Walls and circles built in bulk are made from the plain tuples they
+# equal, by one C call each rather than through their Python constructors.
+_as_wall = partial(tuple.__new__, Wall)
+_as_circle = partial(tuple.__new__, Circle)
+
+
+def _rot_wall(wall: WallFields, size: int) -> WallFields:
     """`wall` turned a quarter like `_rot_cell`, its lattice points
     (x, y) going to (size - y, x)."""
     kind, x, y = wall
     if kind == HORIZONTAL:
-        return Wall(VERTICAL, size - y, x)
-    return Wall(HORIZONTAL, size - 1 - y, x)
+        return (VERTICAL, size - y, x)
+    return (HORIZONTAL, size - 1 - y, x)
 
 
-def _lattice_walls(x0: int, x1: int, y0: int, y1: int) -> Set[Wall]:
+def _lattice_walls(x0: int, x1: int, y0: int, y1: int) -> Set[WallFields]:
     """All unit grid lines inside and on the lattice rectangle."""
-    walls: Set[Wall] = set()
+    walls: Set[WallFields] = set()
     for x in range(x0, x1 + 1):
         for y in range(y0, y1):
-            walls.add(Wall(VERTICAL, x, y))
+            walls.add((VERTICAL, x, y))
     for y in range(y0, y1 + 1):
         for x in range(x0, x1):
-            walls.add(Wall(HORIZONTAL, x, y))
+            walls.add((HORIZONTAL, x, y))
     return walls
 
 
@@ -129,8 +149,8 @@ def _block(k: int, ladders: bool) -> BlockTemplate:
     # ring's pairs along the bottom and top rows, then up the outer and
     # inner columns.  The pairs cover every ring cell.
     quarter = {wall for i in range(c) for wall in (
-        Wall(VERTICAL, 0, i), Wall(VERTICAL, c, i),
-        Wall(HORIZONTAL, i, 0), Wall(HORIZONTAL, i, c))}
+        (VERTICAL, 0, i), (VERTICAL, c, i),
+        (HORIZONTAL, i, 0), (HORIZONTAL, i, c))}
     if ladders:
         quarter |= _lattice_walls(c - 1, c + 1, 1, 2 * k + 1)
     inner = 2 * k if ladders else 2 * k + 1
@@ -138,18 +158,20 @@ def _block(k: int, ladders: bool) -> BlockTemplate:
                 for j in range(k + 1) for y in (0, c - 1)]
     quadrant += [((x, 2 * j + 1), (x, 2 * j + 2))
                  for j in range(k) for x in (0, inner)]
-    walls: Set[Wall] = set()
-    pairs = []
-    for _ in range(4):
-        walls |= quarter
-        pairs += quadrant
+    walls, pairs = set(quarter), list(quadrant)
+    for _ in range(3):
         quarter = {_rot_wall(wall, s) for wall in quarter}
         quadrant = [(_rot_cell(a, s), _rot_cell(b, s)) for a, b in quadrant]
-    pairs = [tuple(sorted(pair, key=_yx)) for pair in pairs]
-    pairs.sort(key=lambda pr: (_yx(pr[0]), _yx(pr[1])))
-    cells = sorted({cell for pair in pairs for cell in pair}, key=_yx)
-    return BlockTemplate(size=s, walls=frozenset(walls),
-                         circles=tuple(Circle(x, y, 1) for x, y in cells),
+        walls |= quarter
+        pairs += quadrant
+    # The pairs are disjoint, so ordering them by their first cells and
+    # listing their cells sees every ring cell once.
+    pairs = [(a, b) if _yx(a) < _yx(b) else (b, a) for a, b in pairs]
+    pairs.sort(key=lambda pair: _yx(pair[0]))
+    cells = sorted(chain.from_iterable(pairs), key=_yx)
+    return BlockTemplate(size=s, walls=frozenset(map(_as_wall, walls)),
+                         circles=tuple(_as_circle((x, y, 1))
+                                       for x, y in cells),
                          filler_pairs=tuple(pairs),
                          center=(c, c) if ladders else None)
 
@@ -175,17 +197,134 @@ def block_region_map(block: BlockTemplate) -> RegionMap:
     return regions_from_walls(block.walls, block.size, block.size)
 
 
-def _cut_offsets(tpl: BlockTemplate,
-                width: int) -> Tuple[List[int], List[int]]:
-    """The joins the block's walls cut, as flat index offsets from the
-    block's bottom-left cell in a grid `width` cells wide: (right, up)."""
-    right, up = [], []
-    for kind, x, y in tpl.walls:
-        if kind == HORIZONTAL:
-            up.append((y - 1) * width + x)
-        else:
-            right.append(y * width + x - 1)
-    return right, up
+Joins = Dict[Tuple[int, int], Tuple[List[Tuple[int, int]], ...]]
+
+
+def _border_joins(tpls: Sequence[BlockTemplate],
+                  maps: Sequence[RegionMap]) -> Joins:
+    """For blocks of kinds (a, b), b placed right of a and above it: the
+    (region of a, region of b) pairs that meet across the border, as
+    (right, up).  A position on a border joins where neither block's
+    walls cut it."""
+    s = tpls[0].size
+    # Per template, the positions its walls leave open along its left,
+    # right, bottom and top border.  A Wall equals its plain tuple.
+    ends = [({t for t in range(s) if (VERTICAL, 0, t) not in tpl.walls},
+             {t for t in range(s) if (VERTICAL, s, t) not in tpl.walls},
+             {t for t in range(s) if (HORIZONTAL, t, 0) not in tpl.walls},
+             {t for t in range(s) if (HORIZONTAL, t, s) not in tpl.walls})
+            for tpl in tpls]
+    ids = [rmap.ids for rmap in maps]
+    kinds = range(len(tpls))
+    return {(a, b): ([(ids[a][t][s - 1], ids[b][t][0])
+                      for t in ends[a][1] & ends[b][0]],
+                     [(ids[a][s - 1][t], ids[b][0][t])
+                      for t in ends[a][3] & ends[b][2]])
+            for a in kinds for b in kinds}
+
+
+def _stamp_regions(maps: Sequence[RegionMap], joins: Joins,
+                   kinds: Sequence[int], m: int) -> RegionMap:
+    """The RegionMap of blocks laid m to a row, bottom row first: block i
+    is a copy of `maps[kinds[i]]`, and regions that `joins` pairs across
+    a block border are merged."""
+    n, s = len(kinds) // m, maps[0].width
+    # Region r of block i is node base[i] + r of a union-find.
+    base = list(accumulate((maps[kind].region_count for kind in kinds),
+                           initial=0))
+    parent = list(range(base.pop()))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, kind in enumerate(kinds):
+        right, up = i + 1, i + m
+        if right % m:
+            for a, b in joins[kind, kinds[right]][0]:
+                parent[find(base[i] + a)] = find(base[right] + b)
+        if up < len(kinds):
+            for a, b in joins[kind, kinds[up]][1]:
+                parent[find(base[i] + a)] = find(base[up] + b)
+
+    # Canonical numbers: a merged region is numbered when the scan, top
+    # row first, meets the first cell of one of its template regions.  A
+    # template map is canonical too, so the regions it first meets in a
+    # row are a range of ids.
+    firsts = []
+    for rmap in maps:
+        seen, ranges = 0, []
+        for row in reversed(rmap.ids):
+            top = max(seen, max(row) + 1)
+            ranges.append(range(seen, top))
+            seen = top
+        firsts.append(ranges[::-1])
+    number = [-1] * len(parent)
+    count = 0
+    for gy in reversed(range(n)):
+        for ty in reversed(range(s)):
+            for i in range(gy * m, gy * m + m):
+                for r in firsts[kinds[i]][ty]:
+                    root = find(base[i] + r)
+                    if number[root] < 0:
+                        number[root] = count
+                        count += 1
+
+    # Each target row is its blocks' template rows, looked up per block.
+    getters = [[itemgetter(*row) for row in rmap.ids] for rmap in maps]
+    lookups = [[number[find(base[i] + r)]
+                for r in range(maps[kind].region_count)]
+               for i, kind in enumerate(kinds)]
+    ids: List[Tuple[int, ...]] = []
+    for gy in range(n):
+        blocks = [(getters[kinds[i]], lookups[i])
+                  for i in range(gy * m, gy * m + m)]
+        ids += [tuple(chain.from_iterable(get[ty](lookup)
+                                          for get, lookup in blocks))
+                for ty in range(s)]
+    return RegionMap(width=s * m, height=s * n, ids=tuple(ids),
+                     region_count=count)
+
+
+# Per template row, its circles' x column and number column.
+CircleRows = List[Tuple[List[int], List[Any]]]
+
+
+def _stamp_circles(tpls: Sequence[BlockTemplate], m: int, n: int,
+                   number_at: Dict[Cell, int]) -> Tuple[Circle, ...]:
+    """The circles of blocks laid m to a row, bottom row first: an empty
+    block's are `tpls[0]`'s, and a number block's are `tpls[1]`'s plus
+    its center with the number in `number_at`.  They come out in (y, x)
+    order."""
+    s = tpls[0].size
+
+    def columns(tpl: BlockTemplate) -> CircleRows:
+        rows: CircleRows = [([], []) for _ in range(s)]
+        for x, y, one in tpl.circles:
+            rows[y][0].append(x)
+            rows[y][1].append(one)
+        return rows
+
+    rows_of: Dict[Optional[int], CircleRows] = {None: columns(tpls[0])}
+    ladder_rows = columns(tpls[1])
+    cx, cy = tpls[1].center
+    xs, ones = ladder_rows[cy]
+    at = bisect_left(xs, cx)
+    for number in set(number_at.values()):
+        rows = rows_of[number] = ladder_rows[:]
+        rows[cy] = (xs[:at] + [cx] + xs[at:],
+                    ones[:at] + [number] + ones[at:])
+    circles: List[Circle] = []
+    for gy in range(n):
+        blocks = [(s * gx, rows_of[number_at.get((gx, gy))])
+                  for gx in range(m)]
+        for ty in range(s):
+            y = repeat(s * gy + ty)
+            for ox, rows in blocks:
+                xs, ones = rows[ty]
+                circles += map(_as_circle, zip(map(ox.__add__, xs), y, ones))
+    return tuple(circles)
 
 
 def reduce_instance(g: NumberlinkInstance
@@ -194,44 +333,20 @@ def reduce_instance(g: NumberlinkInstance
     g = validate_instance(g)
     rmap = ReductionMap(choose_k(g.pair_count), g)
     k, s = rmap.k, rmap.block_size
-    width, height = s * g.width, s * g.height
-    check_size(width, height)
+    check_size(s * g.width, s * g.height)
 
-    # Every join starts open; each placed block cuts its own walls.  A
-    # block wall on the outer boundary cuts a join across the grid's edge,
-    # which _flood ignores.
-    right = bytearray(b"\x01") * (width * height)
-    up = bytearray(b"\x01") * (width * height)
-    circle_at: List[Optional[Circle]] = [None] * (width * height)
+    # One skeleton per kind, flooded on its own: kind 0 is the empty
+    # block, kind 1 the number block without its center circle.
+    tpls = (_block(k, False), _block(k, True))
+    maps = [block_region_map(tpl) for tpl in tpls]
     numbers = dict(rmap.number_assignment)
     number_at = {cell: numbers[label] for label, a, b in g.terminals
                  for cell in (a, b)}
-    # One skeleton per kind, with the joins it cuts; a number block's
-    # center circle is stamped with its label's number.
-    placed = [(tpl, *_cut_offsets(tpl, width))
-              for tpl in (_block(k, False), _block(k, True))]
-    c = 2 * k + 2
-    for gy in range(g.height):
-        for gx in range(g.width):
-            number = number_at.get((gx, gy))
-            tpl, right_cuts, up_cuts = placed[number is not None]
-            ox, oy = s * gx, s * gy
-            base = oy * width + ox
-            for i in right_cuts:
-                right[base + i] = 0
-            for i in up_cuts:
-                up[base + i] = 0
-            for x, y, one in tpl.circles:
-                circle_at[(y + oy) * width + x + ox] = Circle(
-                    x + ox, y + oy, one)
-            if number is not None:
-                circle_at[(c + oy) * width + c + ox] = Circle(
-                    c + ox, c + oy, number)
-
-    # Cell index order is (y, x) order, the order circles are kept in.
-    h = WataridoriInstance(_flood(width, height, right, up),
-                           tuple(filter(None, circle_at)))
-    return h, rmap
+    kinds = [int((gx, gy) in number_at)
+             for gy in range(g.height) for gx in range(g.width)]
+    regions = _stamp_regions(maps, _border_joins(tpls, maps), kinds, g.width)
+    circles = _stamp_circles(tpls, g.width, g.height, number_at)
+    return WataridoriInstance(regions, circles), rmap
 
 
 # ------------------------------------------------------------- documents

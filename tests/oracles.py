@@ -140,6 +140,17 @@ def placed_template_walls(g):
     return walls
 
 
+def placed_template_circles(g):
+    """Every block template's circles, each number template built for its
+    own label's center number, placed at its block of the reduction of
+    `g`, in (y, x) order."""
+    circles = []
+    for gx, gy, s, tpl in _placed_templates(g):
+        circles += [wd.Circle(x + s * gx, y + s * gy, number)
+                    for x, y, number in tpl.circles]
+    return tuple(sorted(circles, key=lambda c: (c.y, c.x)))
+
+
 def placed_filler_pairs(g):
     """Every block template's filler pairs, each template built for its own
     label, placed at its block of the reduction of `g`."""

@@ -342,6 +342,32 @@ def test_regions_equal_flood_of_placed_template_walls(pairs, data):
                                                       h.height)
 
 
+# (width, height, pairs): lines one block wide or high, with empty blocks
+# between the number blocks, and grids where every cell is a terminal, so
+# number blocks touch on every side and their entry cells merge.
+STAMP_SHAPES = [(1, 6, 2), (6, 1, 2), (2, 2, 2),        # k = 1
+                (1, 10, 4), (10, 1, 4), (2, 4, 4),      # k = 2
+                (1, 14, 6), (14, 1, 6), (3, 4, 6)]      # k = 3
+
+
+@pytest.mark.parametrize("width, height, pairs", STAMP_SHAPES,
+                         ids=[f"{w}x{h}p{p}" for w, h, p in STAMP_SHAPES])
+def test_stamped_instance_equals_the_placed_templates(width, height, pairs):
+    """The instance stamped from two flooded templates, merged at block
+    borders, equals a flood of every placed template's walls, and carries
+    every placed template's circles."""
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    random.Random(width * 100 + height).shuffle(cells)
+    g = nl.NumberlinkInstance(width, height, tuple(
+        (i + 1, cells[2 * i], cells[2 * i + 1]) for i in range(pairs)))
+    h, rmap = rd.reduce_instance(g)
+    assert rmap.k == {2: 1, 4: 2, 6: 3}[pairs]
+    walls = oracles.placed_template_walls(g)
+    assert h.regions == regions_from_walls(walls, h.width, h.height)
+    assert h.circles == oracles.placed_template_circles(g)
+    assert all(type(c) is wd.Circle for c in h.circles)
+
+
 class TestGolden:
     """The reduction of the bundled 6x6 source and its renders, pinned
     byte for byte (sha256 of the text)."""
