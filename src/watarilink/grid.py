@@ -6,8 +6,8 @@ bottom-left cell of a grid is (0, 0).  All values are immutable.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import eq
+from itertools import accumulate, chain, compress
+from operator import eq, ne
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -200,6 +200,13 @@ def region_map_from_rows(rows: Sequence[Sequence[int]]) -> RegionMap:
 
     Input ids must be dense and every region orthogonally connected; they are
     relabeled into canonical scan order.
+
+    The ids are checked, not flooded.  A run is a maximal segment of one id
+    within a row.  Two runs of one id in adjacent rows that overlap touch
+    along their whole overlap, and the overlap's first column is the start
+    of one of them, so vertical contacts read at run starts alone find
+    every touching pair.  Each id is connected iff the runs joined by those
+    contacts form as many groups as there are ids: runs - merges == count.
     """
     height = len(rows)
     if height < 1 or any(len(r) < 1 for r in rows):
@@ -208,21 +215,48 @@ def region_map_from_rows(rows: Sequence[Sequence[int]]) -> RegionMap:
     if any(len(r) != width for r in rows):
         raise ValidationError("RAGGED_ROWS",
                               "region rows have differing lengths")
-    flat = list(chain.from_iterable(rows))
-    labels = set(flat)
-    if labels != set(range(len(labels))):
+    # Top row first, the canonical scan order; flat[i + width] is the cell
+    # below flat[i].
+    flat = list(chain.from_iterable(reversed(rows)))
+    n = len(flat)
+    starts = bytearray(map(ne, flat, chain((None,), flat)))
+    starts[::width] = b"\x01" * height
+    # An id is first seen at a run start, so these are its ids in order.
+    order = dict.fromkeys(compress(flat, starts))
+    count = len(order)
+    if order.keys() != set(range(count)):
         raise ValidationError("IDS_NOT_DENSE",
-                              f"region ids must be 0..{len(labels) - 1}")
-    # Connectivity: join equal neighbors, flood, and count the regions.
-    right = bytearray(map(eq, flat, flat[1:]))
-    right.append(0)
-    up = bytearray(map(eq, flat, flat[width:]))
-    up += bytes(width)
-    rebuilt = _flood(width, height, right, up)
-    if rebuilt.region_count != len(labels):
+                              f"region ids must be 0..{count - 1}")
+    # Vertical contacts of equal ids where either cell starts its run, as
+    # one AND of little-endian byte masks.
+    at_start = int.from_bytes(starts, "little")
+    contacts = (int.from_bytes(bytes(map(eq, flat, flat[width:])), "little")
+                & (at_start | at_start >> 8 * width)).to_bytes(n - width,
+                                                                "little")
+    # run[i] numbers the run of cell i from 1; union the runs that touch.
+    run = list(accumulate(starts))
+    runs = run[-1]
+    parent = list(range(runs + 1))
+    merges = 0
+    for a, b in zip(compress(run, contacts), compress(run[width:], contacts)):
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            merges += 1
+    if runs - merges != count:
         raise ValidationError("REGION_NOT_CONNECTED",
                               "some region id labels a disconnected set")
-    return rebuilt
+    # Ids that only equal ints, such as bools, are relabelled to ints.
+    if list(order) == list(range(count)) and set(map(type, order)) <= {int}:
+        ids = tuple(map(tuple, rows))
+    else:
+        relabel = dict(zip(order, range(count))).__getitem__
+        ids = tuple(tuple(map(relabel, row)) for row in rows)
+    return RegionMap(width=width, height=height, ids=ids,
+                     region_count=count)
 
 
 def region_runs(path: Sequence[Cell], rmap: RegionMap) -> List[int]:

@@ -42,7 +42,7 @@ from .grid import (Cell, HORIZONTAL, VERTICAL, RegionMap, Wall, check_size,
                    regions_from_walls)
 from .numberlink import (NumberlinkInstance, _instance_document,
                          parse_instance, validate_instance)
-from .wataridori import Circle, WataridoriInstance
+from .wataridori import Circle, WataridoriInstance, _as_circle
 
 
 WallFields = Tuple[str, int, int]
@@ -103,10 +103,10 @@ def _rot_cell(cell: Cell, size: int) -> Cell:
     return (size - 1 - y, x)
 
 
-# Walls and circles built in bulk are made from the plain tuples they
-# equal, by one C call each rather than through their Python constructors.
+# Walls built in bulk are made from the plain tuples they equal, by one C
+# call each rather than through the Python constructor, as circles are by
+# `wataridori._as_circle`.
 _as_wall = partial(tuple.__new__, Wall)
-_as_circle = partial(tuple.__new__, Circle)
 
 
 def _rot_wall(wall: WallFields, size: int) -> WallFields:

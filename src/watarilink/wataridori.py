@@ -9,7 +9,9 @@ number on its endpoint circles (wildcard circles accept any total).
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import documents as docs
@@ -32,6 +34,11 @@ class Circle(NamedTuple):
     @property
     def cell(self) -> Cell:
         return (self.x, self.y)
+
+
+# Circles built in bulk are made from the plain tuples they equal, by one C
+# call each rather than through the Python constructor.
+_as_circle = partial(tuple.__new__, Circle)
 
 
 class WataridoriInstance(NamedTuple):
@@ -472,16 +479,22 @@ def parse_instance(text: Any) -> WataridoriInstance:
     entries = docs.as_list(doc["circles"], "circles")
     circles = None
     if docs._all_objects(entries, ["x", "y"], ["number"]):
-        xs = [e["x"] for e in entries]
-        ys = [e["y"] for e in entries]
-        numbers = [e.get("number") for e in entries]
-        if docs._all_ints(xs) and docs._all_ints(ys) and docs._all_ints(
-                e["number"] for e in entries if "number" in e):
-            circles = list(map(Circle, xs, ys, numbers))
+        xs = list(map(itemgetter("x"), entries))
+        ys = list(map(itemgetter("y"), entries))
+        numbers = list(map(dict.get, entries, repeat("number")))
+        # Every entry has x and y, so the keys beyond two per entry count
+        # the numbers given; a null one would read as none, so it is
+        # left to the per-entry path, which refuses it.  A bool is not an
+        # int here, as in `as_int`.
+        given = sum(map(len, entries)) - 2 * len(entries)
+        if docs._all_ints(xs) and docs._all_ints(ys) \
+                and set(map(type, numbers)) <= {int, type(None)} \
+                and len(numbers) - numbers.count(None) == given:
+            circles = tuple(map(_as_circle, zip(xs, ys, numbers)))
     if circles is None:
-        circles = [_parse_circle(entry, f"circles[{i}]")
-                   for i, entry in enumerate(entries)]
-    inst = WataridoriInstance(rmap, tuple(circles))
+        circles = tuple(_parse_circle(entry, f"circles[{i}]")
+                        for i, entry in enumerate(entries))
+    inst = WataridoriInstance(rmap, circles)
     try:
         return validate_instance(inst)
     except ValidationError as exc:

@@ -13,6 +13,7 @@ from itertools import combinations
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
 from watarilink import wataridori as wd
+from watarilink.errors import ValidationError
 from watarilink.grid import HORIZONTAL, VERTICAL, RegionMap, Wall
 from watarilink.search import (DEFAULT_BUDGET, FOUND, UNSAT, OutOfBudget,
                                SolveResult, node_limit, run)
@@ -97,6 +98,44 @@ def regions_from_wall_set(walls, width, height):
                     ids[y][x + 1] = count
                     stack.append((x + 1, y))
             count += 1
+    return RegionMap(width=width, height=height,
+                     ids=tuple(tuple(row) for row in ids),
+                     region_count=count)
+
+
+def region_map_from_rows_reference(rows):
+    """Reference `grid.region_map_from_rows`: per-cell BFS over equal-id
+    neighbors from each unvisited cell in scan order, top row first.  It
+    raises the library's codes in the library's order."""
+    height = len(rows)
+    if height < 1 or any(len(row) < 1 for row in rows):
+        raise ValidationError("BAD_DIMENSIONS", "empty region rows")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValidationError("RAGGED_ROWS", "ragged region rows")
+    labels = {label for row in rows for label in row}
+    if labels != set(range(len(labels))):
+        raise ValidationError("IDS_NOT_DENSE", "ids not 0..count-1")
+    ids = [[-1] * width for _ in range(height)]
+    count = 0
+    for sy in range(height - 1, -1, -1):
+        for sx in range(width):
+            if ids[sy][sx] != -1:
+                continue
+            label = rows[sy][sx]
+            ids[sy][sx] = count
+            queue = deque([(sx, sy)])
+            while queue:
+                x, y = queue.popleft()
+                for nx, ny in ((x, y + 1), (x, y - 1), (x - 1, y),
+                               (x + 1, y)):
+                    if 0 <= nx < width and 0 <= ny < height \
+                            and ids[ny][nx] == -1 and rows[ny][nx] == label:
+                        ids[ny][nx] = count
+                        queue.append((nx, ny))
+            count += 1
+    if count != len(labels):
+        raise ValidationError("REGION_NOT_CONNECTED", "an id is split")
     return RegionMap(width=width, height=height,
                      ids=tuple(tuple(row) for row in ids),
                      region_count=count)

@@ -85,6 +85,12 @@ def _cases():
          [(("circles", 1), [0, 0])]),
         ("wd_instance-circles-not-a-list", "wd_instance",
          [(("circles",), "none")]),
+        ("wd_instance-circle-number-zero", "wd_instance",
+         [(("circles", 4, "number"), 0)]),
+        ("wd_instance-circle-duplicate-cell", "wd_instance",
+         [(("circles", 4), {"x": 0, "y": 0})]),
+        ("wd_instance-circle-out-of-bounds", "wd_instance",
+         [(("circles", 4, "x"), 6)]),
         ("wd_instance-region-row-not-a-list", "wd_instance",
          [(("regions", 1), "row")]),
         ("wd_instance-region-row-short", "wd_instance",
@@ -205,6 +211,9 @@ EXPECTED = {
     "wd_instance-circle-missing-x": ("MISSING_FIELD", "circles[6]"),
     "wd_instance-circle-not-an-object": ("NOT_AN_OBJECT", "circles[1]"),
     "wd_instance-circles-not-a-list": ("NOT_A_LIST", "circles"),
+    "wd_instance-circle-number-zero": ("BAD_NUMBER", "circles"),
+    "wd_instance-circle-duplicate-cell": ("DUPLICATE_CIRCLE", "circles"),
+    "wd_instance-circle-out-of-bounds": ("OUT_OF_BOUNDS", "circles"),
     "wd_instance-region-row-not-a-list": ("NOT_A_LIST", "regions[1]"),
     "wd_instance-region-row-short": ("BAD_REGIONS", "regions[4]"),
     "wd_instance-regions-not-a-list": ("NOT_A_LIST", "regions"),

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import oracles
 from watarilink import grid
@@ -112,6 +112,105 @@ def test_rows_disconnected_exactly_when_oracle_splits_an_id(data):
         rmap = region_map_from_rows(rows)
         assert oracles.partition_of_region_map(rmap) == want
         assert rmap == oracles.regions_from_wall_set(walls, width, height)
+
+
+def _outcome(build, rows):
+    """The RegionMap `build` makes of `rows`, or its error code."""
+    try:
+        return build(rows)
+    except ValidationError as exc:
+        return exc.code
+
+
+def _neighbors(x, y):
+    return ((x, y + 1), (x, y - 1), (x - 1, y), (x + 1, y))
+
+
+def _grown_labels(rnd, width, height, count):
+    """`count` connected labels grown from random seed cells, one random
+    unlabeled cell next to a labeled one at a time."""
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    label = {cell: i for i, cell in enumerate(rnd.sample(cells, count))}
+    while len(label) < len(cells):
+        cell = rnd.choice([c for c in cells if c not in label
+                           and any(n in label for n in _neighbors(*c))])
+        label[cell] = label[rnd.choice([n for n in _neighbors(*cell)
+                                        if n in label])]
+    return [[label[x, y] for x in range(width)] for y in range(height)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_rows_agree_with_bfs_oracle(data):
+    shape = data.draw(st.sampled_from(["grid", "row", "column"]),
+                      label="shape")
+    width = 1 if shape == "column" else data.draw(st.integers(2, 9),
+                                                  label="width")
+    height = 1 if shape == "row" else data.draw(st.integers(2, 9),
+                                                label="height")
+    count = data.draw(st.integers(2, min(8, width * height)), label="labels")
+    rnd = data.draw(st.randoms(use_true_random=False), label="rnd")
+    # Most boards are connected, so most examples reach the union of runs.
+    mode = data.draw(st.sampled_from(["grown", "grown", "canonical",
+                                      "canonical", "recolored", "uniform",
+                                      "sparse"]), label="mode")
+    if mode == "uniform":
+        dense = {}
+        rows = [[dense.setdefault(rnd.randrange(count), len(dense))
+                 for _ in range(width)] for _ in range(height)]
+    else:
+        rows = _grown_labels(rnd, width, height, count)
+    if mode == "canonical":
+        first = dict.fromkeys(v for row in reversed(rows) for v in row)
+        relabel = dict(zip(first, range(count)))
+        rows = [[relabel[v] for v in row] for row in rows]
+    elif mode == "recolored":
+        rows[rnd.randrange(height)][rnd.randrange(width)] = \
+            rnd.randrange(count)
+    elif mode == "sparse":
+        gap = rnd.randrange(count)
+        rows = [[v + (v >= gap) for v in row] for row in rows]
+    got = _outcome(region_map_from_rows, rows)
+    event(f"regions: {got.region_count}" if isinstance(got, grid.RegionMap)
+          else f"error: {got}")
+    assert got == _outcome(oracles.region_map_from_rows_reference, rows)
+
+
+# Rows are bottom row first, so each picture below is drawn upside down.
+SHAPED_ROWS = {
+    # label 0 rings label 1: four runs of 0 join in a cycle
+    "ring": ([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]], 2),
+    # a U of 0 joined only through its lower row (rows[0])
+    "u-lower-row": ([[0, 0, 0], [0, 1, 0], [0, 1, 0]], 2),
+    # the same U upside down, joined only through its top row
+    "u-top-row": ([[0, 1, 0], [0, 1, 0], [0, 0, 0]], 2),
+    "spiral": ([[0, 0, 0, 0, 0],
+                [0, 1, 1, 1, 0],
+                [0, 0, 0, 1, 0],
+                [1, 1, 1, 1, 0],
+                [0, 0, 0, 0, 0]], 2),
+    "spiral-cut": ([[0, 0, 0, 0, 0],
+                    [0, 1, 1, 1, 0],
+                    [0, 0, 0, 1, 1],
+                    [1, 1, 1, 1, 0],
+                    [0, 0, 0, 0, 0]], "REGION_NOT_CONNECTED"),
+    "staircase": ([[0, 1, 1], [0, 0, 1], [2, 0, 0]], 3),
+    "non-canonical": ([[2, 2, 1], [0, 0, 1], [0, 3, 3]], 4),
+    "diagonal-only": ([[0, 1], [1, 0]], "REGION_NOT_CONNECTED"),
+    "sparse": ([[0, 2], [0, 2]], "IDS_NOT_DENSE"),
+    "no-rows": ([], "BAD_DIMENSIONS"),
+    "empty-row": ([[0], []], "BAD_DIMENSIONS"),
+    "ragged": ([[0, 0], [0]], "RAGGED_ROWS"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPED_ROWS))
+def test_shaped_rows_agree_with_bfs_oracle(name):
+    rows, want = SHAPED_ROWS[name]
+    got = _outcome(region_map_from_rows, rows)
+    assert got == _outcome(oracles.region_map_from_rows_reference, rows)
+    assert (got.region_count if isinstance(got, grid.RegionMap)
+            else got) == want
 
 
 class TestRegionMapFromRows:

@@ -257,3 +257,50 @@ class TestDocuments:
                 assert "number" not in entry
             else:
                 assert "number" in entry
+
+
+
+# One bad circle entry, made from the document it goes into and the good
+# entry it replaces, with the (code, location) it must raise.
+BAD_CIRCLE_ENTRIES = {
+    "number-null": (lambda doc, e: {**e, "number": None},
+                    "NOT_AN_INTEGER", "circles[6999].number"),
+    "number-true": (lambda doc, e: {**e, "number": True},
+                    "NOT_AN_INTEGER", "circles[6999].number"),
+    "number-float": (lambda doc, e: {**e, "number": 1.0},
+                     "NOT_AN_INTEGER", "circles[6999].number"),
+    "number-zero": (lambda doc, e: {**e, "number": 0},
+                    "BAD_NUMBER", "circles"),
+    "x-string": (lambda doc, e: {**e, "x": str(e["x"])},
+                 "NOT_AN_INTEGER", "circles[6999].x"),
+    "missing-y": (lambda doc, e: {"x": e["x"]},
+                  "MISSING_FIELD", "circles[6999]"),
+    "extra-key": (lambda doc, e: {**e, "color": 1},
+                  "UNKNOWN_FIELD", "circles[6999]"),
+    "not-an-object": (lambda doc, e: [e["x"], e["y"]],
+                      "NOT_AN_OBJECT", "circles[6999]"),
+    "duplicate-cell": (lambda doc, e: dict(doc["circles"][0]),
+                       "DUPLICATE_CIRCLE", "circles"),
+    "out-of-bounds": (lambda doc, e: {**e, "x": doc["width"]},
+                      "OUT_OF_BOUNDS", "circles"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CIRCLE_ENTRIES))
+def test_one_bad_entry_among_7000_circles(name):
+    """The whole-list checks pass every entry but the last, and the error
+    still names that entry as the per-entry checks do (the fixture's cases
+    are in test_documents)."""
+    width, count = 100, 7000
+    circles = [{"x": i % width, "y": i // width} for i in range(count)]
+    for entry in circles[::2]:
+        entry["number"] = 1
+    doc = {"puzzle": "wataridori", "width": width, "height": count // width,
+           "regions": [[0] * width for _ in range(count // width)],
+           "circles": circles}
+    assert len(wd.parse_instance(doc).circles) == count
+    make_entry, code, location = BAD_CIRCLE_ENTRIES[name]
+    circles[-1] = make_entry(doc, circles[-1])
+    with pytest.raises(ParseError) as err:
+        wd.parse_instance(doc)
+    assert (err.value.code, err.value.location) == (code, location)
