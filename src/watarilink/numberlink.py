@@ -134,8 +134,12 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     touches itself has a shorter one through the touch, so a solution with
     the fewest path cells has no touch.  A partial state is cut when any
     pending pair's endpoints are no longer connectable through free cells,
-    which never discards a completable state.  A pending pair is flooded
-    again only when the head lands on the free path last found for it.
+    which never discards a completable state.  One breadth-first flood,
+    `free_path`, answers both of the cut's questions: whether the head
+    still reaches its goal, and whether a pending pair's ends still meet.  For a pending
+    pair the flood's `parent` links give the free path it found, kept as
+    the pair's witness, and the pair is flooded again only when the head
+    lands on that path.
     Before any node, a board on which two pairs alternate around the
     grid's edge is refuted (`_border_crossed`).
     """
@@ -163,23 +167,6 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     # so no flood clears or allocates a visited set.
     seen = [0] * n
     generations = count(1)
-
-    def reachable(src: int, dst: int) -> bool:
-        if src == dst:
-            return True
-        gen = next(generations)
-        seen[src] = gen
-        stack = [src]
-        while stack:
-            for nxt in neighbors[stack.pop()]:
-                if nxt == dst:
-                    return True
-                if occ[nxt] or seen[nxt] == gen:
-                    continue
-                seen[nxt] = gen
-                stack.append(nxt)
-        return False
-
     # Each pending pair keeps the cells of the last free path found between
     # its ends.  Cells are only occupied going deeper and only freed going
     # back, and every occupation is tested against each pending witness, so
@@ -187,37 +174,38 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
     witness: List[Optional[Set[int]]] = [None] * len(pairs)
     parent = [0] * n
 
-    def free_path(src: int, dst: int) -> Optional[Set[int]]:
-        """The cells strictly between `src` and `dst` on a shortest free
-        path, or None if there is none."""
+    def free_path(src: int, dst: int) -> int:
+        """The cell before `dst` on a shortest free path from `src`, or -1
+        if there is none.  `parent` leads from it back to `src` until the
+        next flood."""
         gen = next(generations)
         seen[src] = gen
         queue = [src]
         for cur in queue:
             for nxt in neighbors[cur]:
                 if nxt == dst:
-                    cells = set()
-                    while cur != src:
-                        cells.add(cur)
-                        cur = parent[cur]
-                    return cells
+                    return cur
                 if occ[nxt] or seen[nxt] == gen:
                     continue
                 seen[nxt] = gen
                 parent[nxt] = cur
                 queue.append(nxt)
-        return None
+        return -1
 
     def pending_ok(current_idx: int, head: int) -> bool:
-        if not reachable(head, pairs[current_idx][2]):
+        if free_path(head, pairs[current_idx][2]) < 0:
             return False
         for k in range(current_idx + 1, len(pairs)):
             cells = witness[k]
             if cells is None or head in cells:
-                cells = free_path(pairs[k][1], pairs[k][2])
-                if cells is None:
+                _, src, dst = pairs[k]
+                cur = free_path(src, dst)
+                if cur < 0:
                     return False
-                witness[k] = cells
+                cells = witness[k] = set()
+                while cur != src:
+                    cells.add(cur)
+                    cur = parent[cur]
         return True
 
     def route(idx: int):

@@ -94,16 +94,13 @@ def verify_solution(inst: WataridoriInstance,
             return reject(errors.BAD_PATH, path_index=idx, cell=cell,
                           detail="not a simple orthogonal path")
 
+    degree: Dict[Cell, int] = dict.fromkeys(circle_at, 0)
     for idx, path in enumerate(paths):
         for end in (path[0], path[-1]):
-            if end not in circle_at:
+            if end not in degree:
                 return reject(errors.ENDPOINT_NOT_CIRCLE, path_index=idx,
                               cell=end)
-
-    degree: Dict[Cell, int] = dict.fromkeys(circle_at, 0)
-    for path in paths:
-        degree[path[0]] += 1
-        degree[path[-1]] += 1
+            degree[end] += 1
     for cell, count in degree.items():
         if count != 1:
             return reject(errors.UNPAIRED_CIRCLE, cell=cell,
@@ -118,13 +115,17 @@ def verify_solution(inst: WataridoriInstance,
         runs = region_runs(path, rmap)
         r = len(runs)
         if len(set(runs)) != r:
-            seen_rids = set()
-            for pos, rid in enumerate(runs):
-                if rid in seen_rids:
-                    return reject(errors.REGION_REENTERED, path_index=idx,
-                                  cell=_run_start(path, rmap, pos),
-                                  detail=f"region {rid} entered twice")
-                seen_rids.add(rid)
+            # Name the first cell of the first run in a region left before.
+            seen_rids, last = set(), None
+            for cell in path:
+                rid = rmap.id_at(cell)
+                if rid != last:
+                    if rid in seen_rids:
+                        return reject(errors.REGION_REENTERED, path_index=idx,
+                                      cell=cell,
+                                      detail=f"region {rid} entered twice")
+                    seen_rids.add(rid)
+                    last = rid
         a = circle_at[path[0]]
         b = circle_at[path[-1]]
         for circle in (a, b):
@@ -134,19 +135,6 @@ def verify_solution(inst: WataridoriInstance,
                               detail=f"path has {r} region runs, circle "
                                      f"wants {circle.number}")
     return accept()
-
-
-def _run_start(path: Sequence[Cell], rmap: RegionMap, run_index: int) -> Cell:
-    idx = -1
-    last = None
-    for cell in path:
-        rid = rmap.id_at(cell)
-        if rid != last:
-            idx += 1
-            last = rid
-        if idx == run_index:
-            return cell
-    return path[-1]
 
 
 def solve(inst: WataridoriInstance,

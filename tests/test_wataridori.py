@@ -79,6 +79,27 @@ class TestVerify:
         verdict = wd.verify_solution(inst, wd.WataridoriSolution((path,)))
         assert verdict.rule == errors.REGION_REENTERED
 
+    def test_region_reentry_names_first_cell_of_reentering_run(self):
+        # Canonical ids, top row first: 0 on top, then 1 (left column and
+        # bottom row), 2 and 3.  Path 1 runs 1, 2, 3, 1: after three runs
+        # it re-enters region 1 at (2, 0) and stays for a second cell.
+        inst = make([[1, 1, 1], [1, 2, 3], [0, 0, 0]],
+                    [(0, 2, None), (1, 2, None), (0, 1, None), (1, 0, None)])
+        reentry = ((0, 1), (1, 1), (2, 1), (2, 0), (1, 0))
+        assert region_runs(reentry, inst.regions) == [1, 2, 3, 1]
+        for paths in ((((0, 2), (1, 2)), reentry),
+                      (((1, 2), (0, 2)), reentry)):
+            verdict = wd.verify_solution(inst, wd.WataridoriSolution(paths))
+            assert verdict == errors.reject(
+                errors.REGION_REENTERED, path_index=1, cell=(2, 0),
+                detail="region 1 entered twice")
+        # Walked the other way, the path re-enters region 1 at (0, 1).
+        verdict = wd.verify_solution(inst, wd.WataridoriSolution(
+            (((0, 2), (1, 2)), reentry[::-1])))
+        assert verdict == errors.reject(
+            errors.REGION_REENTERED, path_index=1, cell=(0, 1),
+            detail="region 1 entered twice")
+
     def test_count_mismatch_rejected(self):
         inst = make([[0, 0]], [(0, 0, 2), (1, 0, 2)])
         verdict = wd.verify_solution(
@@ -114,6 +135,35 @@ class TestVerify:
         verdict = wd.verify_solution(sample_wataridori,
                                      wd.WataridoriSolution(paths))
         assert verdict.rule == errors.UNPAIRED_CIRCLE
+
+    def test_endpoint_not_circle_wins_over_unpaired_circle(self):
+        # Paths 0 and 1 both end on (1, 0), which leaves (3, 0) unpaired,
+        # and path 2 ends on the plain cell (2, 1).  Endpoints are checked
+        # for every path before any circle's degree is.
+        inst = make([[0, 0, 0, 0], [0, 0, 0, 0]],
+                    [(3, 0, None), (0, 0, None), (1, 0, None), (2, 0, None),
+                     (0, 1, None)])
+        paths = (((0, 0), (1, 0)), ((2, 0), (1, 0)), ((0, 1), (1, 1), (2, 1)))
+        verdict = wd.verify_solution(inst, wd.WataridoriSolution(paths))
+        assert verdict == errors.reject(errors.ENDPOINT_NOT_CIRCLE,
+                                        path_index=2, cell=(2, 1))
+
+    @pytest.mark.parametrize("circles, cell, degree", [
+        # (1, 0) ends two paths and (3, 0) none; the first of them in
+        # instance order is named, whichever its degree.
+        ([(1, 0, None), (3, 0, None), (0, 0, None), (2, 0, None)], (1, 0), 2),
+        ([(3, 0, None), (1, 0, None), (0, 0, None), (2, 0, None)], (3, 0), 0),
+        ([(0, 0, None), (2, 0, None), (1, 0, None), (3, 0, None)], (1, 0), 2),
+        ([(0, 0, None), (2, 0, None), (3, 0, None), (1, 0, None)], (3, 0), 0),
+    ])
+    def test_unpaired_circle_names_first_in_instance_order(self, circles,
+                                                            cell, degree):
+        inst = make([[0, 0, 0, 0]], circles)
+        paths = (((0, 0), (1, 0)), ((2, 0), (1, 0)))
+        verdict = wd.verify_solution(inst, wd.WataridoriSolution(paths))
+        assert verdict == errors.reject(
+            errors.UNPAIRED_CIRCLE, cell=cell,
+            detail=f"circle is an endpoint of {degree} paths")
 
     def test_invariant_under_reversal_and_reorder(
             self, sample_wataridori, sample_wataridori_solution):
