@@ -124,18 +124,29 @@ def _check_wall(wall: Wall, width: int, height: int) -> None:
                           f"wall {wall} off the {width}x{height} lattice")
 
 
-def _flood(width: int, height: int, right: bytearray,
-           up: bytearray) -> RegionMap:
-    """The canonical RegionMap of a grid given by its joins.
+def regions_from_walls(walls: Iterable[Wall], width: int,
+                       height: int) -> RegionMap:
+    """Flood-fill the grid into regions separated by `walls`.
 
-    Cell (x, y) has index i = y*width + x.  It shares a region with cell
-    i+1 when right[i] is set and with cell i+width when up[i] is set; both
-    arrays hold width*height bytes.  The last byte of every row of `right`
-    and the top row of `up` would join across the grid's edge, so they are
-    cleared here.  Callers may therefore write any of them: in particular,
-    a wall on the outer boundary stamped at a negative index lands on one.
+    The outer boundary is implicitly walled.  Two orthogonally adjacent
+    cells share a region iff no wall separates them.
     """
+    check_size(width, height)
+    # Cell (x, y) has index i = y*width + x.  It shares a region with cell
+    # i+1 when right[i] is set and with cell i+width when up[i] is set.
     n = width * height
+    right = bytearray(b"\x01") * n
+    up = bytearray(b"\x01") * n
+    for wall in walls:
+        _check_wall(wall, width, height)
+        kind, x, y = wall
+        if kind == HORIZONTAL:
+            up[(y - 1) * width + x] = 0
+        else:
+            right[y * width + x - 1] = 0
+    # The last byte of every row of `right` and the top row of `up` would
+    # join across the grid's edge, so they are cleared.  A wall on the
+    # outer boundary, stamped above at a negative index, lands on one.
     right[width - 1::width] = bytes(height)
     up[n - width:] = bytes(width)
     ids = [-1] * n
@@ -172,27 +183,6 @@ def _flood(width: int, height: int, right: bytearray,
                      ids=tuple(tuple(ids[r:r + width])
                                for r in range(0, n, width)),
                      region_count=count)
-
-
-def regions_from_walls(walls: Iterable[Wall], width: int,
-                       height: int) -> RegionMap:
-    """Flood-fill the grid into regions separated by `walls`.
-
-    The outer boundary is implicitly walled.  Two orthogonally adjacent
-    cells share a region iff no wall separates them.
-    """
-    check_size(width, height)
-    n = width * height
-    right = bytearray(b"\x01") * n
-    up = bytearray(b"\x01") * n
-    for wall in walls:
-        _check_wall(wall, width, height)
-        kind, x, y = wall
-        if kind == HORIZONTAL:
-            up[(y - 1) * width + x] = 0
-        else:
-            right[y * width + x - 1] = 0
-    return _flood(width, height, right, up)
 
 
 def region_map_from_rows(rows: Sequence[Sequence[int]]) -> RegionMap:

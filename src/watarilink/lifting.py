@@ -79,10 +79,8 @@ def route_arm(k: int, arm: str, zigzags: int) -> ArmRoute:
 
 
 def _direction(frm: Cell, to: Cell) -> str:
-    arm = _STEP_ARMS.get((to[0] - frm[0], to[1] - frm[1]))
-    if arm is None:
-        raise ValidationError("BAD_PATH", f"{frm} and {to} are not adjacent")
-    return arm
+    """The arm from `frm` towards `to`, a neighbor on a verified path."""
+    return _STEP_ARMS[to[0] - frm[0], to[1] - frm[1]]
 
 
 def _offset(cells: Sequence[Cell], ox: int, oy: int) -> List[Cell]:

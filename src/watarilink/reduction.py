@@ -12,14 +12,16 @@ block.  Both block kinds are built from the same skeleton:
 
 A number block additionally carves a 2 x 2k ladder of 1x1 regions into
 each corridor arm, isolating four 1-cell entry regions at the block edges
-and a 5-cell plus region around the center circle.  Corridor openings on
-block borders line up, so corridor regions merge across adjacent blocks.
+and a 5-cell plus region around the center circle.  The walls close
+every block border but its four ports, the middle cells of its sides, so
+the ports of adjacent blocks face each other and their regions merge.
 
 The target is assembled from the two templates alone.  Each is flooded
 into regions once; every block is a copy of its kind's region map, and
-the border merge joins the template regions that meet across a block
-border and numbers the merged regions in canonical order.  No flood runs
-over the target grid.
+the border merge joins the regions of facing ports and numbers the merged
+regions in canonical order.  No flood runs over the target grid.  A
+number block's circles are its kind's with the center circle inserted,
+one template per center number.
 
 The center circles of the i-th label in terminal order get number 4k+2i+1.
 With k chosen so that 2k+1 >= p, those numbers are distinct odd values in
@@ -29,7 +31,7 @@ pairing of the source puzzle.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from functools import partial
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
@@ -130,8 +132,9 @@ def _lattice_walls(x0: int, x1: int, y0: int, y1: int) -> Set[WallFields]:
     return walls
 
 
-def _yx(cell: Cell) -> Tuple[int, int]:
-    return cell[1], cell[0]
+# A cell's or a circle's (y, x), the order circles and filler pairs are
+# listed in.
+_yx = itemgetter(1, 0)
 
 
 def _block(k: int, ladders: bool) -> BlockTemplate:
@@ -187,9 +190,15 @@ def build_number_block(k: int, center_number: int) -> BlockTemplate:
         raise ValidationError("BAD_CENTER_NUMBER",
                               f"center number must be odd in [{lo}, {hi}], "
                               f"got {center_number}")
-    center = Circle(*tpl.center, center_number)
-    return tpl._replace(circles=tuple(sorted(
-        tpl.circles + (center,), key=lambda circ: (circ.y, circ.x))))
+    return _centered(tpl, center_number)
+
+
+def _centered(tpl: BlockTemplate, number: int) -> BlockTemplate:
+    """`tpl` with a circle numbered `number` at its center, inserted in
+    the (y, x) order of its circles."""
+    circles = list(tpl.circles)
+    insort(circles, Circle(*tpl.center, number), key=_yx)
+    return tpl._replace(circles=tuple(circles))
 
 
 def block_region_map(block: BlockTemplate) -> RegionMap:
@@ -197,38 +206,17 @@ def block_region_map(block: BlockTemplate) -> RegionMap:
     return regions_from_walls(block.walls, block.size, block.size)
 
 
-Joins = Dict[Tuple[int, int], Tuple[List[Tuple[int, int]], ...]]
-
-
-def _border_joins(tpls: Sequence[BlockTemplate],
-                  maps: Sequence[RegionMap]) -> Joins:
-    """For blocks of kinds (a, b), b placed right of a and above it: the
-    (region of a, region of b) pairs that meet across the border, as
-    (right, up).  A position on a border joins where neither block's
-    walls cut it."""
-    s = tpls[0].size
-    # Per template, the positions its walls leave open along its left,
-    # right, bottom and top border.  A Wall equals its plain tuple.
-    ends = [({t for t in range(s) if (VERTICAL, 0, t) not in tpl.walls},
-             {t for t in range(s) if (VERTICAL, s, t) not in tpl.walls},
-             {t for t in range(s) if (HORIZONTAL, t, 0) not in tpl.walls},
-             {t for t in range(s) if (HORIZONTAL, t, s) not in tpl.walls})
-            for tpl in tpls]
-    ids = [rmap.ids for rmap in maps]
-    kinds = range(len(tpls))
-    return {(a, b): ([(ids[a][t][s - 1], ids[b][t][0])
-                      for t in ends[a][1] & ends[b][0]],
-                     [(ids[a][s - 1][t], ids[b][0][t])
-                      for t in ends[a][3] & ends[b][2]])
-            for a in kinds for b in kinds}
-
-
-def _stamp_regions(maps: Sequence[RegionMap], joins: Joins,
-                   kinds: Sequence[int], m: int) -> RegionMap:
+def _stamp_regions(maps: Sequence[RegionMap], kinds: Sequence[int],
+                   m: int) -> RegionMap:
     """The RegionMap of blocks laid m to a row, bottom row first: block i
-    is a copy of `maps[kinds[i]]`, and regions that `joins` pairs across
-    a block border are merged."""
+    is a copy of `maps[kinds[i]]`, and the regions of two neighbouring
+    blocks' facing ports are merged.  A port is the middle cell of a block
+    side; the template walls close the rest of every border."""
     n, s = len(kinds) // m, maps[0].width
+    c = s // 2
+    # Per kind, the regions of its right, left, top and bottom ports.
+    ports = [(ids[c][s - 1], ids[c][0], ids[s - 1][c], ids[0][c])
+             for ids in (rmap.ids for rmap in maps)]
     # Region r of block i is node base[i] + r of a union-find.
     base = list(accumulate((maps[kind].region_count for kind in kinds),
                            initial=0))
@@ -242,11 +230,11 @@ def _stamp_regions(maps: Sequence[RegionMap], joins: Joins,
     for i, kind in enumerate(kinds):
         right, up = i + 1, i + m
         if right % m:
-            for a, b in joins[kind, kinds[right]][0]:
-                parent[find(base[i] + a)] = find(base[right] + b)
+            parent[find(base[i] + ports[kind][0])] = \
+                find(base[right] + ports[kinds[right]][1])
         if up < len(kinds):
-            for a, b in joins[kind, kinds[up]][1]:
-                parent[find(base[i] + a)] = find(base[up] + b)
+            parent[find(base[i] + ports[kind][2])] = \
+                find(base[up] + ports[kinds[up]][3])
 
     # Canonical numbers: a merged region is numbered when the scan, top
     # row first, meets the first cell of one of its template regions.  A
@@ -291,30 +279,18 @@ def _stamp_regions(maps: Sequence[RegionMap], joins: Joins,
 CircleRows = List[Tuple[List[int], List[Any]]]
 
 
-def _stamp_circles(tpls: Sequence[BlockTemplate], m: int, n: int,
-                   number_at: Dict[Cell, int]) -> Tuple[Circle, ...]:
-    """The circles of blocks laid m to a row, bottom row first: an empty
-    block's are `tpls[0]`'s, and a number block's are `tpls[1]`'s plus
-    its center with the number in `number_at`.  They come out in (y, x)
-    order."""
-    s = tpls[0].size
-
-    def columns(tpl: BlockTemplate) -> CircleRows:
-        rows: CircleRows = [([], []) for _ in range(s)]
-        for x, y, one in tpl.circles:
+def _stamp_circles(tpls: Dict[Optional[int], BlockTemplate], m: int,
+                   n: int, number_at: Dict[Cell, int]) -> Tuple[Circle, ...]:
+    """The circles of blocks laid m to a row, bottom row first: block
+    (gx, gy) has those of `tpls[number_at.get((gx, gy))]`.  They come out
+    in (y, x) order."""
+    s = tpls[None].size
+    rows_of: Dict[Optional[int], CircleRows] = {}
+    for key, tpl in tpls.items():
+        rows = rows_of[key] = [([], []) for _ in range(s)]
+        for x, y, number in tpl.circles:
             rows[y][0].append(x)
-            rows[y][1].append(one)
-        return rows
-
-    rows_of: Dict[Optional[int], CircleRows] = {None: columns(tpls[0])}
-    ladder_rows = columns(tpls[1])
-    cx, cy = tpls[1].center
-    xs, ones = ladder_rows[cy]
-    at = bisect_left(xs, cx)
-    for number in set(number_at.values()):
-        rows = rows_of[number] = ladder_rows[:]
-        rows[cy] = (xs[:at] + [cx] + xs[at:],
-                    ones[:at] + [number] + ones[at:])
+            rows[y][1].append(number)
     circles: List[Circle] = []
     for gy in range(n):
         blocks = [(s * gx, rows_of[number_at.get((gx, gy))])
@@ -322,8 +298,9 @@ def _stamp_circles(tpls: Sequence[BlockTemplate], m: int, n: int,
         for ty in range(s):
             y = repeat(s * gy + ty)
             for ox, rows in blocks:
-                xs, ones = rows[ty]
-                circles += map(_as_circle, zip(map(ox.__add__, xs), y, ones))
+                xs, numbers = rows[ty]
+                circles += map(_as_circle,
+                               zip(map(ox.__add__, xs), y, numbers))
     return tuple(circles)
 
 
@@ -336,15 +313,19 @@ def reduce_instance(g: NumberlinkInstance
     check_size(s * g.width, s * g.height)
 
     # One skeleton per kind, flooded on its own: kind 0 is the empty
-    # block, kind 1 the number block without its center circle.
-    tpls = (_block(k, False), _block(k, True))
-    maps = [block_region_map(tpl) for tpl in tpls]
+    # block, kind 1 the number block without its center circle.  The
+    # circles come from one template per center number.
+    empty, ladders = _block(k, False), _block(k, True)
+    maps = [block_region_map(empty), block_region_map(ladders)]
     numbers = dict(rmap.number_assignment)
     number_at = {cell: numbers[label] for label, a, b in g.terminals
                  for cell in (a, b)}
     kinds = [int((gx, gy) in number_at)
              for gy in range(g.height) for gx in range(g.width)]
-    regions = _stamp_regions(maps, _border_joins(tpls, maps), kinds, g.width)
+    tpls: Dict[Optional[int], BlockTemplate] = {None: empty}
+    tpls.update((number, _centered(ladders, number))
+                for number in numbers.values())
+    regions = _stamp_regions(maps, kinds, g.width)
     circles = _stamp_circles(tpls, g.width, g.height, number_at)
     return WataridoriInstance(regions, circles), rmap
 

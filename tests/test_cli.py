@@ -75,6 +75,19 @@ class TestSolve:
         assert capsys.readouterr().err.startswith(
             "error: IO_ERROR: cannot write")
 
+    @pytest.mark.parametrize("doc, err", [
+        ({"width": 2, "height": 1}, "MISSING_FIELD: document has no "
+         "'puzzle' field"),
+        ([1, 2], "MISSING_FIELD: document has no 'puzzle' field"),
+        ({"puzzle": "sudoku"}, "WRONG_PUZZLE: unknown puzzle kind 'sudoku'"),
+    ], ids=["no-puzzle-field", "not-an-object", "unknown-kind"])
+    def test_unreadable_puzzle_kind_exits_1(self, doc, err, tmp_path,
+                                           capsys):
+        puzzle = tmp_path / "puzzle.json"
+        puzzle.write_text(json.dumps(doc))
+        assert main(["solve", str(puzzle)]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+
     @staticmethod
     def _one_pair_board(path, side):
         path.write_text(nl.serialize_instance(nl.NumberlinkInstance(

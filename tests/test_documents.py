@@ -153,6 +153,10 @@ def _cases():
          [(("source", "terminals"), {})]),
         ("map-source-terminal-one-cell", "map",
          [(("source", "terminals", 0, "cells"), [[3, 4]])]),
+        ("wd_instance-wrong-puzzle", "wd_instance",
+         [(("puzzle",), "numberlink")]),
+        ("wd_instance-region-rows-too-few", "wd_instance",
+         [(("regions", 5), DELETE)]),
     ]
     return cases
 
@@ -255,6 +259,10 @@ EXPECTED = {
     "map-source-terminals-not-a-list": ("NOT_A_LIST", "source.terminals"),
     "map-source-terminal-one-cell":
         ("BAD_TERMINAL", "source.terminals[0].cells"),
+    # Recorded after the bulk checks: the kind and the row count are read
+    # before any row, so no fallback is involved.
+    "wd_instance-wrong-puzzle": ("WRONG_PUZZLE", "puzzle"),
+    "wd_instance-region-rows-too-few": ("BAD_REGIONS", "regions"),
 }
 
 

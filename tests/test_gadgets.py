@@ -10,7 +10,9 @@ templates of `reduction._block` and their `block_region_map`:
      cell, in one region run;
   3. no path crosses a number block from port to port, and a path from a
      port to the center has 2k+2, 2k+4, ..., 4k+2 runs;
-  4. an entry cell merges with the region across the block border.
+  4. an entry cell merges with the region across the block border: the
+     walls close every border segment but the four ports', so the ports
+     of neighbouring blocks face each other and nothing else joins.
 
 Paths are simple, run over cells without a circle and enter no region
 twice, as in a Wataridori solution.  A port is a corridor cell on the
@@ -23,7 +25,8 @@ import pytest
 
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
-from watarilink.grid import Wall, region_runs, regions_from_walls
+from watarilink.grid import (HORIZONTAL, VERTICAL, Wall, region_runs,
+                             regions_from_walls)
 
 KS = range(1, 7)
 
@@ -93,6 +96,22 @@ def test_fillers_are_closed_off(k, ladders):
                 reached.add(nxt)
                 stack.append(nxt)
     assert not {rmap.id_at(cell) for cell in reached} & filler_regions
+
+
+@pytest.mark.parametrize("ladders", [False, True])
+@pytest.mark.parametrize("k", KS)
+def test_walls_close_the_border_but_its_ports(k, ladders):
+    """The reduction joins neighbouring blocks only at their ports, the
+    middle cells of their sides, so every other unit segment of a block's
+    border must be walled."""
+    tpl = rd._block(k, ladders)
+    s, c = tpl.size, tpl.size // 2
+    border = {Wall(kind, x, y) for t in range(s) for kind, x, y in (
+        (VERTICAL, 0, t), (VERTICAL, s, t),
+        (HORIZONTAL, t, 0), (HORIZONTAL, t, s))}
+    assert border - tpl.walls == {
+        Wall(VERTICAL, 0, c), Wall(VERTICAL, s, c),
+        Wall(HORIZONTAL, c, 0), Wall(HORIZONTAL, c, s)}
 
 
 @pytest.mark.parametrize("k", KS)

@@ -51,6 +51,12 @@ class TestRegionsFromWalls:
         with pytest.raises(ValidationError):
             regions_from_walls([Wall(VERTICAL, 0, 2)], 2, 2)
 
+    def test_unknown_wall_kind_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            regions_from_walls([Wall("d", 1, 1)], 2, 2)
+        assert (err.value.code, err.value.message) == \
+            ("BAD_WALL", "unknown wall kind 'd'")
+
     def test_sample_walls_make_18_regions(self, sample_wataridori,
                                           sample_wataridori_walls):
         rmap = regions_from_walls(sample_wataridori_walls, 6, 6)
@@ -240,6 +246,14 @@ class TestRegionRuns:
         rmap = region_map_from_rows([[0, 0, 1, 1, 1, 2]])
         path = [(x, 0) for x in range(6)]
         assert region_runs(path, rmap) == [0, 1, 2]
+
+    @pytest.mark.parametrize("cell", [(3, 0), (0, 1), (-1, 0)])
+    def test_off_grid_cell_rejected(self, cell):
+        rmap = region_map_from_rows([[0, 0, 1]])
+        with pytest.raises(ValidationError) as err:
+            region_runs([(0, 0), cell], rmap)
+        assert (err.value.code, err.value.message) == \
+            ("OUT_OF_BOUNDS", f"path cell {cell} outside region map")
 
     def test_keeps_reentry_visible(self):
         walls = [Wall(VERTICAL, 1, 0), Wall(VERTICAL, 2, 0)]

@@ -64,6 +64,11 @@ class TestRouteArm:
         with pytest.raises(ValidationError):
             lf.route_arm(2, lf.EAST, 3)
 
+    def test_unknown_arm_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            lf.route_arm(2, "up", 0)
+        assert err.value.code == "BAD_ARM"
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_run_counts_enumerate_the_full_ladder(self, k):
         block = rd.build_number_block(k, 4 * k + 3)
@@ -202,6 +207,44 @@ class TestUnlift:
         with pytest.raises(ValidationError) as err:
             lf.unlift(no_mains, rmap)
         assert err.value.code == "UNLIFT_BAD_MAIN"
+
+
+# The crossing: label 1 joins (0, 1) and (2, 1), label 2 joins (1, 0) and
+# (1, 2), so k = 1, blocks are 9 cells wide and a center is 4 cells in.
+# `unlift` reads main paths by their end cells and the blocks they pass,
+# so these paths step from block center to block center.
+CROSSING = nl.NumberlinkInstance(
+    3, 3, ((1, (0, 1), (2, 1)), (2, (1, 0), (1, 2))))
+
+
+def through_centers(*blocks):
+    return tuple((9 * x + 4, 9 * y + 4) for x, y in blocks)
+
+
+@pytest.mark.parametrize("paths, code, message", [
+    ((through_centers((0, 1), (1, 1), (1, 0)),), "UNLIFT_BAD_MAIN",
+     "a main path must join the two centers of one label"),
+    ((through_centers((0, 1), (1, 1), (2, 1)),
+      through_centers((2, 1), (1, 1), (0, 1))), "UNLIFT_BAD_MAIN",
+     "two main paths for label 1"),
+    # Along row 13 into block (1, 1), back into block (0, 1) on row 12,
+    # and along row 11 to the far center.
+    (([(x, 13) for x in range(4, 10)] + [(9, 12), (8, 12), (8, 11)]
+      + [(x, 11) for x in range(9, 23)] + [(22, 12), (22, 13)],),
+     "UNLIFT_BLOCK_REVISITED",
+     "main path for label 1 re-enters a block"),
+    # Each path alone is fine, but both cross block (1, 1).
+    ((through_centers((0, 1), (1, 1), (2, 1)),
+      through_centers((1, 0), (1, 1), (1, 2))), "UNLIFT_RESULT_INVALID",
+     "recovered solution does not verify: REJECT CELL_SHARED path=1 "
+     "cell=1,1"),
+], ids=["two-labels", "second-main", "block-revisited", "result-invalid"])
+def test_unlift_refuses_bad_main_paths(paths, code, message):
+    _, rmap = rd.reduce_instance(CROSSING)
+    assert (rmap.k, rmap.block_size) == (1, 9)
+    with pytest.raises(ValidationError) as err:
+        lf.unlift(wd.WataridoriSolution(tuple(map(tuple, paths))), rmap)
+    assert (err.value.code, err.value.message) == (code, message)
 
 def random_small_instances(seed, count):
     rng = random.Random(seed)

@@ -97,6 +97,34 @@ class TestVerify:
         assert verdict.rule == errors.TERMINAL_CROSSED
         assert verdict.cell == (1, 0)
 
+    def test_unknown_label_rejected(self):
+        inst = nl.validate_instance(make(2, 2, [(1, (0, 0), (0, 1))]))
+        sol = nl.NumberlinkSolution((
+            (1, ((0, 0), (0, 1))), (2, ((1, 0), (1, 1)))))
+        assert nl.verify_solution(inst, sol) == errors.reject(
+            errors.UNKNOWN_LABEL, path_index=1,
+            detail="no terminal pair labeled 2")
+
+    def test_duplicate_path_label_rejected(self):
+        inst = nl.validate_instance(make(2, 2, [(1, (0, 0), (0, 1))]))
+        sol = nl.NumberlinkSolution((
+            (1, ((0, 0), (0, 1))), (1, ((0, 1), (0, 0)))))
+        assert nl.verify_solution(inst, sol) == errors.reject(
+            errors.DUPLICATE_PATH_LABEL, path_index=1,
+            detail="two paths labeled 1")
+
+    @pytest.mark.parametrize("path", [
+        ((0, 0), (1, 1), (0, 1)),      # a diagonal step
+        ((0, 0), (0, 1), (0, 0), (0, 1)),  # a repeated cell
+        ((0, 0), (0, 1), (0, 2)),      # off the grid
+    ], ids=["diagonal", "repeat", "off-grid"])
+    def test_bad_path_rejected(self, path):
+        inst = nl.validate_instance(make(2, 2, [(1, (0, 0), (0, 1))]))
+        sol = nl.NumberlinkSolution(((1, path),))
+        assert nl.verify_solution(inst, sol) == errors.reject(
+            errors.BAD_PATH, path_index=0, cell=(0, 0),
+            detail="not a simple orthogonal path")
+
     def test_missing_path(self, sample_numberlink,
                           sample_numberlink_solution):
         paths = sample_numberlink_solution.paths[:-1]

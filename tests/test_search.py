@@ -403,6 +403,30 @@ def test_wataridori_solve_equals_reference_on_seeded_boards():
     assert (statuses.count(wd.SOLVED), statuses.count(wd.UNSAT)) == (1, 59)
 
 
+# A board where `pair_next` must lower `least` to its pairing circle's
+# count when the frame returns: a deeper scan raised `least` past that
+# count while the circle was paired, and without the restore a later scan
+# stops early at a circle that is not the fewest-partners one (357 nodes,
+# not the reference's 437).
+LEAST_RESTORED = wd.WataridoriInstance(region_map_from_rows([
+    [0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0],
+    [1, 1, 1, 1, 0],
+]), tuple(wd.Circle(*c) for c in (
+    (0, 0, 1), (1, 0, 1), (2, 0, None), (3, 0, 1), (4, 0, 1), (2, 2, 1),
+    (3, 2, 1), (0, 3, None), (2, 3, None), (1, 4, 2), (4, 4, 2), (0, 5, 3),
+    (1, 5, 2), (3, 5, 2))))
+
+
+def test_wataridori_solve_equals_reference_where_least_is_restored():
+    result = wd.solve(LEAST_RESTORED)
+    assert (result.status, result.nodes) == (wd.UNSAT, 437)
+    assert result == oracles.wataridori_solve_reference(LEAST_RESTORED)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_wataridori_solve_agrees_with_brute_force(data):
