@@ -15,7 +15,7 @@ from typing import Any, Optional, Tuple
 
 from . import (documents, grid, lifting, numberlink, reduction, render,
                search, wataridori)
-from .errors import PuzzleError
+from .errors import ParseError, PuzzleError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,11 +42,15 @@ def _positive_int(text: str) -> int:
 
 
 def _read(path: str) -> str:
+    """The text of a file, which JSON requires to be UTF-8."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except OSError as exc:
         raise PuzzleError("IO_ERROR", f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError("MALFORMED_JSON", f"{path} is not UTF-8 text",
+                         location=f"byte {exc.start}")
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -54,7 +58,7 @@ def _write(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(text)
     except OSError as exc:
         raise PuzzleError("IO_ERROR", f"cannot write {path}: {exc}")

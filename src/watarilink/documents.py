@@ -19,11 +19,18 @@ _DICT = {dict}
 
 
 def loads(text: str) -> Any:
+    """The decoded document.  Text that is not JSON, nests deeper than the
+    decoder's recursion limit, or holds an integer literal longer than the
+    interpreter converts is a `MALFORMED_JSON` error."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("MALFORMED_JSON", exc.msg,
                          location=f"line {exc.lineno} column {exc.colno}")
+    except RecursionError:
+        raise ParseError("MALFORMED_JSON", "document nested too deeply")
+    except ValueError:  # a literal past sys.get_int_max_str_digits()
+        raise ParseError("MALFORMED_JSON", "integer literal too long")
 
 
 def _document(source: Any) -> dict:

@@ -228,11 +228,14 @@ def region_map_from_rows(rows: Sequence[Sequence[int]]) -> RegionMap:
     runs = run[-1]
     parent = list(range(runs + 1))
     merges = 0
+    # Contacts come row pair by row pair, left to right, and the lower run
+    # b is a root when it is read: lower runs enter their row pair as
+    # roots, and one stops being a root only when, as the root of an upper
+    # run, it is united with a different lower run, which lies wholly to
+    # its right, so no later contact of the row pair reaches it.
     for a, b in zip(compress(run, contacts), compress(run[width:], contacts)):
         while a != parent[a]:
             parent[a] = a = parent[parent[a]]
-        while b != parent[b]:
-            parent[b] = b = parent[parent[b]]
         if a != b:
             parent[a] = b
             merges += 1

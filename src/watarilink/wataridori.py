@@ -408,10 +408,14 @@ def solve(inst: WataridoriInstance,
                 if not paired[c]:
                     count[c] += 1
             paired[j] = False
-            if j < numbered and count[j] < least:
-                least = count[j]
         blocked[start] = 1
         paired[first] = False
+        # Unpairing a numbered partner j needs no restore of its own: j is
+        # in `mine`, so the next partner's trial decrements count[j] and
+        # lowers `least` below it before any scan (or, at 0, routes
+        # nothing), and this restore leaves `least` at most count[first],
+        # which is at most count[j] since `first` had the fewest partners
+        # when the frame began.
         if first < numbered and count[first] < least:
             least = count[first]
 

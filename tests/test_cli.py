@@ -461,6 +461,43 @@ def test_no_puzzle_command_raises(files):
             assert main(argv) in (0, 1, 2, 3), argv
 
 
+# Files no command can decode: nested past the recursion limit, with an
+# integer literal longer than the interpreter converts, or not UTF-8.
+UNDECODABLE_FILES = {
+    "nested": b"[" * 5000 + b"]" * 5000,
+    "long-integer": b'{"puzzle": "numberlink", "width": ' + b"9" * 4301
+                    + b"}",
+    "not-utf-8": b"\xff\xfe{}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE_FILES))
+def test_undecodable_file_exits_1(name, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNDECODABLE_FILES[name])
+    bad, out = str(bad), str(tmp_path / "out")
+    for argv in (["solve", bad], ["verify", bad, bad],
+                 ["verify", SAMPLE_WD, bad], ["render", bad],
+                 ["render", SAMPLE_WD, bad, "--format", "svg"],
+                 ["reduce", "-i", bad, "-o", out, "--map", out],
+                 ["lift", "-g", bad, "-s", bad, "--map", bad, "-o", out],
+                 ["lift", "-g", SAMPLE_NL, "-s", SAMPLE_NL_SOL,
+                  "--map", bad, "-o", out],
+                 ["unlift", "-s", bad, "--map", bad, "-o", out]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: MALFORMED_JSON: ") \
+            and err.count("\n") == 1, (argv, err)
+
+
+def test_non_utf_8_file_names_its_first_bad_byte(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"puzzle": "caf\xe9"}')
+    assert main(["solve", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: MALFORMED_JSON: {bad} is not UTF-8 text (at byte 15)\n")
+
+
 def _crossing(tmp_path):
     """A 2x2 Numberlink board whose two pairs must cross: unsolvable."""
     puzzle = tmp_path / "crossing.json"

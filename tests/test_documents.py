@@ -298,3 +298,33 @@ def test_parse_error_code_and_location(name, kind, edits):
 def test_unedited_documents_parse(kind):
     doc = BASES[kind]()
     assert PARSERS[kind](json.dumps(doc)) == PARSERS[kind](doc)
+
+
+# Text the decoder refuses although each bracket and digit is well formed:
+# nesting past the interpreter's recursion limit, and an integer literal
+# longer than it converts (4,300 digits by default).
+UNDECODABLE = {
+    "nested-array": "[" * 5000 + "]" * 5000,
+    "nested-object": '{"a":' * 5000 + "1" + "}" * 5000,
+    "nested-unclosed": "[" * 100000,
+    "long-integer": "9" * 4301,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_text_is_malformed_json(kind, name):
+    # The value rides in an extra field of a valid document, which the
+    # decoder reaches before any field check.
+    text = json.dumps(BASES[kind]())[:-1] + ', "extra": ' + UNDECODABLE[name]
+    with pytest.raises(ParseError) as err:
+        PARSERS[kind](text + "}")
+    assert err.value.code == "MALFORMED_JSON"
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_json_syntax_error_names_its_line_and_column(kind):
+    with pytest.raises(ParseError) as err:
+        PARSERS[kind]('{\n  "paths": [],\n  oops}')
+    assert (err.value.code, err.value.location) == ("MALFORMED_JSON",
+                                                    "line 3 column 3")

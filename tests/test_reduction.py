@@ -13,7 +13,7 @@ from watarilink import reduction as rd
 from watarilink import render
 from watarilink import wataridori as wd
 from watarilink.errors import ParseError, ValidationError
-from watarilink.grid import Wall, regions_from_walls
+from watarilink.grid import Wall, region_map_from_rows, regions_from_walls
 
 
 def template_as_doc(tpl):
@@ -424,6 +424,121 @@ class TestGolden:
         text = oracles.v1_map_document(rmap)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             self.V1_MAP_DIGEST
+
+
+def _wd_board(rows, circles, paths=None):
+    """A Wataridori instance from region rows (bottom row first) and
+    (x, y, number) circles, with an optional solution."""
+    inst = wd.WataridoriInstance(region_map_from_rows(rows),
+                                 tuple(wd.Circle(*c) for c in circles))
+    return inst, None if paths is None else wd.WataridoriSolution(paths)
+
+
+def _nl_board(width, height, terminals, paths=None):
+    inst = nl.NumberlinkInstance(width, height, terminals)
+    return inst, None if paths is None else nl.NumberlinkSolution(paths)
+
+
+_LONG_LABELS = ((10, (0, 0), (2, 0)), (123, (0, 1), (2, 1)))
+# Region 0 is an L in the left half, region 1 an L in the right half, and
+# region 2 the two middle cells of the top row.  The circles are listed
+# out of (y, x) order, which the SVG render sorts.
+_WD_ROWS = [[0, 0, 1, 1], [0, 2, 2, 1]]
+_WD_CIRCLES = ((3, 0, 100), (2, 1, None), (0, 0, 10), (1, 1, None))
+
+RENDER_BOARDS = {
+    "nl-long-labels": _nl_board(3, 2, _LONG_LABELS, (
+        (10, ((0, 0), (1, 0), (2, 0))), (123, ((0, 1), (1, 1), (2, 1))))),
+    "nl-long-labels-unsolved": _nl_board(3, 2, _LONG_LABELS),
+    "nl-no-terminals": _nl_board(3, 2, ()),
+    "nl-1x4": _nl_board(1, 4, ((7, (0, 0), (0, 3)),), (
+        (7, ((0, 0), (0, 1), (0, 2), (0, 3))),)),
+    "nl-4x1": _nl_board(4, 1, ((7, (0, 0), (3, 0)),), (
+        (7, ((0, 0), (1, 0), (2, 0), (3, 0))),)),
+    "wd-long-numbers": _wd_board(_WD_ROWS, _WD_CIRCLES, (
+        ((0, 0), (0, 1)), ((3, 0), (2, 0), (2, 1)))),
+    "wd-wildcards-only": _wd_board(
+        _WD_ROWS, [(x, y, None) for x, y, _ in _WD_CIRCLES]),
+    "wd-no-circles": _wd_board(_WD_ROWS, ()),
+    "wd-1x5": _wd_board([[0], [0], [1], [1], [2]],
+                        ((0, 0, None), (0, 4, 3)),
+                        (tuple((0, y) for y in range(5)),)),
+    "wd-5x1": _wd_board([[0, 0, 1, 2, 2]], ((0, 0, 3), (4, 0, None)),
+                        (tuple((x, 0) for x in range(5)),)),
+    # Renders take unverified solutions and unvalidated instances: ASCII
+    # leaves out off-grid cells, SVG draws them outside its view box.
+    "nl-off-grid": _nl_board(2, 2, ((1, (0, 0), (2, 1)),), (
+        (1, ((0, 0), (1, 0), (2, 0), (2, 1))),)),
+    "wd-off-grid": _wd_board(_WD_ROWS, _WD_CIRCLES, (
+        ((0, 0), (-1, 0), (-1, 1)), ((3, 0), (4, 0)))),
+}
+
+
+class TestRenderPins:
+    """Render bytes on boards the golden reduction does not reach: labels
+    and numbers of two and three digits, wildcard circles, boards with no
+    marks, one-cell-wide boards, an unsolved Numberlink board and cells
+    off the grid."""
+
+    DIGESTS = {
+        "nl-1x4-ascii":
+            "b921d5d78899e35fb2f5d6c3c895a13aeac29540b55fccc4b3f9ef528babb2ef",
+        "nl-1x4-svg":
+            "9b0b407fa8efcd3a302fa0b53dbf61da530b2a18291b3ef4d0cb0a007006e804",
+        "nl-4x1-ascii":
+            "3f45b559c8b602bcabb6620bfebed54018a3086ac4529a621846e6cb81a7ed20",
+        "nl-4x1-svg":
+            "18945a9989eaf9835f596ba7c217bb140389111fc8e36da838113d141021ce63",
+        "nl-long-labels-ascii":
+            "7dd6285efec3ba4d8c2f0dfd44694f6ec43201a94e1bfd64cd36b2934d928e0c",
+        "nl-long-labels-svg":
+            "782f3199619ad6feaf4b5ff1affaa3a033b891761fffb10dc4f676fe243f5879",
+        "nl-long-labels-unsolved-ascii":
+            "998b530b22f2242dca8f580af5e0a34865f51806f267563c370f91c5edc18ff5",
+        "nl-long-labels-unsolved-svg":
+            "a52ac8474eb075d84a9ca7449f0083c6f4c3bb202b38ff88fd3bc1c3494bccdd",
+        "nl-no-terminals-ascii":
+            "f6b4b1bfb48011201e203163de187e3ce9b3c7799d9f39494dba1747b3286fd2",
+        "nl-no-terminals-svg":
+            "8cc080c2c08058e3d532b3ad96cdc1ab2506e2fbc52a5a31dfd563fa79a680d9",
+        "nl-off-grid-ascii":
+            "02bcaaca5b82e01fb3b5c46ab15207f75f3b28e15e00e8f510301a589a0c9ca5",
+        "nl-off-grid-svg":
+            "0572ff9f9dc001a5ef64718e0e8621332258edf93f9577d2736d60a451bb46df",
+        "wd-1x5-ascii":
+            "b771966aae4ab86851d1db2c9a9701609d7f0c0f15663fbe35deedce4d294a22",
+        "wd-1x5-svg":
+            "962c3d67459e7b2bddb7624a41943072346f836b5319a88b5b0374aacf6d9a03",
+        "wd-5x1-ascii":
+            "07195371a4186aea121b75111e7096135a5a4cca3159a54c7d104c0e987d4020",
+        "wd-5x1-svg":
+            "78a3a48fdb2ce3dabd7bcbcaa946c32cc88ca6f13a576d3c939f1567533e4093",
+        "wd-long-numbers-ascii":
+            "e188d20fad5ccf8c407b0d9e75ae2b78ea00704a54f181291b5b31ca69e41b5f",
+        "wd-long-numbers-svg":
+            "44c656dc78b8ac0c7ecc6669727ad5f1285e5db3a4f50095f031f15e93a5ba7f",
+        "wd-no-circles-ascii":
+            "b023d778e209a2595313000ae34a3d51df884748352172447994650573f6e524",
+        "wd-no-circles-svg":
+            "01d44243fd999e92f76ff7e3cde27a99c5c5491da4b98fac0ea5534f5d8d20d9",
+        "wd-off-grid-ascii":
+            "abf3d2db32fba0168ef42c56a7894514b4e8d98a1c2bc98e7e6418b1924c5769",
+        "wd-off-grid-svg":
+            "df2b59665fa42fa3ca7c5dcb93df8649e04044b962110d28d31c1e9678a6dd51",
+        "wd-wildcards-only-ascii":
+            "4d12c5ff93a7a522f31a61f12d6786714a42db7959e100e683b7326c138f6a65",
+        "wd-wildcards-only-svg":
+            "d6dacb460ad4750defdb75102e13d34eb0b276cc77cdc7f76ad872bee741cc4f",
+    }
+
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    @pytest.mark.parametrize("board", sorted(RENDER_BOARDS))
+    def test_digest(self, board, fmt):
+        inst, sol = RENDER_BOARDS[board]
+        kind = "numberlink" if board.startswith("nl") else "wataridori"
+        text = getattr(render, f"render_{kind}_{fmt}")(inst, sol)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            self.DIGESTS[f"{board}-{fmt}"]
 
 
 class TestMapDocuments:
