@@ -4,11 +4,9 @@ Both puzzles are drawn from one board description: a width and a height,
 a region id per cell, paths, and marks `(x, y, text, circled)` in drawing
 order.  A Wataridori circle is a circled mark whose text is its number,
 or "" for a wildcard; a Numberlink terminal is an uncircled mark whose
-text is its label.  Walls are the board's outer boundary plus every unit
-segment between cells with different region ids.  A Numberlink board
-gives every cell a region of its own in ASCII, so every grid line is
-drawn, and one region to the whole board in SVG, whose grey grid shows
-the cells.
+text is its label.  A Numberlink board gives every cell a region of its
+own in ASCII, so every grid line is drawn, and one region to the whole
+board in SVG, whose grey grid shows the cells.
 
 Both renderers flip the y axis for display: the top row of the board is
 printed first, while all document coordinates stay y-up.
@@ -36,17 +34,21 @@ _Board = Tuple[int, int, Sequence[Sequence[int]], Sequence[Sequence[Cell]],
                List[_Mark]]
 
 
-def _walls(width: int, height: int, ids: Sequence[Sequence[int]]) -> WallFlags:
+def _walls(ids: Sequence[Sequence[int]], width: int,
+           height: int) -> WallFlags:
+    """Walls of a board whose cells carry region ids: the outer boundary
+    plus every unit segment between cells with different ids."""
     edge = [True] * width
-    hwalls = [edge, *[list(map(ne, ids[y - 1], ids[y]))
-                      for y in range(1, height)], edge]
+    hwalls = [edge]
+    hwalls += [list(map(ne, ids[y - 1], ids[y])) for y in range(1, height)]
+    hwalls.append(edge)
     vwalls = [[True, *map(ne, row, row[1:]), True] for row in ids]
     return hwalls, vwalls
 
 
 def _ascii(width: int, height: int, ids: Sequence[Sequence[int]],
            paths: Sequence[Sequence[Cell]], marks: List[_Mark]) -> str:
-    hwalls, vwalls = _walls(width, height, ids)
+    hwalls, vwalls = _walls(ids, width, height)
     cell_w = max(3, max((len(m[2]) for m in marks), default=1) + 2)
     dash, blank, star = "-" * cell_w, " " * cell_w, "*".center(cell_w)
     # cells[y][x] is the text of cell (x, y); off-grid cells are not drawn.
@@ -54,10 +56,11 @@ def _ascii(width: int, height: int, ids: Sequence[Sequence[int]],
     for x, y in chain.from_iterable(paths):
         if 0 <= x < width and 0 <= y < height:
             cells[y][x] = star
+    centred = {}  # one string per distinct mark, shared by its cells
     for x, y, text, circled in marks:
         if 0 <= x < width and 0 <= y < height:
-            cells[y][x] = (f"({text or ' '})" if circled else text).center(
-                cell_w)
+            shown = f"({text or ' '})" if circled else text
+            cells[y][x] = centred.setdefault(shown, shown.center(cell_w))
     lines = []
     for y in range(height, -1, -1):
         lines.append("+" + "+".join([dash if w else blank
@@ -73,24 +76,26 @@ def _svg(width: int, height: int, ids: Sequence[Sequence[int]],
          paths: Sequence[Sequence[Cell]], marks: List[_Mark]) -> str:
     u = _SVG_UNIT
     w, h = width * u, height * u
-    hwalls, vwalls = _walls(width, height, ids)
-    grey = 'stroke="#cccccc" stroke-width="1"/>'
-    black = 'stroke="black" stroke-width="4"/>'
+    hwalls, vwalls = _walls(ids, width, height)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
              f'width="{w}" height="{h}">',
-             f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
-             *[f'<line x1="{x * u}" y1="0" x2="{x * u}" y2="{h}" {grey}'
-               for x in range(width + 1)],
-             *[f'<line x1="0" y1="{y * u}" x2="{w}" y2="{y * u}" {grey}'
-               for y in range(height + 1)],
-             *[f'<line x1="{x * u}" y1="{h - y * u}" x2="{x * u + u}" '
-               f'y2="{h - y * u}" {black}'
-               for x in range(width) for y in range(height + 1)
-               if hwalls[y][x]],
-             *[f'<line x1="{x * u}" y1="{h - y * u}" x2="{x * u}" '
-               f'y2="{h - y * u - u}" {black}'
-               for x in range(width + 1) for y in range(height)
-               if vwalls[y][x]]]
+             f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>']
+    grey = 'stroke="#cccccc" stroke-width="1"/>'
+    for x in range(width + 1):
+        parts.append(f'<line x1="{x * u}" y1="0" x2="{x * u}" y2="{h}" {grey}')
+    for y in range(height + 1):
+        parts.append(f'<line x1="0" y1="{y * u}" x2="{w}" y2="{y * u}" {grey}')
+    black = 'stroke="black" stroke-width="4"/>'
+    for x in range(width):
+        for y in range(height + 1):
+            if hwalls[y][x]:
+                parts.append(f'<line x1="{x * u}" y1="{h - y * u}" '
+                             f'x2="{x * u + u}" y2="{h - y * u}" {black}')
+    for x in range(width + 1):
+        for y in range(height):
+            if vwalls[y][x]:
+                parts.append(f'<line x1="{x * u}" y1="{h - y * u}" '
+                             f'x2="{x * u}" y2="{h - y * u - u}" {black}')
     half = u // 2
     for path in paths:
         points = " ".join(f"{x * u + half},{h - y * u - half}"
@@ -113,16 +118,15 @@ def _svg(width: int, height: int, ids: Sequence[Sequence[int]],
 def _wataridori(inst: WataridoriInstance,
                 sol: Optional[WataridoriSolution]) -> _Board:
     rmap = inst.regions
-    marks = [(x, y, "" if number is None else str(number), True)
-             for x, y, number in inst.circles]
+    # One text per distinct number, shared by its marks.
+    texts = {n: "" if n is None else str(n) for _, _, n in inst.circles}
+    marks = [(x, y, texts[n], True) for x, y, n in inst.circles]
     return (rmap.width, rmap.height, rmap.ids,
             () if sol is None else sol.paths, marks)
 
 
 def _numberlink(inst: NumberlinkInstance, sol: Optional[NumberlinkSolution],
                 own_regions: bool) -> _Board:
-    """The board of a Numberlink instance; with `own_regions` every cell is
-    a region of its own, else one region covers the board."""
     w, h = inst.width, inst.height
     check_size(w, h)
     ids = ([range(y * w, y * w + w) for y in range(h)] if own_regions

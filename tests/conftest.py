@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,11 @@ from watarilink import wataridori as wd
 from watarilink.grid import Wall
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# The longest integer literal the interpreter converts, or 0 where it
+# converts any length: before Python 3.10.7, or with the limit lifted
+# (PYTHONINTMAXSTRDIGITS=0).
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def fixture_text(name):

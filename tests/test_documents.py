@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from conftest import fixture_json
+from conftest import INT_MAX_STR_DIGITS, fixture_json
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
 from watarilink import wataridori as wd
@@ -301,19 +301,23 @@ def test_unedited_documents_parse(kind):
 
 
 # Text the decoder refuses although each bracket and digit is well formed:
-# nesting past the interpreter's recursion limit, and an integer literal
-# longer than it converts (4,300 digits by default).
+# nesting past the interpreter's recursion limit (100,000 deep is past it
+# on every supported version), and an integer literal one digit longer
+# than the interpreter converts.
 UNDECODABLE = {
-    "nested-array": "[" * 5000 + "]" * 5000,
-    "nested-object": '{"a":' * 5000 + "1" + "}" * 5000,
+    "nested-array": "[" * 100000 + "]" * 100000,
+    "nested-object": '{"a":' * 100000 + "1" + "}" * 100000,
     "nested-unclosed": "[" * 100000,
-    "long-integer": "9" * 4301,
+    "long-integer": "9" * (INT_MAX_STR_DIGITS + 1),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))
 @pytest.mark.parametrize("name", sorted(UNDECODABLE))
 def test_undecodable_text_is_malformed_json(kind, name):
+    if name == "long-integer" and not INT_MAX_STR_DIGITS:
+        pytest.skip("this interpreter converts integer literals of any "
+                    "length")
     # The value rides in an extra field of a valid document, which the
     # decoder reaches before any field check.
     text = json.dumps(BASES[kind]())[:-1] + ', "extra": ' + UNDECODABLE[name]
