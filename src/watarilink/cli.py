@@ -37,7 +37,7 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
+            f"must be a positive integer, got {documents._shown(text)}")
     return value
 
 
@@ -77,7 +77,8 @@ def _read_puzzle(path: str) -> Tuple[ModuleType, Any]:
             numberlink.parse_instance(doc))
     if kind == "wataridori":
         return wataridori, wataridori.parse_instance(doc)
-    raise PuzzleError("WRONG_PUZZLE", f"unknown puzzle kind {kind!r}")
+    raise PuzzleError("WRONG_PUZZLE",
+                      f"unknown puzzle kind {documents._shown(kind)}")
 
 
 def cmd_solve(args) -> int:

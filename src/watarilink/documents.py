@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import reprlib
 from itertools import chain
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
@@ -16,6 +17,19 @@ from .errors import Cell, ParseError
 _INT = {int}        # excludes bool, whose type is not int
 _LIST = {list}
 _DICT = {dict}
+
+# Reprs cut with `...` where a string's passes 30 characters, an
+# integer's 40, a list 6 items, an object 4, or the nesting 2 levels, so
+# that showing a deeply nested value reaches no recursion limit.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 2
+
+
+def _shown(value: Any) -> str:
+    """`value` for an error message: its repr cut as `_SHOWN` cuts it, and
+    to 200 characters in all, so that the message stays one short line."""
+    text = _SHOWN.repr(value)
+    return text if len(text) <= 200 else text[:197] + "..."
 
 
 def loads(text: str) -> Any:
@@ -60,20 +74,20 @@ def check_fields(obj: dict, required: Sequence[str], optional: Sequence[str],
     allowed = set(required) | set(optional)
     for key in obj:
         if key not in allowed:
-            raise ParseError("UNKNOWN_FIELD", f"unknown field {key!r}",
+            raise ParseError("UNKNOWN_FIELD", f"unknown field {_shown(key)}",
                              location)
 
 
 def as_int(value: Any, location: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError("NOT_AN_INTEGER", f"expected an integer, got "
-                         f"{value!r}", location)
+                         f"{_shown(value)}", location)
     return value
 
 
 def as_cell(value: Any, location: str) -> Cell:
     if (not isinstance(value, list) or len(value) != 2):
-        raise ParseError("NOT_A_CELL", f"expected [x, y], got {value!r}",
+        raise ParseError("NOT_A_CELL", f"expected [x, y], got {_shown(value)}",
                          location)
     return (as_int(value[0], location + "[0]"),
             as_int(value[1], location + "[1]"))

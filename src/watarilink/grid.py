@@ -132,56 +132,41 @@ def regions_from_walls(walls: Iterable[Wall], width: int,
     cells share a region iff no wall separates them.
     """
     check_size(width, height)
-    # Cell (x, y) has index i = y*width + x.  It shares a region with cell
-    # i+1 when right[i] is set and with cell i+width when up[i] is set.
-    n = width * height
-    right = bytearray(b"\x01") * n
-    up = bytearray(b"\x01") * n
+    # The cells with a wall along their bottom edge and their left edge.
+    below = set()
+    left = set()
     for wall in walls:
         _check_wall(wall, width, height)
         kind, x, y = wall
-        if kind == HORIZONTAL:
-            up[(y - 1) * width + x] = 0
-        else:
-            right[y * width + x - 1] = 0
-    # The last byte of every row of `right` and the top row of `up` would
-    # join across the grid's edge, so they are cleared.  A wall on the
-    # outer boundary, stamped above at a negative index, lands on one.
-    right[width - 1::width] = bytes(height)
-    up[n - width:] = bytes(width)
-    ids = [-1] * n
+        (below if kind == HORIZONTAL else left).add((x, y))
+    ids = [[-1] * width for _ in range(height)]
     count = 0
     # Scan the top row first so first-seen order matches the canonical rule.
-    for row in range(n - width, -1, -width):
-        for start in range(row, row + width):
-            if ids[start] >= 0:
+    for sy in range(height - 1, -1, -1):
+        for sx in range(width):
+            if ids[sy][sx] >= 0:
                 continue
-            ids[start] = count
-            stack = [start]
+            ids[sy][sx] = count
+            stack = [(sx, sy)]
             while stack:
-                i = stack.pop()
-                # Off-grid neighbors sit behind cleared bytes: i - 1 and
-                # i - width index a row end or the top row when negative.
-                j = i + 1
-                if right[i] and ids[j] < 0:
-                    ids[j] = count
-                    stack.append(j)
-                j = i - 1
-                if right[j] and ids[j] < 0:
-                    ids[j] = count
-                    stack.append(j)
-                j = i + width
-                if up[i] and ids[j] < 0:
-                    ids[j] = count
-                    stack.append(j)
-                j = i - width
-                if up[j] and ids[j] < 0:
-                    ids[j] = count
-                    stack.append(j)
+                x, y = cell = stack.pop()
+                row = ids[y]
+                if x + 1 < width and row[x + 1] < 0 \
+                        and (x + 1, y) not in left:
+                    row[x + 1] = count
+                    stack.append((x + 1, y))
+                if x > 0 and row[x - 1] < 0 and cell not in left:
+                    row[x - 1] = count
+                    stack.append((x - 1, y))
+                if y + 1 < height and ids[y + 1][x] < 0 \
+                        and (x, y + 1) not in below:
+                    ids[y + 1][x] = count
+                    stack.append((x, y + 1))
+                if y > 0 and ids[y - 1][x] < 0 and cell not in below:
+                    ids[y - 1][x] = count
+                    stack.append((x, y - 1))
             count += 1
-    return RegionMap(width=width, height=height,
-                     ids=tuple(tuple(ids[r:r + width])
-                               for r in range(0, n, width)),
+    return RegionMap(width=width, height=height, ids=tuple(map(tuple, ids)),
                      region_count=count)
 
 

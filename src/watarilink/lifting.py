@@ -168,8 +168,7 @@ def unlift(sol: WataridoriSolution, rmap: ReductionMap) -> NumberlinkSolution:
         missing = sorted(expected - set(recovered))
         raise ValidationError("UNLIFT_BAD_MAIN",
                               f"missing main paths for labels {missing}")
-    result = normalize_solution(NumberlinkSolution(
-        tuple((label, recovered[label]) for label in sorted(recovered))))
+    result = normalize_solution(NumberlinkSolution(tuple(recovered.items())))
     verdict = verify_solution(g, result)
     if not verdict:
         raise ValidationError("UNLIFT_RESULT_INVALID",

@@ -47,7 +47,7 @@ def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
     if not inst.terminals:
         raise ValidationError("NO_LABELS", "instance has no terminal pairs")
     seen_labels = set()
-    seen_cells: Dict[Cell, int] = {}
+    seen_cells = set()
     normalized = []
     for label, a, b in inst.terminals:
         if label in seen_labels:
@@ -62,7 +62,7 @@ def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
             if cell in seen_cells:
                 raise ValidationError("DUPLICATE_TERMINAL",
                                       f"cell {cell} holds two terminals")
-            seen_cells[cell] = label
+            seen_cells.add(cell)
         a, b = sorted((a, b), key=lambda c: (c[1], c[0]))
         normalized.append((label, a, b))
     return NumberlinkInstance(inst.width, inst.height, tuple(normalized))
@@ -322,8 +322,8 @@ def parse_instance(text: Any) -> NumberlinkInstance:
                       "document")
     if doc["puzzle"] != "numberlink":
         raise ParseError("WRONG_PUZZLE",
-                         f"expected puzzle 'numberlink', got {doc['puzzle']!r}",
-                         "puzzle")
+                         "expected puzzle 'numberlink', got "
+                         f"{docs._shown(doc['puzzle'])}", "puzzle")
     width = docs.as_int(doc["width"], "width")
     height = docs.as_int(doc["height"], "height")
     check_size(width, height, "width")

@@ -346,8 +346,8 @@ def parse_map(text: Any) -> ReductionMap:
     if type(version) is not int or version != MAP_VERSION:
         raise ParseError("BAD_VERSION",
                          f"expected map version {MAP_VERSION}, got "
-                         f"{version!r}; make older maps again with 'reduce'",
-                         "version")
+                         f"{docs._shown(version)}; make older maps again "
+                         "with 'reduce'", "version")
     docs.check_fields(doc, ["version", "k", "source"], [], "document")
     k = docs.as_int(doc["k"], "k")
     source = docs.require_object(doc["source"], "source")

@@ -444,7 +444,7 @@ def parse_instance(text: Any) -> WataridoriInstance:
     if doc["puzzle"] != "wataridori":
         raise ParseError("WRONG_PUZZLE",
                          f"expected puzzle 'wataridori', got "
-                         f"{doc['puzzle']!r}", "puzzle")
+                         f"{docs._shown(doc['puzzle'])}", "puzzle")
     width = docs.as_int(doc["width"], "width")
     height = docs.as_int(doc["height"], "height")
     check_size(width, height, "width")

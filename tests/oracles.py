@@ -69,8 +69,9 @@ def region_partition_by_reachability(walls, width, height):
 
 
 def regions_from_wall_set(walls, width, height):
-    """Reference region map: flood fill over (x, y) wall-tuple sets, the
-    construction the library used before its flat-array flood."""
+    """Reference region map: a flood fill over (x, y) wall-tuple sets
+    that shares no code with `grid.regions_from_walls`, which the tests
+    compare with it."""
     hset = {(w[1], w[2]) for w in walls if w[0] == HORIZONTAL}
     vset = {(w[1], w[2]) for w in walls if w[0] == VERTICAL}
     ids = [[-1] * width for _ in range(height)]

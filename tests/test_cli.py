@@ -494,6 +494,56 @@ def test_undecodable_file_exits_1(name, tmp_path, capsys):
             and err.count("\n") == 1, (argv, err)
 
 
+# Documents whose offending value is long, as (code, document); the last
+# is wide at both levels the error message shows, in 4-byte characters.
+LONG_VALUE_FILES = {
+    "long-width": ("NOT_AN_INTEGER", {
+        "puzzle": "numberlink", "width": list(range(200_000)), "height": 3,
+        "terminals": []}),
+    "long-puzzle": ("WRONG_PUZZLE", {
+        "puzzle": "x" * 300_000, "width": 3, "height": 3, "terminals": []}),
+    "long-field": ("UNKNOWN_FIELD", {
+        "puzzle": "numberlink", "width": 3, "height": 3, "terminals": [],
+        "f" * 100_000: 1}),
+    "wide-width": ("NOT_AN_INTEGER", {
+        "puzzle": "wataridori", "height": 3, "regions": [], "circles": [],
+        "width": {f"{i}\U0001F600" * 50: {f"{j}\U0001F600" * 50: [1] * 10
+                                              for j in range(10)}
+                  for i in range(10)}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_VALUE_FILES))
+def test_long_value_is_shown_abbreviated(name, tmp_path, capsys):
+    code, doc = LONG_VALUE_FILES[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["solve", str(bad)], ["verify", str(bad), str(bad)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {code}: ") and "..." in err \
+            and err.count("\n") == 1, (argv, err[:200])
+        assert len(err.encode()) < 1000, (argv, len(err.encode()))
+
+
+def test_long_option_value_is_shown_abbreviated(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", SAMPLE_NL, "--budget", "9" * 100_000 + "x"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: argument --budget: must be a positive "
+                          "integer, got '999") and len(err) < 1000
+
+
+def test_long_map_version_is_shown_abbreviated(tmp_path, capsys):
+    bad = tmp_path / "map.json"
+    bad.write_text(json.dumps({"version": "v" * 100_000}))
+    assert main(["unlift", "-s", SAMPLE_WD_SOL, "--map", str(bad),
+                 "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BAD_VERSION: ") and len(err) < 1000
+
+
 def test_non_utf_8_file_names_its_first_bad_byte(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"puzzle": "caf\xe9"}')

@@ -76,6 +76,58 @@ class TestRegionsFromWalls:
                     expected += 1
         assert seen == set(range(rmap.region_count))
 
+    @pytest.mark.parametrize("width, height, code", [
+        (0, 3, "BAD_DIMENSIONS"), (3, -1, "BAD_DIMENSIONS"),
+        (600, 600, "TOO_LARGE")])
+    def test_size_refused_before_any_wall_is_read(self, width, height, code):
+        with pytest.raises(ValidationError) as err:
+            regions_from_walls([["d", 1, 1], Wall(HORIZONTAL, -5, 0)],
+                               width, height)
+        assert err.value.code == code
+
+    @pytest.mark.parametrize("walls, message", [
+        ([Wall(VERTICAL, 1, 0), (HORIZONTAL, 5, 0), ["d", 1, 1]],
+         "wall ('h', 5, 0) off the 2x2 lattice"),
+        ([Wall(VERTICAL, 1, 0), ["d", 1, 1], (HORIZONTAL, 5, 0)],
+         "unknown wall kind 'd'"),
+        ([[VERTICAL, 0, 2], (HORIZONTAL, 5, 0)],
+         "wall ['v', 0, 2] off the 2x2 lattice"),
+        (iter([(VERTICAL, 2, 0), Wall(HORIZONTAL, 2, 0)]),
+         "wall Wall(kind='h', x=2, y=0) off the 2x2 lattice"),
+    ], ids=["tuple", "kind", "list", "iterator"])
+    def test_bad_wall_names_the_first_in_iteration_order(self, walls,
+                                                         message):
+        with pytest.raises(ValidationError) as err:
+            regions_from_walls(walls, 2, 2)
+        assert (err.value.code, err.value.message) == ("BAD_WALL", message)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_regions_from_any_wall_form_agree_with_reachability_oracle(data):
+    """Walls on the boundary, repeated walls, and walls given as a Wall, a
+    tuple or a list flood as the set of their Walls does."""
+    width = data.draw(st.integers(1, 12), label="width")
+    height = data.draw(st.integers(1, 12), label="height")
+    candidates = [Wall(VERTICAL, x, y)
+                  for x in range(width + 1) for y in range(height)]
+    candidates += [Wall(HORIZONTAL, x, y)
+                   for x in range(width) for y in range(height + 1)]
+    present = data.draw(st.lists(st.booleans(), min_size=len(candidates),
+                                 max_size=len(candidates)), label="walls")
+    chosen = [wall for wall, keep in zip(candidates, present) if keep]
+    chosen += data.draw(st.lists(st.sampled_from(candidates), max_size=8),
+                        label="repeats")
+    forms = data.draw(st.lists(st.sampled_from([Wall._make, tuple, list]),
+                               min_size=len(chosen), max_size=len(chosen)),
+                      label="forms")
+    walls = [form(wall) for form, wall in zip(forms, chosen)]
+    rmap = regions_from_walls(walls, width, height)
+    want = oracles.region_partition_by_reachability(set(chosen), width,
+                                                    height)
+    assert oracles.partition_of_region_map(rmap) == want
+    assert rmap == oracles.regions_from_wall_set(chosen, width, height)
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())

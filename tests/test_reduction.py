@@ -109,6 +109,36 @@ def test_templates_pinned(k):
             ) == TEMPLATE_DIGESTS[k]
 
 
+# Per k: sha256 of the compact JSON [region_count, ids] of the flooded
+# empty block and number block.  The number block's regions do not depend
+# on its center number.
+TEMPLATE_REGION_DIGESTS = {
+    1: ("9884b26ae79f2a5660fd99f5a7517c4f1f1b2a8fbd8141408ab7169c57bde9d3",
+        "6bc8859615b28ebf88d0efa315bd2733a8e43a99063db44fc7b5709b47921e81"),
+    2: ("de96c152af705bf71b2dd97875072975147556dcb158e922214051852cd39cad",
+        "c040b9f02673b82026be03b84477c230ff95999bb08589906704d7183643233c"),
+    3: ("972648480220f189357f903a2183bfeec63530bf69f76d39546fc1658fd9d6b7",
+        "92a125711b2615673aa6be77333ca6cd01dd51584bccfba62ceec0f3fee51d57"),
+    4: ("0b1fe0a75ffd3e8d4b8ca902c2b31dab940688fd468319e6237e4e8c5ac03b1f",
+        "0af983d9c6ed22d8b6d1db80605727e4112b20a091f39f9c15df5c32d5438bc2"),
+    5: ("26112a7bd5afc8fcd52e8322c4a4fa568bb3b450c0ab5bbd53baf1c04384628a",
+        "2295ee6b5a0ca4f63001a0e67aaeeac54a3d419a021a4dbcdcdf0d68050877c2"),
+    6: ("8a83090b5e7eaaeb6137b8e5c670cdb8e291f7695d5edf6d4efe8afcb9c22c28",
+        "3b9a0ed3d368123571021d6271e576a26be0ae94849dcb738c08f34d265441c9"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(TEMPLATE_REGION_DIGESTS))
+@pytest.mark.parametrize("kind", [0, 1], ids=["empty", "number"])
+def test_template_regions_pinned(k, kind):
+    tpl = (rd.build_number_block(k, 4 * k + 3) if kind
+           else rd.build_empty_block(k))
+    rmap = rd.block_region_map(tpl)
+    text = json.dumps([rmap.region_count, rmap.ids], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        TEMPLATE_REGION_DIGESTS[k][kind]
+
+
 class TestBlockErrors:
     def test_small_k_rejected(self):
         with pytest.raises(ValidationError):
