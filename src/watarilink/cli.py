@@ -96,6 +96,9 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     puzzle, inst = _read_puzzle(args.puzzle)
+    if args.require_coverage and puzzle is not numberlink:
+        raise PuzzleError("WRONG_PUZZLE", "--require-coverage applies to "
+                          "numberlink puzzles only")
     sol = puzzle.parse_solution(_read(args.solution))
     if puzzle is numberlink:
         verdict = numberlink.verify_solution(

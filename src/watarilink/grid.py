@@ -11,6 +11,7 @@ from operator import eq, ne
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
+from . import documents
 from .errors import Cell, ParseError, ValidationError
 
 Path = Tuple[Cell, ...]
@@ -61,19 +62,14 @@ def is_simple_orthogonal_path(cells: Sequence[Cell], width: int,
     """True iff `cells` is an in-bounds simple path of unit orthogonal steps."""
     if len(cells) < 2:
         return False
-    seen = set()
-    prev = None
-    for cell in cells:
-        x, y = cell
-        if not (0 <= x < width and 0 <= y < height):
+    px, py = cells[0]
+    for x, y in cells:
+        if not (0 <= x < width and 0 <= y < height) \
+                or abs(x - px) + abs(y - py) > 1:
             return False
-        if cell in seen:
-            return False
-        seen.add(cell)
-        if prev is not None and abs(x - prev[0]) + abs(y - prev[1]) != 1:
-            return False
-        prev = cell
-    return True
+        px, py = x, y
+    # Hashed only once bounds and steps hold; a zero step repeats a cell.
+    return len(set(cells)) == len(cells)
 
 
 def first_shared_cell(paths: Sequence[Sequence[Cell]]
@@ -111,7 +107,15 @@ class RegionMap(NamedTuple):
 
 
 def _check_wall(wall: Wall, width: int, height: int) -> None:
-    kind, x, y = wall
+    try:
+        kind, x, y = wall
+    except (TypeError, ValueError):
+        x = y = None
+    # x and y are integers as `documents.as_int` reads them: bools refused.
+    if isinstance(x, bool) or isinstance(y, bool) \
+            or not (isinstance(x, int) and isinstance(y, int)):
+        raise ValidationError("BAD_WALL", f"wall {documents._shown(wall)} "
+                              "is not (kind, x, y) with integer x and y")
     if kind == HORIZONTAL:
         if 0 <= x < width and 0 <= y <= height:
             return

@@ -62,11 +62,14 @@ class BlockTemplate(NamedTuple):
 
 class ReductionMap(NamedTuple):
     """What relates a source instance to its reduction: the validated
-    source and the ladder parameter k.  Everything else the reduction
-    placed is derived from those two."""
+    source, from which the ladder parameter k and everything else the
+    reduction placed are derived."""
 
-    k: int
     source: NumberlinkInstance
+
+    @property
+    def k(self) -> int:
+        return choose_k(self.source.pair_count)
 
     @property
     def block_size(self) -> int:
@@ -308,7 +311,7 @@ def reduce_instance(g: NumberlinkInstance
                     ) -> Tuple[WataridoriInstance, ReductionMap]:
     """Build the equivalent Wataridori instance plus the relating map."""
     g = validate_instance(g)
-    rmap = ReductionMap(choose_k(g.pair_count), g)
+    rmap = ReductionMap(g)
     k, s = rmap.k, rmap.block_size
     check_size(s * g.width, s * g.height)
 
@@ -355,11 +358,11 @@ def parse_map(text: Any) -> ReductionMap:
         source = parse_instance(source)
     except ParseError as exc:
         raise exc.under("source") from None
-    source = validate_instance(source)
-    if k != choose_k(source.pair_count):
-        raise ParseError("BAD_K", f"the source's k is "
-                         f"{choose_k(source.pair_count)}, not {k}", "k")
-    return ReductionMap(k, source)
+    rmap = ReductionMap(validate_instance(source))
+    if k != rmap.k:
+        raise ParseError("BAD_K", f"the source's k is {rmap.k}, not {k}",
+                         "k")
+    return rmap
 
 
 def serialize_map(rmap: ReductionMap) -> str:

@@ -18,8 +18,7 @@ from . import documents as docs
 from . import errors
 from .errors import ParseError, ValidationError, Verdict, accept, reject
 from .grid import (Cell, Path, RegionMap, check_size, first_shared_cell,
-                   is_simple_orthogonal_path, region_map_from_rows,
-                   region_runs)
+                   is_simple_orthogonal_path, region_map_from_rows)
 # The statuses are read through this module as wd.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
                      OutOfBudget, SolveResult, node_limit, run, steps,
@@ -111,21 +110,19 @@ def verify_solution(inst: WataridoriInstance,
         return reject(errors.CELL_SHARED, path_index=shared[0],
                       cell=shared[1])
 
+    ids = rmap.ids
     for idx, path in enumerate(paths):
-        runs = region_runs(path, rmap)
-        r = len(runs)
-        if len(set(runs)) != r:
-            # Name the first cell of the first run in a region left before.
-            seen_rids, last = set(), None
-            for cell in path:
-                rid = rmap.id_at(cell)
-                if rid != last:
-                    if rid in seen_rids:
-                        return reject(errors.REGION_REENTERED, path_index=idx,
-                                      cell=cell,
-                                      detail=f"region {rid} entered twice")
-                    seen_rids.add(rid)
-                    last = rid
+        # A run starts where the id changes; r counts the regions entered.
+        entered, last = set(), None
+        for x, y in path:
+            rid = ids[y][x]
+            if rid != last:
+                if rid in entered:
+                    return reject(errors.REGION_REENTERED, idx, (x, y),
+                                  f"region {rid} entered twice")
+                entered.add(rid)
+                last = rid
+        r = len(entered)
         a = circle_at[path[0]]
         b = circle_at[path[-1]]
         for circle in (a, b):

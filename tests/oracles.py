@@ -158,7 +158,7 @@ def walls_between_regions(rows):
 def _placed_templates(g):
     """(gx, gy, block size, template) for every block of the reduction of
     `g`, a number template built for its own label's center number."""
-    rmap = rd.ReductionMap(rd.choose_k(g.pair_count), nl.validate_instance(g))
+    rmap = rd.ReductionMap(nl.validate_instance(g))
     k, s = rmap.k, rmap.block_size
     numbers = dict(rmap.number_assignment)
     number_at = {c: numbers[label] for label, a, b in rmap.source.terminals
@@ -235,6 +235,17 @@ def partition_of_region_map(rmap):
         for x in range(rmap.width):
             groups.setdefault(rmap.ids[y][x], set()).add((x, y))
     return frozenset(frozenset(g) for g in groups.values())
+
+
+def is_simple_orthogonal_path_reference(cells, width, height):
+    """Reference `grid.is_simple_orthogonal_path`: at least two cells, all
+    on the grid, none twice, and each a unit orthogonal step from the
+    one before."""
+    return (len(cells) >= 2
+            and all(0 <= x < width and 0 <= y < height for x, y in cells)
+            and all(cells.count(cell) == 1 for cell in cells)
+            and all(abs(x2 - x1) + abs(y2 - y1) == 1
+                    for (x1, y1), (x2, y2) in zip(cells, cells[1:])))
 
 
 def _all_simple_paths(start, goal, width, height, forbidden):

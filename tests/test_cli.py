@@ -153,6 +153,14 @@ class TestVerify:
                      "--require-coverage"]) == 2
         assert "UNCOVERED_CELL" in capsys.readouterr().out
 
+    def test_coverage_flag_refused_on_wataridori(self, capsys):
+        assert main(["verify", SAMPLE_WD, SAMPLE_WD_SOL,
+                     "--require-coverage"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: WRONG_PUZZLE: --require-coverage applies to "
+                       "numberlink puzzles only\n")
+
     def test_kind_mismatch_exits_1(self):
         # a wataridori solution lacks labels, so it cannot pair with a
         # numberlink puzzle

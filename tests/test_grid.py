@@ -30,6 +30,55 @@ class TestSimplePath:
     def test_out_of_bounds(self):
         assert not is_simple_orthogonal_path([(0, 0), (0, -1)], 6, 6)
 
+    def test_list_cells_off_the_grid(self):
+        # Bounds are read before any cell is hashed, so a path of
+        # unhashable cells that leaves the grid is refused, not raised on.
+        assert not is_simple_orthogonal_path([[-1, 0], [0, 0]], 2, 2)
+
+
+# Steps that are not unit orthogonal ones: zero, diagonal and long.
+BAD_STEPS = [(0, 0), (1, 1), (-1, 1), (2, 0), (0, -3)]
+UNIT_STEPS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_simple_path_agrees_with_reference(data):
+    """A walk on the grid that avoids itself, given at most one fault (a
+    repeated cell, a bad step, or a cell off the grid), then cut to at
+    most 8 cells with coordinates in -1..4."""
+    width = data.draw(st.integers(1, 4), label="width")
+    height = data.draw(st.integers(1, 4), label="height")
+    cells = [data.draw(st.tuples(st.integers(0, width - 1),
+                                 st.integers(0, height - 1)), label="start")]
+    for _ in range(data.draw(st.integers(0, 7), label="steps")):
+        x, y = cells[-1]
+        free = [cell for cell in ((x + dx, y + dy) for dx, dy in UNIT_STEPS)
+                if cell not in cells and 0 <= cell[0] < width
+                and 0 <= cell[1] < height]
+        if not free:
+            break
+        cells.append(data.draw(st.sampled_from(free), label="cell"))
+    fault = data.draw(st.sampled_from([None, "repeat", "step", "unit"]),
+                      label="fault")
+    at = data.draw(st.integers(0, len(cells)), label="at")
+    if fault == "repeat":
+        cells.insert(at, data.draw(st.sampled_from(cells)))
+    elif fault == "step":
+        x, y = cells[at - 1]
+        dx, dy = data.draw(st.sampled_from(BAD_STEPS))
+        cells.insert(at, (x + dx, y + dy))
+    elif fault == "unit":
+        # One more unit step, which may leave the grid or repeat a cell.
+        x, y = cells[-1]
+        dx, dy = data.draw(st.sampled_from(UNIT_STEPS))
+        cells.append((x + dx, y + dy))
+    cells = [(min(max(x, -1), 4), min(max(y, -1), 4))
+             for x, y in cells[:data.draw(st.integers(0, 8), label="keep")]]
+    want = oracles.is_simple_orthogonal_path_reference(cells, width, height)
+    event(f"simple: {want}")
+    assert is_simple_orthogonal_path(cells, width, height) is want
+
 
 class TestRegionsFromWalls:
     def test_no_walls_single_region(self):
@@ -100,6 +149,26 @@ class TestRegionsFromWalls:
         with pytest.raises(ValidationError) as err:
             regions_from_walls(walls, 2, 2)
         assert (err.value.code, err.value.message) == ("BAD_WALL", message)
+
+    @pytest.mark.parametrize("wall, shown", [
+        ((VERTICAL, 1), "('v', 1)"),
+        ((VERTICAL, 1, 0, 9), "('v', 1, 0, 9)"),
+        (None, "None"),
+        ((VERTICAL, "1", 0), "('v', '1', 0)"),
+        ((VERTICAL, 1.5, 0), "('v', 1.5, 0)"),
+        ((VERTICAL, 1.0, 0), "('v', 1.0, 0)"),
+        ((VERTICAL, True, 0), "('v', True, 0)"),
+        ([VERTICAL, 1, None], "['v', 1, None]"),
+        ((VERTICAL, 1, list(range(1000))),
+         "('v', 1, [0, 1, 2, 3, 4, 5, ...])"),
+    ], ids=["two-items", "four-items", "none", "str", "float",
+            "integral-float", "bool", "list", "long"])
+    def test_malformed_wall_rejected(self, wall, shown):
+        with pytest.raises(ValidationError) as err:
+            regions_from_walls([Wall(VERTICAL, 1, 0), wall], 2, 1)
+        assert (err.value.code, err.value.message) == (
+            "BAD_WALL", f"wall {shown} is not (kind, x, y) with integer "
+                        "x and y")
 
 
 @settings(max_examples=100, deadline=None)

@@ -598,6 +598,26 @@ class TestMapDocuments:
         assert (err.value.code, err.value.location) == \
             ("BAD_VERSION", "version")
 
+    @pytest.mark.parametrize("pairs", range(1, 8))
+    def test_map_holds_the_source_and_derives_k(self, pairs):
+        g = nl.NumberlinkInstance(2 * pairs, 1, tuple(
+            (label, (2 * label, 0), (2 * label + 1, 0))
+            for label in range(pairs)))
+        rmap = rd.ReductionMap(g)
+        assert rmap.k == rd.choose_k(pairs)
+        assert rmap.block_size == 4 * rd.choose_k(pairs) + 5
+        assert rd.parse_map(rd.serialize_map(rmap)) == rmap
+        assert rd.reduce_instance(g)[1] == rmap
+
+    def test_map_cannot_be_built_with_a_second_k(self):
+        # A map holding k = 3 for a one-pair source used to lift onto a
+        # target three times the size of the one `reduce` makes.
+        g = nl.NumberlinkInstance(2, 1, ((1, (0, 0), (1, 0)),))
+        with pytest.raises(TypeError):
+            rd.ReductionMap(3, g)
+        with pytest.raises(TypeError):
+            rd.ReductionMap(k=3, source=g)
+
     def test_source_is_validated(self, sample_numberlink):
         _, rmap = rd.reduce_instance(sample_numberlink)
         doc = json.loads(rd.serialize_map(rmap))
@@ -629,7 +649,7 @@ def test_map_document_round_trip(data):
     g = nl.NumberlinkInstance(width, height, tuple(
         (label, cells[2 * i], cells[2 * i + 1])
         for i, label in enumerate(labels)))
-    rmap = rd.ReductionMap(rd.choose_k(pairs), nl.validate_instance(g))
+    rmap = rd.ReductionMap(nl.validate_instance(g))
     text = rd.serialize_map(rmap)
     assert rd.parse_map(text) == rmap
     assert rd.parse_map(json.loads(text)) == rmap

@@ -39,7 +39,7 @@ VALUES = [
      lambda: wd.WataridoriSolution((((0, 0), (1, 0)),)), "paths"),
     (reduction.BlockTemplate, lambda: reduction.build_number_block(1, 7),
      "walls"),
-    (reduction.ReductionMap, lambda: reduction.ReductionMap(1, _source()),
+    (reduction.ReductionMap, lambda: reduction.ReductionMap(_source()),
      "source"),
     (lifting.ArmRoute, lambda: lifting.route_arm(1, lifting.EAST, 1),
      "cells"),

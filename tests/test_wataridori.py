@@ -100,6 +100,63 @@ class TestVerify:
             errors.REGION_REENTERED, path_index=1, cell=(0, 1),
             detail="region 1 entered twice")
 
+    # Two U gadgets side by side, joined by the column x = 3.  Canonical
+    # ids: 0 the left top row, 1 the column, 2 the right top row, 3 and 4
+    # the bottom rows.  Each U path dips into its bottom row and re-enters
+    # its top row at its last cell; each straight path is one run.
+    TWO_US = [[1, 1, 1, 2, 3, 3, 3], [0, 0, 0, 2, 4, 4, 4]]
+    LEFT_U = ((0, 1), (0, 0), (1, 0), (2, 0), (2, 1))
+    RIGHT_U = ((4, 1), (4, 0), (5, 0), (6, 0), (6, 1))
+    LEFT_LINE = ((0, 1), (1, 1), (2, 1))
+    RIGHT_LINE = ((4, 1), (5, 1), (6, 1))
+
+    @pytest.mark.parametrize("left, right, paths, want", [
+        # Re-entries in both paths: the lower path index is named.
+        (None, None, (LEFT_U, RIGHT_U),
+         (errors.REGION_REENTERED, 0, (2, 1), "region 0 entered twice")),
+        (None, None, (RIGHT_U, LEFT_U),
+         (errors.REGION_REENTERED, 0, (6, 1), "region 2 entered twice")),
+        (None, None, (LEFT_U[::-1], RIGHT_U),
+         (errors.REGION_REENTERED, 0, (0, 1), "region 0 entered twice")),
+        # A count mismatch in path 0 before a re-entry in path 1, and the
+        # reverse: each path's two rules are read before the next path's.
+        (3, None, (LEFT_LINE, RIGHT_U),
+         (errors.COUNT_MISMATCH, 0, (0, 1),
+          "path has 1 region runs, circle wants 3")),
+        (3, None, (RIGHT_U, LEFT_LINE),
+         (errors.REGION_REENTERED, 0, (6, 1), "region 2 entered twice")),
+        (None, 3, (LEFT_U, RIGHT_LINE),
+         (errors.REGION_REENTERED, 0, (2, 1), "region 0 entered twice")),
+        (None, 3, (RIGHT_LINE, LEFT_U),
+         (errors.COUNT_MISMATCH, 0, (4, 1),
+          "path has 1 region runs, circle wants 3")),
+        # Three runs, as both circles ask, but the third re-enters the
+        # first region at the path's last cell.
+        (3, None, (RIGHT_LINE, LEFT_U),
+         (errors.REGION_REENTERED, 1, (2, 1), "region 0 entered twice")),
+    ], ids=["both", "both-swapped", "both-reversed", "count-first",
+            "reentry-first", "reentry-then-count", "count-then-reentry",
+            "last-cell"])
+    def test_two_faults_name_the_first_path(self, left, right, paths, want):
+        inst = make(self.TWO_US, [(0, 1, left), (2, 1, left),
+                                  (4, 1, right), (6, 1, right)])
+        verdict = wd.verify_solution(inst, wd.WataridoriSolution(paths))
+        assert verdict == errors.reject(*want)
+
+    @pytest.mark.parametrize("number", [None, 3])
+    def test_wildcard_path_reentry_names_the_reentered_cell(self, number):
+        # The top row is region 0; the path dips into region 1 below and
+        # re-enters region 0 at (2, 1), a cell before its end.  Its runs
+        # 0, 1, 0 number three, as a circle numbered 3 asks, and a path
+        # with a wildcard end is refused all the same.
+        inst = make([[1, 1, 1, 2], [0, 0, 0, 0]],
+                    [(0, 1, None), (3, 1, number)])
+        path = ((0, 1), (0, 0), (1, 0), (2, 0), (2, 1), (3, 1))
+        verdict = wd.verify_solution(inst, wd.WataridoriSolution((path,)))
+        assert verdict == errors.reject(
+            errors.REGION_REENTERED, path_index=0, cell=(2, 1),
+            detail="region 0 entered twice")
+
     def test_count_mismatch_rejected(self):
         inst = make([[0, 0]], [(0, 0, 2), (1, 0, 2)])
         verdict = wd.verify_solution(
