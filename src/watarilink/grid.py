@@ -60,26 +60,62 @@ class Wall(NamedTuple):
 def is_simple_orthogonal_path(cells: Sequence[Cell], width: int,
                               height: int) -> bool:
     """True iff `cells` is an in-bounds simple path of unit orthogonal steps."""
-    if len(cells) < 2:
-        return False
-    px, py = cells[0]
-    for x, y in cells:
-        if not (0 <= x < width and 0 <= y < height) \
-                or abs(x - px) + abs(y - py) > 1:
-            return False
-        px, py = x, y
-    # Hashed only once bounds and steps hold; a zero step repeats a cell.
-    return len(set(cells)) == len(cells)
+    return _check_paths((cells,), width, height)[1] is None
+
+
+def _check_paths(paths: Sequence[Sequence[Cell]], width: int, height: int
+                 ) -> Tuple[Sequence[Sequence[Cell]], Optional[int],
+                            Optional[Tuple[int, Cell]]]:
+    """The path checks both verifiers make, as (paths, bad, shared).  `bad`
+    is the index of the first path that is not an in-bounds simple path of
+    unit orthogonal steps, or None, and when it is None, `shared` is
+    `first_shared_cell(paths)`.  List cells are judged as the equal tuple
+    cells: `paths` comes back with tuple cells if a verdict could read a
+    list cell."""
+    bad = None
+    for idx, path in enumerate(paths):
+        if len(path) < 2:
+            bad = idx
+            break
+        px, py = path[0]
+        for x, y in path:
+            if not (0 <= x < width and 0 <= y < height) \
+                    or abs(x - px) + abs(y - py) > 1:
+                break
+            px, py = x, y
+        else:
+            continue
+        bad = idx
+        break
+    # Cells are hashed only once bounds and steps hold; a zero step repeats
+    # a cell.  One set over the paths before `bad` settles both that no
+    # path repeats a cell and that the paths are disjoint, so the paths are
+    # searched one by one only when a cell repeats.
+    good = paths[:bad]
+    try:
+        repeats = len(set(chain.from_iterable(good))) != sum(map(len, good))
+        # The refused path's first cell is named in its verdict, as a tuple.
+        lists = bad is not None and list in set(map(type, paths[bad]))
+    except TypeError:
+        # List cells do not hash; any other unhashable cell is refused.
+        lists = list in set(map(type, chain.from_iterable(good)))
+        if not lists:
+            raise
+    if lists:
+        return _check_paths([tuple(tuple(c) if type(c) is list else c
+                                   for c in path) for path in paths],
+                            width, height)
+    if not repeats:
+        return paths, bad, None
+    bad = next((idx for idx, path in enumerate(good)
+                if len(set(path)) != len(path)), bad)
+    return paths, bad, None if bad is not None else first_shared_cell(paths)
 
 
 def first_shared_cell(paths: Sequence[Sequence[Cell]]
                       ) -> Optional[Tuple[int, Cell]]:
     """The first cell found on two of `paths`, as (index of the later
     path, cell), or None when the paths are pairwise disjoint."""
-    # Simple paths are disjoint iff no cell repeats across them, which one
-    # set comparison settles; the offender is looked for only when one does.
-    if len(set(chain.from_iterable(paths))) == sum(map(len, paths)):
-        return None
     owner: Dict[Cell, int] = {}
     for idx, path in enumerate(paths):
         for cell in path:

@@ -13,8 +13,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 from . import documents as docs
 from . import errors
 from .errors import ParseError, ValidationError, Verdict, accept, reject
-from .grid import (Cell, Path, check_size, first_shared_cell,
-                   is_simple_orthogonal_path)
+from .grid import Cell, Path, _check_paths, check_size
 # The statuses are read through this module as nl.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
                      OutOfBudget, SolveResult, node_limit, run, steps,
@@ -92,26 +91,27 @@ def verify_solution(inst: NumberlinkInstance, sol: NumberlinkSolution,
             return reject(errors.MISSING_PATH, cell=a,
                           detail=f"no path for label {label}")
 
-    for idx, (label, path) in enumerate(sol.paths):
-        if not is_simple_orthogonal_path(path, inst.width, inst.height):
-            cell = path[0] if path else None
-            return reject(errors.BAD_PATH, path_index=idx, cell=cell,
-                          detail="not a simple orthogonal path")
+    labels = [label for label, _ in sol.paths]
+    paths, bad, shared = _check_paths([path for _, path in sol.paths],
+                                      inst.width, inst.height)
+    for idx, (label, path) in enumerate(zip(labels, paths[:bad])):
         a, b = terminals[label]
         if {path[0], path[-1]} != {a, b}:
             return reject(errors.ENDPOINT_MISMATCH, path_index=idx,
                           cell=path[0],
                           detail=f"endpoints do not match terminals of "
                                  f"label {label}")
+    if bad is not None:
+        return reject(errors.BAD_PATH, path_index=bad,
+                      cell=paths[bad][0] if paths[bad] else None,
+                      detail="not a simple orthogonal path")
 
-    for idx, (_, path) in enumerate(sol.paths):
+    for idx, path in enumerate(paths):
         for cell in path[1:-1]:
             if cell in all_terminal_cells:
                 return reject(errors.TERMINAL_CROSSED, path_index=idx,
                               cell=cell)
 
-    paths = [path for _, path in sol.paths]
-    shared = first_shared_cell(paths)
     if shared is not None:
         return reject(errors.CELL_SHARED, path_index=shared[0],
                       cell=shared[1])
@@ -348,7 +348,7 @@ def _instance_document(inst: NumberlinkInstance) -> dict:
         "width": inst.width,
         "height": inst.height,
         "terminals": [
-            {"label": label, "cells": [list(a), list(b)]}
+            {"label": label, "cells": [a, b]}
             for label, a, b in inst.terminals
         ],
     }
@@ -376,7 +376,7 @@ def parse_solution(text: Any) -> NumberlinkSolution:
 def serialize_solution(sol: NumberlinkSolution) -> str:
     doc = {
         "paths": [
-            {"label": label, "cells": [list(c) for c in path]}
+            {"label": label, "cells": path}
             for label, path in sol.paths
         ],
     }

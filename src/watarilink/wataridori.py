@@ -11,14 +11,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import documents as docs
 from . import errors
 from .errors import ParseError, ValidationError, Verdict, accept, reject
-from .grid import (Cell, Path, RegionMap, check_size, first_shared_cell,
-                   is_simple_orthogonal_path, region_map_from_rows)
+from .grid import (Cell, Path, RegionMap, _check_paths, check_size,
+                   region_map_from_rows)
 # The statuses are read through this module as wd.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
                      OutOfBudget, SolveResult, node_limit, run, steps,
@@ -38,6 +38,7 @@ class Circle(NamedTuple):
 # Circles built in bulk are made from the plain tuples they equal, by one C
 # call each rather than through the Python constructor.
 _as_circle = partial(tuple.__new__, Circle)
+_NUMBER = {int, type(None)}     # a circle's number: bools are refused
 
 
 class WataridoriInstance(NamedTuple):
@@ -84,14 +85,13 @@ def verify_solution(inst: WataridoriInstance,
     exactly once, cell-disjointness, no region re-entry, run counts.
     """
     rmap = inst.regions
-    paths = sol.paths
     circle_at: Dict[Cell, Circle] = {c[:2]: c for c in inst.circles}
 
-    for idx, path in enumerate(paths):
-        if not is_simple_orthogonal_path(path, rmap.width, rmap.height):
-            cell = path[0] if path else None
-            return reject(errors.BAD_PATH, path_index=idx, cell=cell,
-                          detail="not a simple orthogonal path")
+    paths, bad, shared = _check_paths(sol.paths, rmap.width, rmap.height)
+    if bad is not None:
+        return reject(errors.BAD_PATH, path_index=bad,
+                      cell=paths[bad][0] if paths[bad] else None,
+                      detail="not a simple orthogonal path")
 
     degree: Dict[Cell, int] = dict.fromkeys(circle_at, 0)
     for idx, path in enumerate(paths):
@@ -105,7 +105,6 @@ def verify_solution(inst: WataridoriInstance,
             return reject(errors.UNPAIRED_CIRCLE, cell=cell,
                           detail=f"circle is an endpoint of {count} paths")
 
-    shared = first_shared_cell(paths)
     if shared is not None:
         return reject(errors.CELL_SHARED, path_index=shared[0],
                       cell=shared[1])
@@ -477,9 +476,17 @@ def parse_instance(text: Any) -> WataridoriInstance:
         # int here, as in `as_int`.
         given = sum(map(len, entries)) - 2 * len(entries)
         if docs._all_ints(xs) and docs._all_ints(ys) \
-                and set(map(type, numbers)) <= {int, type(None)} \
+                and set(map(type, numbers)) <= _NUMBER \
                 and len(numbers) - numbers.count(None) == given:
             circles = tuple(map(_as_circle, zip(xs, ys, numbers)))
+            # `validate_instance`'s checks, by column: it runs only to
+            # name a fault.
+            if 0 <= min(xs, default=0) and max(xs, default=0) < width \
+                    and 0 <= min(ys, default=0) \
+                    and max(ys, default=0) < height \
+                    and len(set(zip(xs, ys))) == len(xs) \
+                    and min(set(numbers) - {None}, default=1) >= 1:
+                return WataridoriInstance(rmap, circles)
     if circles is None:
         circles = tuple(_parse_circle(entry, f"circles[{i}]")
                         for i, entry in enumerate(entries))
@@ -500,21 +507,36 @@ def _parse_circle(entry: Any, loc: str) -> Circle:
                   docs.as_int(entry["y"], loc + ".y"), number)
 
 
+# One circle and one cell as canonical text, for the writers' bulk path.
+_CIRCLE = '{"x":%d,"y":%d,"number":%d}'
+_WILDCARD = '{"x":%d,"y":%d}'
+_CELL = "[%d,%d]"
+
+
 def serialize_instance(inst: WataridoriInstance) -> str:
-    circles = sorted(inst.circles, key=lambda c: (c.y, c.x))
+    circles = sorted(inst.circles, key=attrgetter("y", "x"))
+    doc = {
+        "puzzle": "wataridori",
+        "width": inst.width,
+        "height": inst.height,
+        "regions": inst.regions.ids,
+    }
+    xs, ys, numbers = tuple(zip(*circles)) or ((), (), ())
+    # Integer fields are written as `json` writes them; any other value
+    # takes the per-entry path below.
+    if docs._all_ints(xs + ys) and set(map(type, numbers)) <= _NUMBER:
+        text = ",".join([_WILDCARD % c[:2] if c[2] is None else _CIRCLE % c
+                         for c in circles])
+        # The header's closing "}\n" gives way to the circles.
+        return (docs.dumps_canonical(doc)[:-2] + ',"circles":[' + text
+                + "]}\n")
     circle_docs = []
     for c in circles:
         entry = {"x": c.x, "y": c.y}
         if c.number is not None:
             entry["number"] = c.number
         circle_docs.append(entry)
-    doc = {
-        "puzzle": "wataridori",
-        "width": inst.width,
-        "height": inst.height,
-        "regions": [list(row) for row in inst.regions.ids],
-        "circles": circle_docs,
-    }
+    doc["circles"] = circle_docs
     return docs.dumps_canonical(doc)
 
 
@@ -538,6 +560,12 @@ def parse_solution(text: Any) -> WataridoriSolution:
 
 
 def serialize_solution(sol: WataridoriSolution) -> str:
+    cells = list(chain.from_iterable(sol.paths))
+    if set(map(type, cells)) <= {tuple} and set(map(len, cells)) <= {2} \
+            and docs._all_ints(chain.from_iterable(cells)):
+        return '{"paths":[' + ",".join([
+            '{"cells":[%s]}' % ",".join(map(_CELL.__mod__, path))
+            for path in sol.paths]) + "]}\n"
     doc = {
         "paths": [{"cells": [list(c) for c in path]} for path in sol.paths],
     }

@@ -22,7 +22,8 @@ from conftest import INT_MAX_STR_DIGITS, fixture_json
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
 from watarilink import wataridori as wd
-from watarilink.errors import ParseError
+from watarilink.errors import ParseError, ValidationError
+from watarilink.grid import region_map_from_rows
 
 DELETE = object()
 
@@ -91,6 +92,18 @@ def _cases():
          [(("circles", 4), {"x": 0, "y": 0})]),
         ("wd_instance-circle-out-of-bounds", "wd_instance",
          [(("circles", 4, "x"), 6)]),
+        ("wd_instance-last-circle-out-of-bounds", "wd_instance",
+         [(("circles", 13, "y"), -1)]),
+        ("wd_instance-last-circle-duplicate-cell", "wd_instance",
+         [(("circles", 13), {"x": 3, "y": 3, "number": 2})]),
+        ("wd_instance-last-circle-number-negative", "wd_instance",
+         [(("circles", 13, "number"), -3)]),
+        ("wd_instance-bad-number-before-out-of-bounds", "wd_instance",
+         [(("circles", 9, "x"), 6), (("circles", 2, "number"), 0)]),
+        ("wd_instance-out-of-bounds-before-duplicate-cell", "wd_instance",
+         [(("circles", 11), {"x": 0, "y": 4}), (("circles", 5, "y"), 6)]),
+        ("wd_instance-duplicate-cell-before-bad-number", "wd_instance",
+         [(("circles", 12, "number"), 0), (("circles", 6), {"x": 1, "y": 1})]),
         ("wd_instance-region-row-not-a-list", "wd_instance",
          [(("regions", 1), "row")]),
         ("wd_instance-region-row-short", "wd_instance",
@@ -218,6 +231,14 @@ EXPECTED = {
     "wd_instance-circle-number-zero": ("BAD_NUMBER", "circles"),
     "wd_instance-circle-duplicate-cell": ("DUPLICATE_CIRCLE", "circles"),
     "wd_instance-circle-out-of-bounds": ("OUT_OF_BOUNDS", "circles"),
+    "wd_instance-last-circle-out-of-bounds": ("OUT_OF_BOUNDS", "circles"),
+    "wd_instance-last-circle-duplicate-cell": ("DUPLICATE_CIRCLE", "circles"),
+    "wd_instance-last-circle-number-negative": ("BAD_NUMBER", "circles"),
+    "wd_instance-bad-number-before-out-of-bounds": ("BAD_NUMBER", "circles"),
+    "wd_instance-out-of-bounds-before-duplicate-cell":
+        ("OUT_OF_BOUNDS", "circles"),
+    "wd_instance-duplicate-cell-before-bad-number":
+        ("DUPLICATE_CIRCLE", "circles"),
     "wd_instance-region-row-not-a-list": ("NOT_A_LIST", "regions[1]"),
     "wd_instance-region-row-short": ("BAD_REGIONS", "regions[4]"),
     "wd_instance-regions-not-a-list": ("NOT_A_LIST", "regions"),
@@ -292,6 +313,30 @@ def test_parse_error_code_and_location(name, kind, edits):
         with pytest.raises(ParseError) as err:
             PARSERS[kind](source)
         assert (err.value.code, err.value.location) == EXPECTED[name]
+
+
+# The cases whose circles `validate_instance` refuses.
+CIRCLE_FAULTS = sorted(name for name, (code, _) in EXPECTED.items()
+                       if code in ("OUT_OF_BOUNDS", "DUPLICATE_CIRCLE",
+                                   "BAD_NUMBER"))
+
+
+@pytest.mark.parametrize("name", CIRCLE_FAULTS)
+def test_circle_fault_is_the_one_validate_instance_names(name):
+    """The parser checks its circles by column; the fault it names, with
+    its message, is the one `validate_instance` names first."""
+    doc = _edited("wd_instance", dict((n, e) for n, _, e in CASES)[name])
+    inst = wd.WataridoriInstance(
+        region_map_from_rows(doc["regions"]),
+        tuple(wd.Circle(c["x"], c["y"], c.get("number"))
+              for c in doc["circles"]))
+    with pytest.raises(ValidationError) as want:
+        wd.validate_instance(inst)
+    for source in (json.dumps(doc), doc):
+        with pytest.raises(ParseError) as err:
+            wd.parse_instance(source)
+        assert (err.value.code, err.value.detail, err.value.location) == (
+            want.value.code, want.value.message, "circles")
 
 
 @pytest.mark.parametrize("kind", sorted(PARSERS))

@@ -35,6 +35,28 @@ class TestSimplePath:
         # unhashable cells that leaves the grid is refused, not raised on.
         assert not is_simple_orthogonal_path([[-1, 0], [0, 0]], 2, 2)
 
+    @pytest.mark.parametrize("cells, simple", [
+        ([(0, 0), (0, 1)], True),
+        ([(0, 0), (0, 1), (1, 1), (1, 0)], True),
+        ([(0, 0), (1, 0), (0, 0)], False),
+        ([(0, 0), (0, 0)], False),
+        ([(0, 0), (1, 1)], False),
+        ([(1, 1), (2, 1)], False),
+        ([(0, 0)], False),
+    ])
+    def test_list_cells_judged_as_tuple_cells(self, cells, simple):
+        assert is_simple_orthogonal_path(cells, 2, 2) is simple
+        lists = [list(c) for c in cells]
+        mixed = [list(c) if i % 2 else c for i, c in enumerate(cells)]
+        assert is_simple_orthogonal_path(lists, 2, 2) is simple
+        assert is_simple_orthogonal_path(mixed, 2, 2) is simple
+
+    def test_other_unhashable_cells_raise(self):
+        # Only list cells are read as the equal tuples.  A dict cell
+        # unpacks to its keys, (0, 1) here, and then cannot be hashed.
+        with pytest.raises(TypeError):
+            is_simple_orthogonal_path([{0: "a", 1: "b"}, (1, 1)], 2, 2)
+
 
 # Steps that are not unit orthogonal ones: zero, diagonal and long.
 BAD_STEPS = [(0, 0), (1, 1), (-1, 1), (2, 0), (0, -3)]
@@ -78,6 +100,8 @@ def test_simple_path_agrees_with_reference(data):
     want = oracles.is_simple_orthogonal_path_reference(cells, width, height)
     event(f"simple: {want}")
     assert is_simple_orthogonal_path(cells, width, height) is want
+    assert is_simple_orthogonal_path([list(c) for c in cells], width,
+                                     height) is want
 
 
 class TestRegionsFromWalls:

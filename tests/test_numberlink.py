@@ -125,6 +125,41 @@ class TestVerify:
             errors.BAD_PATH, path_index=0, cell=(0, 0),
             detail="not a simple orthogonal path")
 
+    def test_list_cells_judged_as_tuple_cells(self, sample_numberlink,
+                                              sample_numberlink_solution):
+        paths = sample_numberlink_solution.paths
+        (l1, p1), (l2, p2), (l3, p3), (l4, p4), (l5, p5) = paths
+        cases = {
+            None: paths,
+            errors.ENDPOINT_MISMATCH: paths[:4] + ((l5, p5[:-1]),),
+            errors.BAD_PATH: ((l1, ((0, 6),) + p1),) + paths[1:],
+            # Path 0 is cut short and path 2 repeats a cell: the paths are
+            # read in turn, so the cut is named first.
+            "both": ((l1, p1[:-1]), paths[1], (l3, p3 + ((3, 2),)))
+            + paths[3:],
+            errors.CELL_SHARED: paths[:4] + ((l5, ((1, 1), (1, 0), (2, 0),
+                                                   (2, 1), (3, 1), (4, 1))),),
+            errors.TERMINAL_CROSSED: paths[:2] + ((l3, ((0, 3), (0, 2), (1, 2),
+                                                        (2, 2), (3, 2),
+                                                        (4, 2))),) + paths[3:],
+        }
+        for rule, case in cases.items():
+            want = nl.verify_solution(sample_numberlink,
+                                      nl.NumberlinkSolution(case))
+            assert want.rule == (errors.ENDPOINT_MISMATCH if rule == "both"
+                                 else rule)
+            lists = tuple((label, [list(c) for c in path])
+                          for label, path in case)
+            mixed = case[:2] + lists[2:]
+            for given in (lists, mixed):
+                assert nl.verify_solution(
+                    sample_numberlink, nl.NumberlinkSolution(given)) == want
+                assert nl.verify_solution(
+                    sample_numberlink, nl.NumberlinkSolution(given),
+                    require_full_coverage=True) == nl.verify_solution(
+                        sample_numberlink, nl.NumberlinkSolution(case),
+                        require_full_coverage=True)
+
     def test_missing_path(self, sample_numberlink,
                           sample_numberlink_solution):
         paths = sample_numberlink_solution.paths[:-1]

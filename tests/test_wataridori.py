@@ -1,12 +1,14 @@
+import json
 from itertools import combinations, product
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import oracles
 from watarilink import errors
 from watarilink import wataridori as wd
 from watarilink.errors import ParseError, ValidationError
-from watarilink.grid import (VERTICAL, Wall, region_map_from_rows,
+from watarilink.grid import (VERTICAL, RegionMap, Wall, region_map_from_rows,
                              region_runs, regions_from_walls)
 
 
@@ -222,6 +224,80 @@ class TestVerify:
             errors.UNPAIRED_CIRCLE, cell=cell,
             detail=f"circle is an endpoint of {degree} paths")
 
+    # One region over a 4x3 grid, wildcard circles on every endpoint
+    # below.  REPEAT returns to its first cell, OFF leaves the grid, and
+    # SHARES meets REPEAT_AT_END at (3, 0).
+    OPEN = [[0, 0, 0, 0]] * 3
+    LINE = ((0, 2), (1, 2))
+    REPEAT = ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))
+    OFF = ((3, 2), (4, 2))
+    SHARES = ((2, 0), (3, 0))
+    REPEAT_AT_END = ((3, 2), (3, 1), (3, 0), (3, 1))
+
+    @pytest.mark.parametrize("paths, index, cell", [
+        # A repeated cell and a cell off the grid are one rule, read path
+        # by path, so the first faulty path is named either way.
+        ((REPEAT, OFF), 0, (0, 0)),
+        ((OFF, REPEAT), 0, (3, 2)),
+        ((LINE, REPEAT, OFF), 1, (0, 0)),
+        ((LINE, OFF, REPEAT), 1, (3, 2)),
+        # A path that repeats a cell is refused before paths that share a
+        # cell, wherever the two faults lie.
+        ((SHARES, REPEAT_AT_END), 1, (3, 2)),
+        ((REPEAT_AT_END, SHARES), 0, (3, 2)),
+        ((LINE, LINE, REPEAT), 2, (0, 0)),
+        ((SHARES, LINE, SHARES[::-1], REPEAT_AT_END), 3, (3, 2)),
+        ((SHARES, SHARES[::-1], OFF), 2, (3, 2)),
+    ], ids=["repeat-then-off", "off-then-repeat", "line-repeat-off",
+            "line-off-repeat", "shared-then-repeat", "repeat-then-shared",
+            "shared-lines-then-repeat", "shared-apart-then-repeat",
+            "shared-then-off"])
+    def test_first_bad_path_named_before_shared_cells(self, paths, index,
+                                                     cell):
+        ends = {end for path in paths for end in (path[0], path[-1])}
+        inst = make(self.OPEN, [(x, y, None) for x, y in sorted(ends)
+                                if 0 <= x < 4])
+        verdict = wd.verify_solution(inst, wd.WataridoriSolution(paths))
+        assert verdict == errors.reject(
+            errors.BAD_PATH, path_index=index, cell=cell,
+            detail="not a simple orthogonal path")
+
+    def test_shared_cell_named_when_no_path_is_bad(self):
+        inst = make(self.OPEN, [(0, 2, None), (1, 2, None), (2, 0, None),
+                                (3, 0, None), (3, 2, None), (2, 1, None)])
+        paths = (self.LINE, self.SHARES, ((3, 2), (3, 1), (3, 0), (2, 0),
+                                          (2, 1)))
+        verdict = wd.verify_solution(inst, wd.WataridoriSolution(paths))
+        assert verdict == errors.reject(errors.CELL_SHARED, path_index=2,
+                                        cell=(3, 0))
+
+    def test_list_cells_judged_as_tuple_cells(self, sample_wataridori,
+                                              sample_wataridori_solution):
+        paths = sample_wataridori_solution.paths
+        cases = [
+            paths,                                      # accepted
+            # Path 3 rerouted through (2, 0) and (3, 0), cells of path 2.
+            paths[:3] + (((1, 2), (2, 2), (2, 1), (2, 0), (3, 0), (3, 1),
+                          (4, 1)),) + paths[4:],
+            paths[:2] + (paths[2] + (paths[2][-2],),) + paths[3:],
+            paths[:3] + (paths[3] + ((4, 6),),) + paths[4:],
+            paths[:4] + (paths[4] + ((5, 3),),) + paths[5:],
+            paths[:5] + (paths[5][:1],) + paths[6:],
+            paths[:6] + ((),),
+            paths[:-1],
+            paths + (paths[0],),
+        ]
+        for case in cases:
+            want = wd.verify_solution(sample_wataridori,
+                                      wd.WataridoriSolution(case))
+            # Every cell a list, and the cells of one path a list.
+            lists = tuple([list(c) for c in p] for p in case)
+            mixed = tuple([list(c) for c in p] if i == len(case) // 2 else p
+                          for i, p in enumerate(case))
+            for given in (lists, mixed):
+                assert wd.verify_solution(
+                    sample_wataridori, wd.WataridoriSolution(given)) == want
+
     def test_invariant_under_reversal_and_reorder(
             self, sample_wataridori, sample_wataridori_solution):
         for mask in range(2 ** 7):
@@ -411,3 +487,61 @@ def test_one_bad_entry_among_7000_circles(name):
     with pytest.raises(ParseError) as err:
         wd.parse_instance(doc)
     assert (err.value.code, err.value.location) == (code, location)
+
+
+# Values the writers' bulk path refuses, so that they take the dict path.
+ODD = st.sampled_from([True, False, 0.0, -1.5, 2.0])
+
+
+def _dumped(doc):
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _instance_dict(inst):
+    """The dict form an instance was written from before the writers
+    emitted text directly."""
+    circles = []
+    for c in sorted(inst.circles, key=lambda c: (c.y, c.x)):
+        entry = {"x": c.x, "y": c.y}
+        if c.number is not None:
+            entry["number"] = c.number
+        circles.append(entry)
+    return {"puzzle": "wataridori", "width": inst.width,
+            "height": inst.height,
+            "regions": [list(row) for row in inst.regions.ids],
+            "circles": circles}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_writers_equal_json_of_the_dict_form(data):
+    """Any instance and solution, wildcards, unsorted and repeated
+    circles, empty and one-cell paths, and values such as bools, floats
+    and list cells included, are written as `json` writes their dict
+    form."""
+    odd = data.draw(st.sampled_from([None, "values", "lists", "lengths"]),
+                    label="odd")
+    value = st.integers() | ODD if odd == "values" else st.integers()
+    width = data.draw(st.integers(1, 4), label="width")
+    height = data.draw(st.integers(1, 4), label="height")
+    ids = data.draw(st.lists(st.lists(st.integers(0, 5), min_size=width,
+                                      max_size=width).map(tuple),
+                             min_size=height, max_size=height).map(tuple),
+                    label="ids")
+    circles = data.draw(st.lists(st.builds(wd.Circle, value, value,
+                                           st.none() | value), max_size=8),
+                        label="circles")
+    inst = wd.WataridoriInstance(RegionMap(width, height, ids, 6),
+                                 tuple(circles))
+    cell = st.tuples(value, value)
+    if odd == "lists":
+        cell = cell | cell.map(list)
+    elif odd == "lengths":
+        cell = cell | st.tuples(value) | st.tuples(value, value, value)
+    paths = data.draw(st.lists(st.lists(cell, max_size=4).map(tuple),
+                               max_size=5), label="paths")
+    sol = wd.WataridoriSolution(tuple(paths))
+    event(f"odd: {odd}")
+    assert wd.serialize_instance(inst) == _dumped(_instance_dict(inst))
+    assert wd.serialize_solution(sol) == _dumped(
+        {"paths": [{"cells": [list(c) for c in path]} for path in paths]})
