@@ -68,10 +68,11 @@ def _check_paths(paths: Sequence[Sequence[Cell]], width: int, height: int
                             Optional[Tuple[int, Cell]]]:
     """The path checks both verifiers make, as (paths, bad, shared).  `bad`
     is the index of the first path that is not an in-bounds simple path of
-    unit orthogonal steps, or None, and when it is None, `shared` is
-    `first_shared_cell(paths)`.  List cells are judged as the equal tuple
-    cells: `paths` comes back with tuple cells if a verdict could read a
-    list cell."""
+    unit orthogonal steps between integer cells, or None, and when it is
+    None, `shared` is `first_shared_cell(paths)`.  A coordinate is an
+    integer under `documents.as_int`'s rule, so a bool is not one.  List
+    cells are judged as the equal tuple cells: `paths` comes back with
+    tuple cells if a verdict could read a list cell."""
     bad = None
     for idx, path in enumerate(paths):
         if len(path) < 2:
@@ -87,11 +88,19 @@ def _check_paths(paths: Sequence[Sequence[Cell]], width: int, height: int
             continue
         bad = idx
         break
+    # The cells of the paths before `bad` are pairs; a coordinate of
+    # theirs that is not an integer as `documents.as_int` reads it, a bool
+    # included, makes its path the first bad one.
+    good = paths[:bad]
+    if not documents._all_ints(chain.from_iterable(chain.from_iterable(good))):
+        bad = next((idx for idx, path in enumerate(good)
+                    if any(isinstance(v, bool) or not isinstance(v, int)
+                           for v in chain.from_iterable(path))), bad)
+        good = paths[:bad]
     # Cells are hashed only once bounds and steps hold; a zero step repeats
     # a cell.  One set over the paths before `bad` settles both that no
     # path repeats a cell and that the paths are disjoint, so the paths are
     # searched one by one only when a cell repeats.
-    good = paths[:bad]
     try:
         repeats = len(set(chain.from_iterable(good))) != sum(map(len, good))
         # The refused path's first cell is named in its verdict, as a tuple.

@@ -14,7 +14,8 @@ printed first, while all document coordinates stay y-up.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, compress, count
 from operator import add, itemgetter, ne
 from typing import List, Optional, Sequence, Tuple
 
@@ -32,6 +33,10 @@ _Mark = Tuple[int, int, str, bool]
 # width, height, region ids per row (bottom row first), paths, marks
 _Board = Tuple[int, int, Sequence[Sequence[int]], Sequence[Sequence[Cell]],
                List[_Mark]]
+# head, bottom, top, left, right, xs, ys, cxs, cys: see `_frame`
+_Frame = Tuple[str, Tuple[str, ...], Tuple[str, ...], str, str,
+               Tuple[str, ...], Tuple[str, ...], Tuple[str, ...],
+               Tuple[str, ...]]
 
 
 def _walls(ids: Sequence[Sequence[int]], width: int,
@@ -72,38 +77,84 @@ def _ascii(width: int, height: int, ids: Sequence[Sequence[int]],
     return "\n".join(lines) + "\n"
 
 
+_BLACK = 'stroke="black" stroke-width="4"/>'
+
+
+@lru_cache(maxsize=8)
+def _frame(width: int, height: int) -> _Frame:
+    """The SVG text every `width` x `height` board shares, as (head,
+    bottom, top, left, right, xs, ys, cxs, cys): `head` is the svg
+    element, the background and the grey grid; `bottom[x]` and `top[x]`
+    are column x's outer walls; `left` and `right` are the board's sides,
+    each joined; `xs[x]` and `ys[y]` are the coordinates of lattice point
+    (x, y), and `cxs[x]` and `cys[y]` those of the centre of cell (x, y),
+    y flipped for display.  Built on first use per shape; the eight
+    shapes used last stay cached."""
+    u = _SVG_UNIT
+    w, h = width * u, height * u
+    xs = tuple(str(x * u) for x in range(width + 1))
+    ys = tuple(str(h - y * u) for y in range(height + 1))
+    half = u // 2
+    cxs = tuple(str(x * u + half) for x in range(width))
+    cys = tuple(str(h - y * u - half) for y in range(height))
+    grey = 'stroke="#cccccc" stroke-width="1"/>'
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
+            f'width="{w}" height="{h}">',
+            f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>']
+    head += [f'<line x1="{x}" y1="0" x2="{x}" y2="{h}" {grey}' for x in xs]
+    head += [f'<line x1="0" y1="{y * u}" x2="{w}" y2="{y * u}" {grey}'
+             for y in range(height + 1)]
+    bottom, top = (tuple(f'<line x1="{a}" y1="{y}" x2="{b}" y2="{y}" {_BLACK}'
+                         for a, b in zip(xs, xs[1:]))
+                   for y in (ys[0], ys[height]))
+    left, right = ("\n".join([f'<line x1="{x}" y1="{a}" x2="{x}" y2="{b}" '
+                               f'{_BLACK}' for a, b in zip(ys, ys[1:])])
+                   for x in (xs[0], xs[width]))
+    return "\n".join(head), bottom, top, left, right, xs, ys, cxs, cys
+
+
 def _svg(width: int, height: int, ids: Sequence[Sequence[int]],
          paths: Sequence[Sequence[Cell]], marks: List[_Mark]) -> str:
     u = _SVG_UNIT
-    w, h = width * u, height * u
-    hwalls, vwalls = _walls(ids, width, height)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
-             f'width="{w}" height="{h}">',
-             f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>']
-    grey = 'stroke="#cccccc" stroke-width="1"/>'
-    for x in range(width + 1):
-        parts.append(f'<line x1="{x * u}" y1="0" x2="{x * u}" y2="{h}" {grey}')
-    for y in range(height + 1):
-        parts.append(f'<line x1="0" y1="{y * u}" x2="{w}" y2="{y * u}" {grey}')
-    black = 'stroke="black" stroke-width="4"/>'
-    for x in range(width):
-        for y in range(height + 1):
-            if hwalls[y][x]:
-                parts.append(f'<line x1="{x * u}" y1="{h - y * u}" '
-                             f'x2="{x * u + u}" y2="{h - y * u}" {black}')
-    for x in range(width + 1):
-        for y in range(height):
-            if vwalls[y][x]:
-                parts.append(f'<line x1="{x * u}" y1="{h - y * u}" '
-                             f'x2="{x * u}" y2="{h - y * u - u}" {black}')
+    h = height * u
+    head, bottom, top, left, right, xs, ys, cxs, cys = _frame(width, height)
+    # The walls column by column: first each column's lines along cell
+    # bottoms, from the bottom of the board up, then the lines along cell
+    # left sides, the board's left side first and its right side last.
+    cols = list(zip(*ids))
+    parts = [head]
+    for x, col in enumerate(cols):
+        a, b = xs[x], xs[x + 1]
+        parts.append(bottom[x])
+        parts += [f'<line x1="{a}" y1="{ys[y]}" x2="{b}" y2="{ys[y]}" {_BLACK}'
+                  for y in compress(count(1), map(ne, col, col[1:]))]
+        parts.append(top[x])
+    parts.append(left)
+    for x in range(1, width):
+        a = xs[x]
+        parts += [f'<line x1="{a}" y1="{ys[y]}" x2="{a}" y2="{ys[y + 1]}" '
+                  f'{_BLACK}'
+                  for y in compress(count(), map(ne, cols[x - 1], cols[x]))]
+    parts.append(right)
+    # A cell's centre is looked up when the cell is on the grid, and
+    # computed otherwise: a coordinate past the grid or not an integer
+    # raises in the lookup, and a negative one, whose index would wrap,
+    # gives None, on which the join or the unpacking raises.
     half = u // 2
     for path in paths:
-        points = " ".join(f"{x * u + half},{h - y * u - half}"
-                          for x, y in path)
+        try:
+            points = " ".join([f"{cxs[x]},{cys[y]}" if x >= 0 <= y else None
+                               for x, y in path])
+        except (IndexError, TypeError):
+            points = " ".join(f"{x * u + half},{h - y * u - half}"
+                              for x, y in path)
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="red" stroke-width="4"/>')
     for x, y, text, circled in marks:
-        cx, cy = x * u + half, h - y * u - half
+        try:
+            cx, cy = (cxs[x], cys[y]) if x >= 0 <= y else None
+        except (IndexError, TypeError):
+            cx, cy = x * u + half, h - y * u - half
         if circled:
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="{u * 3 // 8}" '
                          f'fill="white" stroke="black" stroke-width="2"/>')
@@ -118,6 +169,7 @@ def _svg(width: int, height: int, ids: Sequence[Sequence[int]],
 def _wataridori(inst: WataridoriInstance,
                 sol: Optional[WataridoriSolution]) -> _Board:
     rmap = inst.regions
+    check_size(rmap.width, rmap.height)
     # One text per distinct number, shared by its marks.
     texts = {n: "" if n is None else str(n) for _, _, n in inst.circles}
     marks = [(x, y, texts[n], True) for x, y, n in inst.circles]

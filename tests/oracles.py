@@ -627,3 +627,54 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
 
     return run(pair_next(), lambda: bud.nodes,
                lambda: wd.WataridoriSolution(tuple(paths)))
+
+
+def svg_reference(width, height, ids, paths, marks):
+    """Reference `render._svg`: the SVG drawer as it was before it kept a
+    frame per board shape, walls and all formatted on every call.  The
+    tests require the library's SVG renders to equal it byte for byte."""
+    u = 40
+    w, h = width * u, height * u
+    edge = [True] * width
+    hwalls = [edge]
+    hwalls += [[a != b for a, b in zip(ids[y - 1], ids[y])]
+               for y in range(1, height)]
+    hwalls.append(edge)
+    vwalls = [[True, *(a != b for a, b in zip(row, row[1:])), True]
+              for row in ids]
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
+             f'width="{w}" height="{h}">',
+             f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>']
+    grey = 'stroke="#cccccc" stroke-width="1"/>'
+    for x in range(width + 1):
+        parts.append(f'<line x1="{x * u}" y1="0" x2="{x * u}" y2="{h}" {grey}')
+    for y in range(height + 1):
+        parts.append(f'<line x1="0" y1="{y * u}" x2="{w}" y2="{y * u}" {grey}')
+    black = 'stroke="black" stroke-width="4"/>'
+    for x in range(width):
+        for y in range(height + 1):
+            if hwalls[y][x]:
+                parts.append(f'<line x1="{x * u}" y1="{h - y * u}" '
+                             f'x2="{x * u + u}" y2="{h - y * u}" {black}')
+    for x in range(width + 1):
+        for y in range(height):
+            if vwalls[y][x]:
+                parts.append(f'<line x1="{x * u}" y1="{h - y * u}" '
+                             f'x2="{x * u}" y2="{h - y * u - u}" {black}')
+    half = u // 2
+    for path in paths:
+        points = " ".join(f"{x * u + half},{h - y * u - half}"
+                          for x, y in path)
+        parts.append(f'<polyline points="{points}" fill="none" '
+                     f'stroke="red" stroke-width="4"/>')
+    for x, y, text, circled in marks:
+        cx, cy = x * u + half, h - y * u - half
+        if circled:
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="{u * 3 // 8}" '
+                         f'fill="white" stroke="black" stroke-width="2"/>')
+        if text:
+            parts.append(f'<text x="{cx}" y="{cy}" font-size="{half}" '
+                         f'text-anchor="middle" dominant-baseline="central">'
+                         f'{text}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

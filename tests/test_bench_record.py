@@ -66,6 +66,47 @@ def test_pairs_fold_by_workload_and_seed(tmp_path):
         {"median": 5.0, "q1": 5.0, "q3": 5.0}
 
 
+def test_control_runs_fold_into_each_summary(tmp_path, capsys):
+    parent, change, control = (str(tmp_path / side)
+                               for side in ("parent", "change", "control"))
+    for seed, before, after, again in ((1, 100.0, 120.0, 101.0),
+                                       (2, 100.0, 130.0, 99.0),
+                                       (3, 110.0, 125.0, 120.0)):
+        for directory, ops_per_s in ((parent, before), (change, after),
+                                     (control, again)):
+            write_run(directory, "check_small", seed, ops_per_s, [])
+    # A control run on a seed the change did not run is in no pair, and a
+    # workload with no control run gets no control entry.
+    write_run(control, "check_small", 4, 500.0, [])
+    write_run(parent, "solve", 1, 1.0, [])
+    write_run(change, "solve", 1, 2.0, [])
+    out = str(tmp_path / "BENCH_0.json")
+    assert bench_record.main(["--pr", "0", "--parent", parent,
+                              "--change", change, "--control", control,
+                              "--out", out]) == 0
+    with open(out) as f:
+        doc = json.load(f)
+    small = doc["workloads"]["check_small"]
+    assert [p["seed"] for p in small["pairs"]] == [1, 2, 3]
+    assert small["pairs"][1]["control"]["metrics"]["ops_per_s"] == 99.0
+    ops = small["summary"]["ops_per_s"]
+    assert (ops["change_wins"], ops["ties"]) == (3, 0)
+    assert ops["control"] == {
+        "parent": {"median": 100.0, "q1": 100.0, "q3": 105.0},
+        "control": {"median": 101.0, "q1": 100.0, "q3": 110.5},
+        "control_wins": 2, "ties": 0}
+    # Metrics that did not move: every control pair a tie.
+    assert small["summary"]["setup_s"]["control"]["ties"] == 3
+    assert all("control" in s for s in small["summary"].values())
+    solve = doc["workloads"]["solve"]
+    assert "control" not in solve["pairs"][0]
+    assert not any("control" in s for s in solve["summary"].values())
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "control" in line] == [
+        "check_small: control wins setup_s 0/3, ops_per_s 2/3, "
+        "op_ms_p50 0/3, op_ms_p90 0/3, peak_rss_mb 0/3"]
+
+
 def test_no_common_run_exits_1(tmp_path, capsys):
     write_run(str(tmp_path / "parent"), "solve", 1, 1.0, [])
     assert bench_record.main(["--pr", "0",

@@ -667,6 +667,20 @@ def test_numberlink_renders_refuse_a_bad_size(draw):
         assert err.value.code == code
 
 
+@pytest.mark.parametrize("draw", [render.render_wataridori_ascii,
+                                  render.render_wataridori_svg])
+def test_wataridori_renders_refuse_a_bad_size(draw):
+    """A region map built by hand may have an empty side: the renderers
+    refuse it as the Numberlink ones do."""
+    for width, height, ids, code in ((0, 2, ((), ()), "BAD_DIMENSIONS"),
+                                     (2, 0, (), "BAD_DIMENSIONS"),
+                                     (1000, 1000, (), "TOO_LARGE")):
+        rmap = grid.RegionMap(width, height, ids, 1)
+        with pytest.raises(ValidationError) as err:
+            draw(wd.WataridoriInstance(rmap, ()))
+        assert err.value.code == code
+
+
 def test_numberlink_renders_draw_a_board_without_terminals():
     inst = nl.NumberlinkInstance(2, 1, ())
     assert render.render_numberlink_ascii(inst) == \

@@ -1,3 +1,4 @@
+import enum
 import tracemalloc
 
 import pytest
@@ -50,6 +51,23 @@ class TestSimplePath:
         mixed = [list(c) if i % 2 else c for i, c in enumerate(cells)]
         assert is_simple_orthogonal_path(lists, 2, 2) is simple
         assert is_simple_orthogonal_path(mixed, 2, 2) is simple
+
+    @pytest.mark.parametrize("cells", [
+        [(0, 0), (0.5, 0), (1, 0)],
+        [(0, 0), (1.0, 0)],
+        [(True, 0), (0, 0)],
+        [(0, 0), (1, 0), (1, True)],
+        [[0, 0], [0.0, 1]],
+    ], ids=["half-steps", "float", "bool", "bool-last", "float-list"])
+    def test_non_integer_cells_refused(self, cells):
+        # A coordinate is an integer under `documents.as_int`'s rule: a
+        # float is not one, whatever its value, and neither is a bool.
+        assert not is_simple_orthogonal_path(cells, 2, 2)
+
+    def test_int_subclass_cells_accepted(self):
+        # `documents.as_int` accepts an int subclass other than bool.
+        one = enum.IntEnum("One", "ONE")(1)
+        assert is_simple_orthogonal_path([(0, 0), (one, 0), (one, one)], 2, 2)
 
     def test_other_unhashable_cells_raise(self):
         # Only list cells are read as the equal tuples.  A dict cell

@@ -125,6 +125,18 @@ class TestVerify:
             errors.BAD_PATH, path_index=0, cell=(0, 0),
             detail="not a simple orthogonal path")
 
+    @pytest.mark.parametrize("path", [
+        ((0, 0), (0.5, 0), (1, 0)),
+        ((0, 0), (1.0, 0)),
+        ((0, 0), (True, 0)),
+    ], ids=["half-steps", "float", "bool"])
+    def test_non_integer_cells_rejected(self, path):
+        inst = nl.validate_instance(make(2, 1, [(1, (0, 0), (1, 0))]))
+        sol = nl.NumberlinkSolution(((1, path),))
+        assert nl.verify_solution(inst, sol) == errors.reject(
+            errors.BAD_PATH, path_index=0, cell=(0, 0),
+            detail="not a simple orthogonal path")
+
     def test_list_cells_judged_as_tuple_cells(self, sample_numberlink,
                                               sample_numberlink_solution):
         paths = sample_numberlink_solution.paths

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import tracemalloc
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,8 @@ from watarilink import reduction as rd
 from watarilink import render
 from watarilink import wataridori as wd
 from watarilink.errors import ParseError, ValidationError
-from watarilink.grid import Wall, region_map_from_rows, regions_from_walls
+from watarilink.grid import (RegionMap, Wall, region_map_from_rows,
+                             regions_from_walls)
 
 
 def template_as_doc(tpl):
@@ -569,6 +572,83 @@ class TestRenderPins:
         text = getattr(render, f"render_{kind}_{fmt}")(inst, sol)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             self.DIGESTS[f"{board}-{fmt}"]
+
+
+def _svg_case(data, kind, width, height):
+    """A board of one kind and shape, drawn with unvalidated marks and
+    paths, as (render, instance, solution, the reference's SVG).  Cells
+    may lie off the grid, and on some boards their coordinates may be
+    floats or bools."""
+    odd = data.draw(st.booleans(), label="non-integers")
+    column, row = (st.integers(-2, side + 1)
+                   | st.sampled_from([0.5, 1.0, True]) if odd
+                   else st.integers(-2, side + 1) for side in (width, height))
+    cell = st.tuples(column, row)
+    paths = data.draw(st.lists(st.lists(cell, max_size=5).map(tuple),
+                               max_size=3), label="paths")
+    # Texts of one to three digits.
+    number = st.integers(0, 999)
+    if kind == "numberlink":
+        terminals = data.draw(st.lists(st.tuples(number, cell, cell),
+                                       max_size=3), label="terminals")
+        inst = nl.NumberlinkInstance(width, height, tuple(terminals))
+        sol = None if not paths else nl.NumberlinkSolution(
+            tuple(enumerate(paths)))
+        marks = [(x, y, str(label), False)
+                 for label, a, b in terminals for x, y in (a, b)]
+        return (render.render_numberlink_svg, inst, sol,
+                oracles.svg_reference(width, height, [[0] * width] * height,
+                                      paths, marks))
+    ids = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=width,
+                                      max_size=width),
+                             min_size=height, max_size=height), label="ids")
+    circles = data.draw(st.lists(st.builds(wd.Circle, column, row,
+                                           st.none() | number),
+                                 max_size=4), label="circles")
+    # The render takes the map as it is: ids need not be canonical.
+    inst = wd.WataridoriInstance(
+        RegionMap(width, height, tuple(map(tuple, ids)), 4), tuple(circles))
+    sol = None if not paths else wd.WataridoriSolution(tuple(paths))
+    marks = sorted(((x, y, "" if n is None else str(n), True)
+                    for x, y, n in circles), key=itemgetter(1, 0))
+    return (render.render_wataridori_svg, inst, sol,
+            oracles.svg_reference(width, height, ids, paths, marks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_svg_renders_equal_the_reference(data):
+    """Both SVG renders equal the reference drawer byte for byte.  Boards
+    of up to three shapes are drawn in one example and rendered, then
+    rendered again in reverse order, so that a frame cached for one shape
+    is reused after another's and can never stand in for it."""
+    side = st.integers(1, 9)
+    cases = [_svg_case(data, data.draw(st.sampled_from(["numberlink",
+                                                        "wataridori"])),
+                       data.draw(side, label="width"),
+                       data.draw(side, label="height"))
+             for _ in range(data.draw(st.integers(1, 3), label="boards"))]
+    for draw, inst, sol, want in cases + cases[::-1]:
+        assert draw(inst, sol) == want
+
+
+def test_frame_cache_keeps_eight_shapes():
+    for width in range(1, 12):
+        render.render_numberlink_svg(nl.NumberlinkInstance(width, 2, ()))
+        assert render._frame.cache_info().currsize <= 8
+
+
+def test_frame_of_a_136x136_board_is_small():
+    # The frame holds O(width + height) strings: the interior walls are
+    # formatted per render.
+    render._frame.cache_clear()
+    tracemalloc.start()
+    try:
+        render._frame(136, 136)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= 500_000
 
 
 class TestMapDocuments:

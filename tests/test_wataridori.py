@@ -262,6 +262,25 @@ class TestVerify:
             errors.BAD_PATH, path_index=index, cell=cell,
             detail="not a simple orthogonal path")
 
+    @pytest.mark.parametrize("paths, index", [
+        ((((0, 0), (0.5, 0), (1, 0)),), 0),
+        ((((0, 0), (1.0, 0)),), 0),
+        ((((0, 0), (True, 0)),), 0),
+        # The first bad path is named, whichever rule it breaks.
+        ((LINE, ((3, 2), (3, 1.0)), OFF), 1),
+        ((LINE, OFF, ((3, 2), (3, 1.0))), 1),
+    ], ids=["half-steps", "float", "bool", "float-then-off",
+            "off-then-float"])
+    def test_non_integer_cells_rejected(self, paths, index):
+        # Integer circles on every end on the grid.
+        inst = make(self.OPEN, sorted({
+            (int(x), int(y), None) for path in paths
+            for x, y in (path[0], path[-1]) if 0 <= x < 4}))
+        verdict = wd.verify_solution(inst, wd.WataridoriSolution(paths))
+        assert verdict == errors.reject(
+            errors.BAD_PATH, path_index=index, cell=paths[index][0],
+            detail="not a simple orthogonal path")
+
     def test_shared_cell_named_when_no_path_is_bad(self):
         inst = make(self.OPEN, [(0, 2, None), (1, 2, None), (2, 0, None),
                                 (3, 0, None), (3, 2, None), (2, 1, None)])

@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_record.py --pr N --parent DIR --change DIR \
-        [--out PATH]
+        [--control DIR] [--out PATH]
 
 DIR is a `.perfbench` directory that `perfbench/run.py --trace 0` wrote
 into, one for the parent commit's runs and one for the change's.  Runs
@@ -12,7 +12,15 @@ directories is one pair.  Per pair the file keeps the seed and, per side,
 the end-to-end metrics named in BENCHMARK.json, the digest of the op
 records and the solver nodes per board family.  Per workload and metric
 it keeps each side's median and quartiles, how many pairs the change won
-and how many were ties.  Standard library only.
+and how many were ties.
+
+The control is an A/A comparison: a second set of parent runs on the
+same seeds, run in the same alternation as the change's.  A pair whose
+seed has a control run keeps it as a third side, and each metric's
+summary gets a `control` entry, the parent against the control as above
+with `control_wins` in place of `change_wins`.  Identical code wins about
+half of its pairs; a change's wins count for as much as they beat that.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -68,29 +76,43 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def fold(pr, parent, change, spec):
+def compared(pairs, name, other, better):
+    """Metric `name` of the parent against side `other` over `pairs`: each
+    side's spread, how many pairs `other` won and how many were ties."""
+    before = [p["parent"]["metrics"][name] for p in pairs]
+    after = [p[other]["metrics"][name] for p in pairs]
+    sign = 1 if better == "higher" else -1
+    return {"parent": spread(before), other: spread(after),
+            f"{other}_wins": sum(sign * (b - a) > 0
+                                 for a, b in zip(before, after)),
+            "ties": sum(a == b for a, b in zip(before, after))}
+
+
+def fold(pr, parent, change, spec, control=None):
     """The BENCH document for the pairs that `parent` and `change`, two
-    `read_runs` results, have in common."""
+    `read_runs` results, have in common, with the runs of `control`, a
+    third, on their seeds."""
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = {}
-    for workload, seed in sorted(parent.keys() & change.keys()):
-        before, after = parent[workload, seed], change[workload, seed]
+    for key in sorted(parent.keys() & change.keys()):
+        workload, seed = key
         entry = workloads.setdefault(
-            workload, {"seconds": before["seconds"], "pairs": []})
-        entry["pairs"].append({"seed": seed, "parent": side(before, metrics),
-                               "change": side(after, metrics)})
+            workload, {"seconds": parent[key]["seconds"], "pairs": []})
+        pair = {"seed": seed, "parent": side(parent[key], metrics),
+                "change": side(change[key], metrics)}
+        if control and key in control:
+            pair["control"] = side(control[key], metrics)
+        entry["pairs"].append(pair)
     for entry in workloads.values():
+        pairs = entry["pairs"]
+        controlled = [p for p in pairs if "control" in p]
         summary = entry["summary"] = {}
         for name, better in metrics.items():
-            before = [p["parent"]["metrics"][name] for p in entry["pairs"]]
-            after = [p["change"]["metrics"][name] for p in entry["pairs"]]
-            sign = 1 if better == "higher" else -1
-            summary[name] = {
-                "better": better,
-                "parent": spread(before), "change": spread(after),
-                "change_wins": sum(sign * (b - a) > 0
-                                   for a, b in zip(before, after)),
-                "ties": sum(a == b for a, b in zip(before, after))}
+            summary[name] = {"better": better,
+                             **compared(pairs, name, "change", better)}
+            if controlled:
+                summary[name]["control"] = compared(controlled, name,
+                                                    "control", better)
     return {"pr": pr, "workloads": workloads}
 
 
@@ -101,12 +123,16 @@ def main(argv=None):
                         help="the parent commit's .perfbench directory")
     parser.add_argument("--change", required=True,
                         help="the change's .perfbench directory")
+    parser.add_argument("--control",
+                        help="a .perfbench directory of parent runs "
+                             "paired with --parent's on the same seeds")
     parser.add_argument("--out", help="default: BENCH_<pr>.json in the "
                                       "repository root")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    doc = fold(args.pr, read_runs(args.parent), read_runs(args.change), spec)
+    doc = fold(args.pr, read_runs(args.parent), read_runs(args.change), spec,
+               args.control and read_runs(args.control))
     if not doc["workloads"]:
         print("no workload and seed has a run on both sides", file=sys.stderr)
         return 1
@@ -119,6 +145,12 @@ def main(argv=None):
         wins = ", ".join(f"{name} {s['change_wins']}/{pairs}"
                          for name, s in entry["summary"].items())
         print(f"{workload}: {pairs} pairs; change wins {wins}")
+        controlled = sum("control" in p for p in entry["pairs"])
+        if controlled:
+            wins = ", ".join(f"{name} {s['control']['control_wins']}"
+                             f"/{controlled}"
+                             for name, s in entry["summary"].items())
+            print(f"{workload}: control wins {wins}")
     return 0
 
 
