@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, compress
 from operator import eq, ne
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import documents
 from .errors import Cell, ParseError, ValidationError
@@ -81,26 +81,19 @@ def _check_paths(paths: Sequence[Sequence[Cell]], width: int, height: int
         px, py = path[0]
         for x, y in path:
             if not (0 <= x < width and 0 <= y < height) \
-                    or abs(x - px) + abs(y - py) > 1:
+                    or abs(x - px) + abs(y - py) > 1 \
+                    or not (type(x) is int is type(y) or _ints(x, y)):
                 break
             px, py = x, y
         else:
             continue
         bad = idx
         break
-    # The cells of the paths before `bad` are pairs; a coordinate of
-    # theirs that is not an integer as `documents.as_int` reads it, a bool
-    # included, makes its path the first bad one.
-    good = paths[:bad]
-    if not documents._all_ints(chain.from_iterable(chain.from_iterable(good))):
-        bad = next((idx for idx, path in enumerate(good)
-                    if any(isinstance(v, bool) or not isinstance(v, int)
-                           for v in chain.from_iterable(path))), bad)
-        good = paths[:bad]
     # Cells are hashed only once bounds and steps hold; a zero step repeats
     # a cell.  One set over the paths before `bad` settles both that no
     # path repeats a cell and that the paths are disjoint, so the paths are
     # searched one by one only when a cell repeats.
+    good = paths[:bad]
     try:
         repeats = len(set(chain.from_iterable(good))) != sum(map(len, good))
         # The refused path's first cell is named in its verdict, as a tuple.
@@ -151,14 +144,19 @@ class RegionMap(NamedTuple):
         return self.ids[y][x]
 
 
+def _ints(*values: Any) -> bool:
+    """True iff every value is an integer as `documents.as_int` reads it:
+    an int or an int subclass other than bool."""
+    return all(isinstance(v, int) and not isinstance(v, bool)
+               for v in values)
+
+
 def _check_wall(wall: Wall, width: int, height: int) -> None:
     try:
         kind, x, y = wall
     except (TypeError, ValueError):
         x = y = None
-    # x and y are integers as `documents.as_int` reads them: bools refused.
-    if isinstance(x, bool) or isinstance(y, bool) \
-            or not (isinstance(x, int) and isinstance(y, int)):
+    if not _ints(x, y):
         raise ValidationError("BAD_WALL", f"wall {documents._shown(wall)} "
                               "is not (kind, x, y) with integer x and y")
     if kind == HORIZONTAL:

@@ -33,10 +33,9 @@ _Mark = Tuple[int, int, str, bool]
 # width, height, region ids per row (bottom row first), paths, marks
 _Board = Tuple[int, int, Sequence[Sequence[int]], Sequence[Sequence[Cell]],
                List[_Mark]]
-# head, bottom, top, left, right, xs, ys, cxs, cys: see `_frame`
+# head, bottom, top, left, right, xs, ys: see `_frame`
 _Frame = Tuple[str, Tuple[str, ...], Tuple[str, ...], str, str,
-               Tuple[str, ...], Tuple[str, ...], Tuple[str, ...],
-               Tuple[str, ...]]
+               Tuple[str, ...], Tuple[str, ...]]
 
 
 def _walls(ids: Sequence[Sequence[int]], width: int,
@@ -78,25 +77,25 @@ def _ascii(width: int, height: int, ids: Sequence[Sequence[int]],
 
 
 _BLACK = 'stroke="black" stroke-width="4"/>'
+# A frame's text grows with width + height, so only the frames of boards
+# with at most this many sides in all are kept; a larger one is built for
+# its render alone.
+_CACHED_SIDES = 512
 
 
 @lru_cache(maxsize=8)
 def _frame(width: int, height: int) -> _Frame:
     """The SVG text every `width` x `height` board shares, as (head,
-    bottom, top, left, right, xs, ys, cxs, cys): `head` is the svg
-    element, the background and the grey grid; `bottom[x]` and `top[x]`
-    are column x's outer walls; `left` and `right` are the board's sides,
-    each joined; `xs[x]` and `ys[y]` are the coordinates of lattice point
-    (x, y), and `cxs[x]` and `cys[y]` those of the centre of cell (x, y),
-    y flipped for display.  Built on first use per shape; the eight
-    shapes used last stay cached."""
+    bottom, top, left, right, xs, ys): `head` is the svg element, the
+    background and the grey grid; `bottom[x]` and `top[x]` are column x's
+    outer walls; `left` and `right` are the board's sides, each joined;
+    `xs[x]` and `ys[y]` are the coordinates of lattice point (x, y), y
+    flipped for display.  Built on first use per shape; the eight shapes
+    used last stay cached."""
     u = _SVG_UNIT
     w, h = width * u, height * u
     xs = tuple(str(x * u) for x in range(width + 1))
     ys = tuple(str(h - y * u) for y in range(height + 1))
-    half = u // 2
-    cxs = tuple(str(x * u + half) for x in range(width))
-    cys = tuple(str(h - y * u - half) for y in range(height))
     grey = 'stroke="#cccccc" stroke-width="1"/>'
     head = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
             f'width="{w}" height="{h}">',
@@ -110,14 +109,15 @@ def _frame(width: int, height: int) -> _Frame:
     left, right = ("\n".join([f'<line x1="{x}" y1="{a}" x2="{x}" y2="{b}" '
                                f'{_BLACK}' for a, b in zip(ys, ys[1:])])
                    for x in (xs[0], xs[width]))
-    return "\n".join(head), bottom, top, left, right, xs, ys, cxs, cys
+    return "\n".join(head), bottom, top, left, right, xs, ys
 
 
 def _svg(width: int, height: int, ids: Sequence[Sequence[int]],
          paths: Sequence[Sequence[Cell]], marks: List[_Mark]) -> str:
     u = _SVG_UNIT
     h = height * u
-    head, bottom, top, left, right, xs, ys, cxs, cys = _frame(width, height)
+    frame = _frame if width + height <= _CACHED_SIDES else _frame.__wrapped__
+    head, bottom, top, left, right, xs, ys = frame(width, height)
     # The walls column by column: first each column's lines along cell
     # bottoms, from the bottom of the board up, then the lines along cell
     # left sides, the board's left side first and its right side last.
@@ -136,25 +136,14 @@ def _svg(width: int, height: int, ids: Sequence[Sequence[int]],
                   f'{_BLACK}'
                   for y in compress(count(), map(ne, cols[x - 1], cols[x]))]
     parts.append(right)
-    # A cell's centre is looked up when the cell is on the grid, and
-    # computed otherwise: a coordinate past the grid or not an integer
-    # raises in the lookup, and a negative one, whose index would wrap,
-    # gives None, on which the join or the unpacking raises.
     half = u // 2
     for path in paths:
-        try:
-            points = " ".join([f"{cxs[x]},{cys[y]}" if x >= 0 <= y else None
-                               for x, y in path])
-        except (IndexError, TypeError):
-            points = " ".join(f"{x * u + half},{h - y * u - half}"
-                              for x, y in path)
+        points = " ".join(f"{x * u + half},{h - y * u - half}"
+                          for x, y in path)
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="red" stroke-width="4"/>')
     for x, y, text, circled in marks:
-        try:
-            cx, cy = (cxs[x], cys[y]) if x >= 0 <= y else None
-        except (IndexError, TypeError):
-            cx, cy = x * u + half, h - y * u - half
+        cx, cy = x * u + half, h - y * u - half
         if circled:
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="{u * 3 // 8}" '
                          f'fill="white" stroke="black" stroke-width="2"/>')

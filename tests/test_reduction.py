@@ -638,6 +638,22 @@ def test_frame_cache_keeps_eight_shapes():
         assert render._frame.cache_info().currsize <= 8
 
 
+def test_frame_of_a_tall_board_is_not_kept():
+    # A frame's text grows with width + height, so a board past the cap
+    # gets a frame for its render alone, and it draws the same bytes.
+    ids = [[y // 3 + x for x in range(2)] for y in range(render._CACHED_SIDES)]
+    for height in (render._CACHED_SIDES - 2, render._CACHED_SIDES - 1):
+        render._frame.cache_clear()
+        inst = wd.WataridoriInstance(
+            RegionMap(2, height, tuple(map(tuple, ids[:height])), 0), ())
+        path = ((0, 0), (0, 1), (1, 1))
+        assert render.render_wataridori_svg(
+            inst, wd.WataridoriSolution((path,))) == oracles.svg_reference(
+                2, height, ids[:height], (path,), [])
+        kept = height + 2 <= render._CACHED_SIDES
+        assert render._frame.cache_info().currsize == kept
+
+
 def test_frame_of_a_136x136_board_is_small():
     # The frame holds O(width + height) strings: the interior walls are
     # formatted per render.
