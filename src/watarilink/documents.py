@@ -7,7 +7,7 @@ import reprlib
 from itertools import chain
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import Cell, ParseError
+from .errors import Cell, ParseError, ValidationError
 
 # The package-internal bulk checks below compare the set of types (or
 # lengths) in a whole list with these in one C-level pass.  They only ever
@@ -96,6 +96,15 @@ def as_cell(value: Any, location: str) -> Cell:
 def _all_ints(values: Iterable[Any]) -> bool:
     """True iff every value is an integer (not a bool)."""
     return set(map(type, values)) <= _INT
+
+
+def check_ints(values: Sequence[Any], what: str) -> None:
+    """Refuse the first of `values` that `as_int` would, with a
+    `NOT_AN_INTEGER` ValidationError; `what` names one of them."""
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError("NOT_AN_INTEGER", f"{what} must be an "
+                                  f"integer, got {_shown(value)}")
 
 
 def _all_objects(entries: Sequence[Any], required: Sequence[str],

@@ -40,8 +40,11 @@ def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
 
     Labels are kept as written; each pair's two cells are ordered by
     (y, x), so equal puzzles compare equal no matter which end of a pair
-    was written first.
+    was written first.  Sizes, labels and coordinates must be integers,
+    as the parser's are.
     """
+    if type(inst.width) is not int or type(inst.height) is not int:
+        docs.check_ints((inst.width, inst.height), "a grid size")
     check_size(inst.width, inst.height)
     if not inst.terminals:
         raise ValidationError("NO_LABELS", "instance has no terminal pairs")
@@ -49,12 +52,16 @@ def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
     seen_cells = set()
     normalized = []
     for label, a, b in inst.terminals:
+        if type(label) is not int:
+            docs.check_ints((label,), "a label")
         if label in seen_labels:
             raise ValidationError("LABEL_MULTIPLICITY",
                                   f"label {label} appears more than twice")
         seen_labels.add(label)
         for cell in (a, b):
             x, y = cell
+            if type(x) is not int or type(y) is not int:
+                docs.check_ints(cell, "a terminal coordinate")
             if not (0 <= x < inst.width and 0 <= y < inst.height):
                 raise ValidationError("OUT_OF_BOUNDS",
                                       f"terminal {cell} outside grid")

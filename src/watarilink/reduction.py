@@ -16,12 +16,12 @@ and a 5-cell plus region around the center circle.  The walls close
 every block border but its four ports, the middle cells of its sides, so
 the ports of adjacent blocks face each other and their regions merge.
 
-The target is assembled from the two templates alone.  Each is flooded
-into regions once; every block is a copy of its kind's region map, and
-the border merge joins the regions of facing ports and numbers the merged
-regions in canonical order.  No flood runs over the target grid.  A
-number block's circles are its kind's with the center circle inserted,
-one template per center number.
+The target is assembled from the two templates alone.  Each is built
+and flooded into regions once per k (`_templates`); every block is a
+copy of its kind's region map, and the border merge joins the regions
+of facing ports and numbers the merged regions in canonical order.  No
+flood runs over the target grid.  A number block's circles are its
+kind's with the center circle inserted, one template per center number.
 
 The center circles of the i-th label in terminal order get number 4k+2i+1.
 With k chosen so that 2k+1 >= p, those numbers are distinct odd values in
@@ -32,7 +32,7 @@ pairing of the source puzzle.
 from __future__ import annotations
 
 from bisect import insort
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
@@ -88,7 +88,7 @@ class ReductionMap(NamedTuple):
         """Every pre-matched filler pair, in target-grid coordinates."""
         g, k, s = self.source, self.k, self.block_size
         ends = {cell for _, a, b in g.terminals for cell in (a, b)}
-        kinds = [_block(k, ladders).filler_pairs for ladders in (False, True)]
+        kinds = [tpl.filler_pairs for tpl in _templates(k)[0]]
         blocks = ((s * gx, s * gy, kinds[(gx, gy) in ends])
                   for gy in range(g.height) for gx in range(g.width))
         return tuple(((ax + ox, ay + oy), (bx + ox, by + oy))
@@ -209,6 +209,16 @@ def block_region_map(block: BlockTemplate) -> RegionMap:
     return regions_from_walls(block.walls, block.size, block.size)
 
 
+@lru_cache(maxsize=4)
+def _templates(k: int) -> Tuple[Tuple[BlockTemplate, BlockTemplate],
+                                Tuple[RegionMap, RegionMap]]:
+    """The two skeletons for `k`, the empty block and the number block
+    without its center circle, and the region maps they flood into.
+    Built on first use per k; the four k's used last stay cached."""
+    blocks = (_block(k, False), _block(k, True))
+    return blocks, (block_region_map(blocks[0]), block_region_map(blocks[1]))
+
+
 def _stamp_regions(maps: Sequence[RegionMap], kinds: Sequence[int],
                    m: int) -> RegionMap:
     """The RegionMap of blocks laid m to a row, bottom row first: block i
@@ -318,8 +328,7 @@ def reduce_instance(g: NumberlinkInstance
     # One skeleton per kind, flooded on its own: kind 0 is the empty
     # block, kind 1 the number block without its center circle.  The
     # circles come from one template per center number.
-    empty, ladders = _block(k, False), _block(k, True)
-    maps = [block_region_map(empty), block_region_map(ladders)]
+    (empty, ladders), maps = _templates(k)
     numbers = dict(rmap.number_assignment)
     number_at = {cell: numbers[label] for label, a, b in g.terminals
                  for cell in (a, b)}

@@ -59,10 +59,16 @@ class WataridoriSolution(NamedTuple):
 
 
 def validate_instance(inst: WataridoriInstance) -> WataridoriInstance:
+    """Check the circles and return the instance.  Sizes, coordinates and
+    numbers must be integers, as the parser's are; a number may be None."""
     width, height = inst.width, inst.height
+    if type(width) is not int or type(height) is not int:
+        docs.check_ints((width, height), "a grid size")
     seen = set()
     for x, y, number in inst.circles:
         cell = (x, y)
+        if type(x) is not int or type(y) is not int:
+            docs.check_ints(cell, "a circle coordinate")
         if not (0 <= x < width and 0 <= y < height):
             raise ValidationError("OUT_OF_BOUNDS",
                                   f"circle at {cell} outside grid")
@@ -70,10 +76,12 @@ def validate_instance(inst: WataridoriInstance) -> WataridoriInstance:
             raise ValidationError("DUPLICATE_CIRCLE",
                                   f"two circles on cell {cell}")
         seen.add(cell)
-        if number is not None and number < 1:
-            raise ValidationError("BAD_NUMBER",
-                                  f"circle number must be positive, got "
-                                  f"{number}")
+        if number is not None:
+            if type(number) is not int:
+                docs.check_ints((number,), "a circle number")
+            if number < 1:
+                raise ValidationError("BAD_NUMBER", f"circle number must "
+                                      f"be positive, got {number}")
     return inst
 
 
@@ -350,8 +358,10 @@ def solve(inst: WataridoriInstance,
         a circle unpaired, and a scan that runs to the end sets it to the
         least count it saw."""
         nonlocal nodes, least
-        first = next((i for i in range(after, n) if not paired[i]), None)
-        if first is None:
+        first = after
+        while first < n and paired[first]:
+            first += 1
+        if first == n:
             yield FOUND
             return
         after = first
@@ -420,7 +430,9 @@ def solve(inst: WataridoriInstance,
         while came[end] >= 0:
             end = came[end]
             path.append(end)
-        return tuple((i % width, i // width) for i in reversed(path))
+        path.reverse()
+        return tuple(zip(map(width.__rmod__, path),
+                         map(width.__rfloordiv__, path)))
 
     result = run(pair_next(0), lambda: nodes, lambda: WataridoriSolution(tuple(
         map(path_cells, ends))))

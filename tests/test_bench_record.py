@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 spec = importlib.util.spec_from_file_location(
     "bench_record", os.path.join(ROOT, "tools", "bench_record.py"))
@@ -115,3 +117,99 @@ def test_no_common_run_exits_1(tmp_path, capsys):
                               "--out", str(tmp_path / "out.json")]) == 1
     assert "no workload" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def fold_claim(tmp_path, sides, claim="solve/ops_per_s"):
+    """Write each side's `ops_per_s` per seed, fold them with `claim` and
+    return the BENCH file's claim entry and the printed claim line."""
+    for name, values in sides.items():
+        for seed, ops_per_s in enumerate(values, 1):
+            write_run(str(tmp_path / name), "solve", seed, ops_per_s, [])
+    out = str(tmp_path / "BENCH_0.json")
+    argv = ["--pr", "0", "--out", out, "--claim", claim]
+    for name in sides:
+        argv += [f"--{name}", str(tmp_path / name)]
+    assert bench_record.main(argv) == 0
+    with open(out) as f:
+        return json.load(f)["claim"]
+
+
+PARENT = [100.0, 104.0, 98.0, 101.0, 99.0, 103.0, 97.0, 102.0, 100.0, 96.0]
+
+
+def test_identical_sides_never_hold_a_claim(tmp_path, capsys):
+    entry = fold_claim(tmp_path, {"parent": PARENT, "change": PARENT,
+                                  "control": PARENT})
+    assert entry == {"workload": "solve", "metric": "ops_per_s",
+                     "change_wins": 0, "pairs": 10, "median_margin": 0.0,
+                     "parent_spread": 3.5, "control_margin": 0.0,
+                     "holds": False}
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "claim solve/ops_per_s: change wins 0/10, median margin +0, "
+        "parent spread 3.5, control margin 0: does not hold")
+
+
+def test_a_ten_percent_gain_holds(tmp_path, capsys):
+    entry = fold_claim(tmp_path, {
+        "parent": PARENT, "change": [1.1 * v for v in PARENT],
+        "control": [v + 0.5 for v in PARENT]})
+    assert (entry["change_wins"], entry["pairs"]) == (10, 10)
+    assert entry["median_margin"] > entry["parent_spread"] == 3.5
+    assert entry["control_margin"] == 0.5
+    assert entry["holds"] is True
+    assert capsys.readouterr().out.splitlines()[-1].endswith(": holds")
+
+
+def test_a_margin_within_the_controls_does_not_hold(tmp_path):
+    """A change that wins every pair by more than the parent's spread
+    still does not hold when the control moved further on identical
+    code."""
+    change = [v + 5.0 for v in PARENT]
+    assert fold_claim(tmp_path / "alone", {"parent": PARENT,
+                                           "change": change})["holds"]
+    entry = fold_claim(tmp_path / "controlled", {
+        "parent": PARENT, "change": change,
+        "control": [v + 6.0 for v in PARENT]})
+    assert entry["change_wins"] == 10
+    assert entry["median_margin"] == 5.0 > entry["parent_spread"]
+    assert entry["control_margin"] == 6.0
+    assert entry["holds"] is False
+
+
+def test_ties_count_for_neither_side_of_a_claim(tmp_path):
+    """Nine wins and one tie hold; eight wins, a tie and a loss do not."""
+    change = [v + 5.0 for v in PARENT]
+    change[0] = PARENT[0]
+    assert fold_claim(tmp_path / "one_tie", {"parent": PARENT,
+                                             "change": change})["holds"]
+    change[1] = PARENT[1] - 1.0
+    entry = fold_claim(tmp_path / "and_a_loss", {"parent": PARENT,
+                                                 "change": change})
+    assert (entry["change_wins"], entry["holds"]) == (8, False)
+
+
+def test_lower_is_better_claims_read_the_margin_downwards():
+    """Where lower is better the margin is the parent's median less the
+    change's."""
+    def doc(change_median):
+        return {"workloads": {"solve": {"pairs": [{}] * 10, "summary": {
+            "op_ms_p50": {"better": "lower", "change_wins": 10,
+                          "parent": {"median": 1.0, "q1": 0.95, "q3": 1.05},
+                          "change": {"median": change_median}}}}}}
+    faster = bench_record.claim(doc(0.8), "solve", "op_ms_p50")
+    assert faster["median_margin"] == pytest.approx(0.2)
+    assert faster["control_margin"] is None and faster["holds"]
+    slower = bench_record.claim(doc(1.2), "solve", "op_ms_p50")
+    assert slower["median_margin"] == pytest.approx(-0.2)
+    assert not slower["holds"]
+
+
+def test_a_claim_on_a_metric_without_pairs_exits_1(tmp_path, capsys):
+    for name in ("parent", "change"):
+        write_run(str(tmp_path / name), "solve", 1, 1.0, [])
+    assert bench_record.main(["--pr", "0", "--parent",
+                              str(tmp_path / "parent"), "--change",
+                              str(tmp_path / "change"), "--claim",
+                              "roundtrip/ops_per_s", "--out",
+                              str(tmp_path / "out.json")]) == 1
+    assert "roundtrip/ops_per_s" in capsys.readouterr().err

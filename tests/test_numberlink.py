@@ -50,6 +50,46 @@ class TestValidate:
         assert err.value.code == "OUT_OF_BOUNDS"
 
 
+# Instances a parser would refuse for a value that is not an integer, with
+# that value: a size, a coordinate, a label, and a bool, which is not an
+# integer to the parsers either.
+NOT_INTEGERS = [
+    (make(2.0, 1, [(1, (0, 0), (1, 0))]), "2.0"),
+    (make(2, 1, [(1, (1.0, 0), (0, 0))]), "1.0"),
+    (make(2, 1, [(1.5, (0, 0), (1, 0))]), "1.5"),
+    (make(2, 1, [(1, (True, 0), (0, 0))]), "True"),
+    (make(2, 1, [(True, (0, 0), (1, 0))]), "True"),
+    (make(2, "1", [(1, (0, 0), (1, 0))]), "'1'"),
+]
+
+
+@pytest.mark.parametrize("inst, shown", NOT_INTEGERS)
+@pytest.mark.parametrize("call", [nl.validate_instance, nl.solve])
+def test_non_integer_values_refused(call, inst, shown):
+    with pytest.raises(ValidationError) as err:
+        call(inst)
+    assert err.value.code == "NOT_AN_INTEGER"
+    assert err.value.message.endswith(f"got {shown}")
+
+
+def test_non_integer_label_refused_on_the_verifier_path():
+    """The solution of a pair labelled 1.5 is not judged: the verifier
+    reads a validated instance, as the CLI and `lifting` give it."""
+    inst, _ = NOT_INTEGERS[2]
+    sol = nl.NumberlinkSolution(((1.5, ((0, 0), (1, 0))),))
+    with pytest.raises(ValidationError) as err:
+        nl.verify_solution(nl.validate_instance(inst), sol)
+    assert err.value.code == "NOT_AN_INTEGER"
+
+
+def test_int_subclass_values_accepted_as_the_parser_accepts_them():
+    class Label(int):
+        pass
+    inst = nl.validate_instance(make(Label(2), 1,
+                                     [(Label(3), (Label(0), 0), (1, 0))]))
+    assert nl.solve(inst).status == nl.SOLVED
+
+
 class TestVerify:
     def test_sample_solution_accepted(self, sample_numberlink,
                                       sample_numberlink_solution):

@@ -355,6 +355,61 @@ def test_filler_pairs_equal_the_per_label_templates(pairs):
         assert rmap.filler_pairs == oracles.placed_filler_pairs(g)
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_cached_templates_equal_freshly_built_ones(k):
+    (empty, ladders), maps = rd._templates(k)
+    assert (empty, ladders) == (rd._block(k, False), rd._block(k, True))
+    assert maps == (rd.block_region_map(rd._block(k, False)),
+                    rd.block_region_map(rd._block(k, True)))
+    assert rd._templates(k) is rd._templates(k)
+
+
+def test_template_cache_keeps_four_ks():
+    rd._templates.cache_clear()
+    for pairs in range(2, 13, 2):      # k = 1, ..., 6
+        g = nl.NumberlinkInstance(pairs, 2, tuple(
+            (i + 1, (i, 0), (i, 1)) for i in range(pairs)))
+        rd.reduce_instance(g)
+        assert rd._templates.cache_info().currsize <= 4
+    assert rd._templates.cache_info().currsize == 4
+
+
+def test_cached_k3_templates_are_small():
+    rd._templates.cache_clear()
+    tracemalloc.start()
+    try:
+        rd._templates(3)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= 250_000
+
+
+def test_cached_templates_cannot_be_changed():
+    """Every reduction reads the same entry, so none may alter it: the
+    entry, its pairs and its templates are tuples."""
+    entry = rd._templates(1)
+    blocks, maps = entry
+    for value in (entry, blocks, maps, maps[0].ids, maps[0].ids[0],
+                  blocks[0].circles, blocks[0].filler_pairs):
+        assert isinstance(value, tuple)
+        with pytest.raises(TypeError):
+            value[0] = None
+    with pytest.raises(AttributeError):
+        blocks[1].center = (0, 0)
+    assert isinstance(blocks[0].walls, frozenset)
+
+
+@pytest.mark.parametrize("pairs", range(1, 8))    # k = 1, 1, 1, 2, 2, 3, 3
+def test_filler_pairs_are_the_same_from_a_cold_and_a_warm_cache(pairs):
+    g = nl.validate_instance(nl.NumberlinkInstance(pairs, 3, tuple(
+        (i + 1, (i, 0), (i, 2)) for i in range(pairs))))
+    want = oracles.placed_filler_pairs(g)
+    rd._templates.cache_clear()
+    assert rd.ReductionMap(g).filler_pairs == want
+    assert rd.reduce_instance(g)[1].filler_pairs == want
+
+
 @pytest.mark.parametrize("pairs", [1, 4, 6])    # k = 1, 2, 3
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())

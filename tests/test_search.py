@@ -354,6 +354,16 @@ def test_wataridori_solve_equals_reference_on_reductions():
         assert wd.solve(h) == oracles.wataridori_solve_reference(h), g
 
 
+@pytest.mark.parametrize("budget", [0, 1, 7, 40, 150, 400])
+def test_wataridori_solve_equals_reference_on_reductions_under_budget(budget):
+    """The same reductions cut short, so the node where the budget runs
+    out is pinned on boards of many circles too."""
+    for g in CRITERION_6_SOURCES:
+        h, _ = rd.reduce_instance(g)
+        assert wd.solve(h, budget) == \
+            oracles.wataridori_solve_reference(h, budget), (g, budget)
+
+
 def seeded_numberlink_boards():
     """Three boards each on 6x6 and 7x7 with 4, 5 and 6 pairs, terminals
     on distinct cells drawn from a fixed seed."""

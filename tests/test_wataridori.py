@@ -44,6 +44,42 @@ class TestValidate:
         assert wd.solve(inst).status == wd.UNSAT
 
 
+def two_circles(first, second, width=2):
+    rmap = RegionMap(width, 1, ((0, 1),), 2)
+    return wd.WataridoriInstance(rmap, (first, second))
+
+
+# Instances with a value a parser would refuse as not an integer, with
+# that value: a coordinate, a number, a bool coordinate or number, and a
+# size.
+NOT_INTEGERS = [
+    (two_circles(wd.Circle(1.0, 0), wd.Circle(0, 0)), "1.0"),
+    (two_circles(wd.Circle(1, 0, 1.5), wd.Circle(0, 0, 1.5)), "1.5"),
+    (two_circles(wd.Circle(True, 0, 2), wd.Circle(0, 0, 2)), "True"),
+    (two_circles(wd.Circle(1, 0, True), wd.Circle(0, 0, True)), "True"),
+    (two_circles(wd.Circle(1, 0, 2), wd.Circle(0, 0, 2), 2.0), "2.0"),
+]
+
+
+@pytest.mark.parametrize("inst, shown", NOT_INTEGERS)
+@pytest.mark.parametrize("call", [wd.validate_instance, wd.solve])
+def test_non_integer_values_refused(call, inst, shown):
+    with pytest.raises(ValidationError) as err:
+        call(inst)
+    assert err.value.code == "NOT_AN_INTEGER"
+    assert err.value.message.endswith(f"got {shown}")
+
+
+def test_wildcards_and_integer_numbers_pass_the_type_check():
+    for numbers in ((None, None), (2, None), (2, 2)):
+        inst = two_circles(wd.Circle(1, 0, numbers[0]),
+                           wd.Circle(0, 0, numbers[1]))
+        assert wd.validate_instance(inst) is inst
+        assert wd.solve(inst).status == wd.SOLVED
+    empty = wd.WataridoriInstance(RegionMap(2, 1, ((0, 1),), 2), ())
+    assert wd.solve(empty).status == wd.SOLVED
+
+
 class TestVerify:
     def test_sample_solution_accepted(self, sample_wataridori,
                                       sample_wataridori_solution):

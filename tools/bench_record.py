@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_record.py --pr N --parent DIR --change DIR \
-        [--control DIR] [--out PATH]
+        [--control DIR] [--claim WORKLOAD/METRIC] [--out PATH]
 
 DIR is a `.perfbench` directory that `perfbench/run.py --trace 0` wrote
 into, one for the parent commit's runs and one for the change's.  Runs
@@ -20,7 +20,14 @@ seed has a control run keeps it as a third side, and each metric's
 summary gets a `control` entry, the parent against the control as above
 with `control_wins` in place of `change_wins`.  Identical code wins about
 half of its pairs; a change's wins count for as much as they beat that.
-Standard library only.
+
+A claim names one workload's metric that the change says it improves.
+The file gets a `claim` entry, and one line says whether it holds: the
+change must win at least 9 of 10 pairs, ties counting for neither side,
+and its median margin, the change's median less the parent's in the
+better direction, must be larger than the parent's quartile spread and,
+with a control, larger than the control's margin, the distance between
+the control's median and the parent's.  Standard library only.
 """
 
 from __future__ import annotations
@@ -116,6 +123,28 @@ def fold(pr, parent, change, spec, control=None):
     return {"pr": pr, "workloads": workloads}
 
 
+def claim(doc, workload, name):
+    """The `claim` entry for metric `name` of `workload` in a `fold`
+    document, or None if it has no such metric."""
+    summary = doc["workloads"].get(workload, {}).get("summary", {}).get(name)
+    if summary is None:
+        return None
+    sign = 1 if summary["better"] == "higher" else -1
+    parent = summary["parent"]
+    pairs = len(doc["workloads"][workload]["pairs"])
+    margin = sign * (summary["change"]["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    control = summary.get("control")
+    control_margin = None if control is None else abs(
+        control["control"]["median"] - control["parent"]["median"])
+    holds = (10 * summary["change_wins"] >= 9 * pairs and margin > spread
+             and (control_margin is None or margin > control_margin))
+    return {"workload": workload, "metric": name,
+            "change_wins": summary["change_wins"], "pairs": pairs,
+            "median_margin": margin, "parent_spread": spread,
+            "control_margin": control_margin, "holds": holds}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True)
@@ -126,6 +155,8 @@ def main(argv=None):
     parser.add_argument("--control",
                         help="a .perfbench directory of parent runs "
                              "paired with --parent's on the same seeds")
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                        help="a metric the change claims to improve")
     parser.add_argument("--out", help="default: BENCH_<pr>.json in the "
                                       "repository root")
     args = parser.parse_args(argv)
@@ -136,6 +167,13 @@ def main(argv=None):
     if not doc["workloads"]:
         print("no workload and seed has a run on both sides", file=sys.stderr)
         return 1
+    if args.claim:
+        entry = claim(doc, *args.claim.partition("/")[::2])
+        if entry is None:
+            print(f"no pairs to judge the claim {args.claim}",
+                  file=sys.stderr)
+            return 1
+        doc["claim"] = entry
     out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w") as f:
         json.dump(doc, f, indent=1)
@@ -151,6 +189,14 @@ def main(argv=None):
                              f"/{controlled}"
                              for name, s in entry["summary"].items())
             print(f"{workload}: control wins {wins}")
+    if args.claim:
+        c = doc["claim"]
+        against = "" if c["control_margin"] is None else \
+            f", control margin {c['control_margin']:.4g}"
+        print(f"claim {args.claim}: change wins {c['change_wins']}"
+              f"/{c['pairs']}, median margin {c['median_margin']:+.4g}, "
+              f"parent spread {c['parent_spread']:.4g}{against}: "
+              f"{'holds' if c['holds'] else 'does not hold'}")
     return 0
 
 
