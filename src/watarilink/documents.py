@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import reprlib
 from itertools import chain
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import Cell, ParseError, ValidationError
 
@@ -107,16 +107,11 @@ def check_ints(values: Sequence[Any], what: str) -> None:
                                   f"integer, got {_shown(value)}")
 
 
-def _all_objects(entries: Sequence[Any], required: Sequence[str],
-                optional: Sequence[str] = ()) -> bool:
-    """True iff every entry is an object with all `required` fields and no
-    field outside `required` and `optional`."""
-    if not set(map(type, entries)) <= _DICT:
-        return False
-    need = set(required)
-    allowed = need | set(optional)
-    return all(need <= keys <= allowed
-               for keys in set(map(frozenset, entries)))
+def _objects_sized(entries: Sequence[Any], sizes: Set[int]) -> bool:
+    """True iff every entry is an object with a number of fields in
+    `sizes`."""
+    return set(map(type, entries)) <= _DICT \
+        and set(map(len, entries)) <= sizes
 
 
 def _int_rows(rows: Sequence[Any], width: int) -> bool:

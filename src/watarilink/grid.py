@@ -70,23 +70,27 @@ def _check_paths(paths: Sequence[Sequence[Cell]], width: int, height: int
     is the index of the first path that is not an in-bounds simple path of
     unit orthogonal steps between integer cells, or None, and when it is
     None, `shared` is `first_shared_cell(paths)`.  A coordinate is an
-    integer under `documents.as_int`'s rule, so a bool is not one.  List
-    cells are judged as the equal tuple cells: `paths` comes back with
-    tuple cells if a verdict could read a list cell."""
+    integer under `documents.as_int`'s rule, so a bool is not one, and a
+    cell that is not a pair, or a path that is not a sequence, makes its
+    path the bad one.  List cells are judged as the equal tuple cells:
+    when the paths before `bad` hold one, they come back with tuple cells,
+    and `first_cell` names the bad path's first cell as a tuple."""
     bad = None
     for idx, path in enumerate(paths):
-        if len(path) < 2:
-            bad = idx
-            break
-        px, py = path[0]
-        for x, y in path:
-            if not (0 <= x < width and 0 <= y < height) \
-                    or abs(x - px) + abs(y - py) > 1 \
-                    or not (type(x) is int is type(y) or _ints(x, y)):
-                break
-            px, py = x, y
-        else:
-            continue
+        # The type test comes first, so the compares below see only ints.
+        try:
+            if len(path) >= 2:
+                px, py = path[0]
+                for x, y in path:
+                    if not (type(x) is int is type(y) or _ints(x, y)) \
+                            or not (0 <= x < width and 0 <= y < height) \
+                            or abs(x - px) + abs(y - py) > 1:
+                        break
+                    px, py = x, y
+                else:
+                    continue
+        except (TypeError, ValueError, LookupError):
+            pass
         bad = idx
         break
     # Cells are hashed only once bounds and steps hold; a zero step repeats
@@ -96,22 +100,30 @@ def _check_paths(paths: Sequence[Sequence[Cell]], width: int, height: int
     good = paths[:bad]
     try:
         repeats = len(set(chain.from_iterable(good))) != sum(map(len, good))
-        # The refused path's first cell is named in its verdict, as a tuple.
-        lists = bad is not None and list in set(map(type, paths[bad]))
     except TypeError:
-        # List cells do not hash; any other unhashable cell is refused.
-        lists = list in set(map(type, chain.from_iterable(good)))
-        if not lists:
+        # List cells do not hash; any other unhashable cell raises.
+        if list not in set(map(type, chain.from_iterable(good))):
             raise
-    if lists:
         return _check_paths([tuple(tuple(c) if type(c) is list else c
-                                   for c in path) for path in paths],
-                            width, height)
+                                   for c in path) for path in good]
+                            + list(paths[len(good):]), width, height)
     if not repeats:
         return paths, bad, None
     bad = next((idx for idx, path in enumerate(good)
                 if len(set(path)) != len(path)), bad)
     return paths, bad, None if bad is not None else first_shared_cell(paths)
+
+
+def first_cell(path: Any) -> Optional[Cell]:
+    """The cell a `BAD_PATH` verdict names: the path's first cell as a
+    tuple when it is a pair, a tuple or list of two values, else None."""
+    try:
+        cell = path[0]
+    except (TypeError, LookupError):
+        return None
+    if isinstance(cell, (tuple, list)) and len(cell) == 2:
+        return tuple(cell)
+    return None
 
 
 def first_shared_cell(paths: Sequence[Sequence[Cell]]

@@ -13,7 +13,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 from . import documents as docs
 from . import errors
 from .errors import ParseError, ValidationError, Verdict, accept, reject
-from .grid import Cell, Path, _check_paths, check_size
+from .grid import Cell, Path, _check_paths, check_size, first_cell
 # The statuses are read through this module as nl.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
                      OutOfBudget, SolveResult, node_limit, run, steps,
@@ -110,7 +110,7 @@ def verify_solution(inst: NumberlinkInstance, sol: NumberlinkSolution,
                                  f"label {label}")
     if bad is not None:
         return reject(errors.BAD_PATH, path_index=bad,
-                      cell=paths[bad][0] if paths[bad] else None,
+                      cell=first_cell(paths[bad]),
                       detail="not a simple orthogonal path")
 
     for idx, path in enumerate(paths):

@@ -11,14 +11,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import documents as docs
 from . import errors
 from .errors import ParseError, ValidationError, Verdict, accept, reject
 from .grid import (Cell, Path, RegionMap, _check_paths, check_size,
-                   region_map_from_rows)
+                   first_cell, region_map_from_rows)
 # The statuses are read through this module as wd.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
                      OutOfBudget, SolveResult, node_limit, run, steps,
@@ -98,38 +98,47 @@ def verify_solution(inst: WataridoriInstance,
     paths, bad, shared = _check_paths(sol.paths, rmap.width, rmap.height)
     if bad is not None:
         return reject(errors.BAD_PATH, path_index=bad,
-                      cell=paths[bad][0] if paths[bad] else None,
+                      cell=first_cell(paths[bad]),
                       detail="not a simple orthogonal path")
 
-    degree: Dict[Cell, int] = dict.fromkeys(circle_at, 0)
-    for idx, path in enumerate(paths):
-        for end in (path[0], path[-1]):
-            if end not in degree:
-                return reject(errors.ENDPOINT_NOT_CIRCLE, path_index=idx,
-                              cell=end)
-            degree[end] += 1
-    for cell, count in degree.items():
-        if count != 1:
-            return reject(errors.UNPAIRED_CIRCLE, cell=cell,
-                          detail=f"circle is an endpoint of {count} paths")
+    # Every end is a circle and every circle ends exactly one path iff the
+    # ends are as many as the circles and are their cells; the walk below
+    # runs only to name the first fault.
+    ends = list(map(itemgetter(0), paths))
+    ends += map(itemgetter(-1), paths)
+    if len(ends) != len(circle_at) or circle_at.keys() != set(ends):
+        degree: Dict[Cell, int] = dict.fromkeys(circle_at, 0)
+        for idx, path in enumerate(paths):
+            for end in (path[0], path[-1]):
+                if end not in degree:
+                    return reject(errors.ENDPOINT_NOT_CIRCLE, path_index=idx,
+                                  cell=end)
+                degree[end] += 1
+        for cell, count in degree.items():
+            if count != 1:
+                return reject(errors.UNPAIRED_CIRCLE, cell=cell,
+                              detail=f"circle is an endpoint of {count} "
+                                     f"paths")
 
     if shared is not None:
         return reject(errors.CELL_SHARED, path_index=shared[0],
                       cell=shared[1])
 
     ids = rmap.ids
+    # owner[rid] is the index of the last path that entered region rid.
+    owner = [-1] * rmap.region_count
     for idx, path in enumerate(paths):
-        # A run starts where the id changes; r counts the regions entered.
-        entered, last = set(), None
+        # A run starts where the id changes; r counts the runs.
+        r, last = 0, None
         for x, y in path:
             rid = ids[y][x]
             if rid != last:
-                if rid in entered:
+                if owner[rid] == idx:
                     return reject(errors.REGION_REENTERED, idx, (x, y),
                                   f"region {rid} entered twice")
-                entered.add(rid)
+                owner[rid] = idx
                 last = rid
-        r = len(entered)
+                r += 1
         a = circle_at[path[0]]
         b = circle_at[path[-1]]
         for circle in (a, b):
@@ -477,13 +486,18 @@ def parse_instance(text: Any) -> WataridoriInstance:
     except ValidationError as exc:
         raise ParseError(exc.code, exc.message, "regions")
     entries = docs.as_list(doc["circles"], "circles")
-    circles = None
-    if docs._all_objects(entries, ["x", "y"], ["number"]):
-        xs = list(map(itemgetter("x"), entries))
-        ys = list(map(itemgetter("y"), entries))
+    circles = xs = None
+    if docs._objects_sized(entries, {2, 3}):
+        try:
+            xs = list(map(itemgetter("x"), entries))
+            ys = list(map(itemgetter("y"), entries))
+        except KeyError:
+            xs = None
+    if xs is not None:
         numbers = list(map(dict.get, entries, repeat("number")))
-        # Every entry has x and y, so the keys beyond two per entry count
-        # the numbers given; a null one would read as none, so it is
+        # Every entry has x, y and at most one more field, so the keys
+        # beyond two per entry count the numbers given, and a third field
+        # that is not a number, or a null one, which reads as none, is
         # left to the per-entry path, which refuses it.  A bool is not an
         # int here, as in `as_int`.
         given = sum(map(len, entries)) - 2 * len(entries)
@@ -492,11 +506,13 @@ def parse_instance(text: Any) -> WataridoriInstance:
                 and len(numbers) - numbers.count(None) == given:
             circles = tuple(map(_as_circle, zip(xs, ys, numbers)))
             # `validate_instance`'s checks, by column: it runs only to
-            # name a fault.
+            # name a fault.  Cells within bounds are distinct iff their
+            # indices x + width*y are.
             if 0 <= min(xs, default=0) and max(xs, default=0) < width \
                     and 0 <= min(ys, default=0) \
                     and max(ys, default=0) < height \
-                    and len(set(zip(xs, ys))) == len(xs) \
+                    and len(set(map(add, xs, map(width.__mul__, ys)))) \
+                    == len(xs) \
                     and min(set(numbers) - {None}, default=1) >= 1:
                 return WataridoriInstance(rmap, circles)
     if circles is None:
@@ -558,8 +574,11 @@ def parse_solution(text: Any) -> WataridoriSolution:
     docs.check_fields(doc, ["paths"], [], "document")
     entries = docs.as_list(doc["paths"], "paths")
     paths = None
-    if docs._all_objects(entries, ["cells"]):
-        paths = docs._cell_lists([entry["cells"] for entry in entries])
+    if docs._objects_sized(entries, {1}):
+        try:
+            paths = docs._cell_lists(list(map(itemgetter("cells"), entries)))
+        except KeyError:
+            pass
     if paths is None:
         paths = []
         for i, entry in enumerate(entries):

@@ -16,6 +16,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+# Paths whose cells are not pairs of integers, each with the cell its
+# BAD_PATH verdict names: the first cell when it is a pair, else None.
+MALFORMED_PATHS = {
+    "triples": (((0, 0, 0), (0, 1, 0)), None),
+    "singles": (((0,), (0, 1)), None),
+    "none-cell": ((None, (0, 1)), None),
+    "string-first-cell": (("ab", (0, 1)), None),
+    "string-last-cell": (((0, 0), "01"), (0, 0)),
+    "string-coordinate": (((0, "a"), (0, 1)), (0, "a")),
+}
+
+
 def fixture_text(name):
     return (FIXTURES / name).read_text()
 

@@ -8,13 +8,15 @@ candidates.
 
 import json
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 
+from watarilink import errors
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
 from watarilink import wataridori as wd
 from watarilink.errors import ValidationError
-from watarilink.grid import HORIZONTAL, VERTICAL, RegionMap, Wall
+from watarilink.grid import (HORIZONTAL, VERTICAL, RegionMap, Wall,
+                             first_shared_cell)
 from watarilink.search import (DEFAULT_BUDGET, FOUND, UNSAT, OutOfBudget,
                                SolveResult, node_limit, run)
 
@@ -246,6 +248,102 @@ def is_simple_orthogonal_path_reference(cells, width, height):
             and all(cells.count(cell) == 1 for cell in cells)
             and all(abs(x2 - x1) + abs(y2 - y1) == 1
                     for (x1, y1), (x2, y2) in zip(cells, cells[1:])))
+
+
+def _check_paths_reference(paths, width, height):
+    """`grid._check_paths` as it was when the Wataridori verifier kept a
+    degree dict and a set of regions per path: the walk compares bounds
+    before it tests types, and raises on a cell that is not a pair."""
+    def ints(*values):
+        return all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in values)
+
+    bad = None
+    for idx, path in enumerate(paths):
+        if len(path) < 2:
+            bad = idx
+            break
+        px, py = path[0]
+        for x, y in path:
+            if not (0 <= x < width and 0 <= y < height) \
+                    or abs(x - px) + abs(y - py) > 1 \
+                    or not (type(x) is int is type(y) or ints(x, y)):
+                break
+            px, py = x, y
+        else:
+            continue
+        bad = idx
+        break
+    good = paths[:bad]
+    try:
+        repeats = len(set(chain.from_iterable(good))) != sum(map(len, good))
+        lists = bad is not None and list in set(map(type, paths[bad]))
+    except TypeError:
+        lists = list in set(map(type, chain.from_iterable(good)))
+        if not lists:
+            raise
+    if lists:
+        return _check_paths_reference(
+            [tuple(tuple(c) if type(c) is list else c for c in path)
+             for path in paths], width, height)
+    if not repeats:
+        return paths, bad, None
+    bad = next((idx for idx, path in enumerate(good)
+                if len(set(path)) != len(path)), bad)
+    return paths, bad, None if bad is not None else first_shared_cell(paths)
+
+
+def wataridori_verify_reference(inst, sol):
+    """`wataridori.verify_solution` as it was before its endpoint rule
+    checked all ends at once: a degree per circle counted path by path,
+    and a set of the regions each path has entered."""
+    rmap = inst.regions
+    circle_at = {c[:2]: c for c in inst.circles}
+
+    paths, bad, shared = _check_paths_reference(sol.paths, rmap.width,
+                                                rmap.height)
+    if bad is not None:
+        return errors.reject(errors.BAD_PATH, path_index=bad,
+                             cell=paths[bad][0] if paths[bad] else None,
+                             detail="not a simple orthogonal path")
+
+    degree = dict.fromkeys(circle_at, 0)
+    for idx, path in enumerate(paths):
+        for end in (path[0], path[-1]):
+            if end not in degree:
+                return errors.reject(errors.ENDPOINT_NOT_CIRCLE,
+                                     path_index=idx, cell=end)
+            degree[end] += 1
+    for cell, count in degree.items():
+        if count != 1:
+            return errors.reject(errors.UNPAIRED_CIRCLE, cell=cell,
+                                 detail=f"circle is an endpoint of {count} "
+                                        f"paths")
+
+    if shared is not None:
+        return errors.reject(errors.CELL_SHARED, path_index=shared[0],
+                             cell=shared[1])
+
+    ids = rmap.ids
+    for idx, path in enumerate(paths):
+        entered, last = set(), None
+        for x, y in path:
+            rid = ids[y][x]
+            if rid != last:
+                if rid in entered:
+                    return errors.reject(errors.REGION_REENTERED, idx,
+                                         (x, y), f"region {rid} entered "
+                                                 f"twice")
+                entered.add(rid)
+                last = rid
+        r = len(entered)
+        for circle in (circle_at[path[0]], circle_at[path[-1]]):
+            if circle.number is not None and circle.number != r:
+                return errors.reject(
+                    errors.COUNT_MISMATCH, path_index=idx, cell=circle.cell,
+                    detail=f"path has {r} region runs, circle wants "
+                           f"{circle.number}")
+    return errors.accept()
 
 
 def _all_simple_paths(start, goal, width, height, forbidden):

@@ -166,6 +166,26 @@ def _cases():
          [(("source", "terminals"), {})]),
         ("map-source-terminal-one-cell", "map",
          [(("source", "terminals", 0, "cells"), [[3, 4]])]),
+        # Entries that the bulk paths' field counts pass but that lack a
+        # field, or that the counts refuse, which the per-entry path names.
+        ("wd_instance-circle-third-field-not-number", "wd_instance",
+         [(("circles", 4), {"x": 0, "y": 0, "z": 1})]),
+        ("wd_instance-circle-missing-y-with-number", "wd_instance",
+         [(("circles", 4), {"x": 0, "z": 1, "number": 1})]),
+        ("wd_instance-circle-number-null-field", "wd_instance",
+         [(("circles", 4), {"x": 0, "y": 0, "number": None})]),
+        ("wd_instance-circle-one-field", "wd_instance",
+         [(("circles", 4), {"x": 0})]),
+        ("wd_instance-circle-four-fields", "wd_instance",
+         [(("circles", 4), {"x": 0, "y": 0, "number": 1, "z": 1})]),
+        ("wd_instance-last-circle-list", "wd_instance",
+         [(("circles", 13), [0, 0])]),
+        ("wd_solution-path-empty-object", "wd_solution",
+         [(("paths", 2), {})]),
+        ("wd_solution-path-cell-field", "wd_solution",
+         [(("paths", 2), {"cell": [[0, 0], [0, 1]]})]),
+        ("wd_solution-path-extra-field", "wd_solution",
+         [(("paths", 2), {"cells": [[0, 0], [0, 1]], "x": 1})]),
         ("wd_instance-wrong-puzzle", "wd_instance",
          [(("puzzle",), "numberlink")]),
         ("wd_instance-region-rows-too-few", "wd_instance",
@@ -280,6 +300,20 @@ EXPECTED = {
     "map-source-terminals-not-a-list": ("NOT_A_LIST", "source.terminals"),
     "map-source-terminal-one-cell":
         ("BAD_TERMINAL", "source.terminals[0].cells"),
+    # Recorded on the per-entry parsers before the bulk paths counted
+    # fields instead of comparing key sets.
+    "wd_instance-circle-third-field-not-number":
+        ("UNKNOWN_FIELD", "circles[4]"),
+    "wd_instance-circle-missing-y-with-number":
+        ("MISSING_FIELD", "circles[4]"),
+    "wd_instance-circle-number-null-field":
+        ("NOT_AN_INTEGER", "circles[4].number"),
+    "wd_instance-circle-one-field": ("MISSING_FIELD", "circles[4]"),
+    "wd_instance-circle-four-fields": ("UNKNOWN_FIELD", "circles[4]"),
+    "wd_instance-last-circle-list": ("NOT_AN_OBJECT", "circles[13]"),
+    "wd_solution-path-empty-object": ("MISSING_FIELD", "paths[2]"),
+    "wd_solution-path-cell-field": ("MISSING_FIELD", "paths[2]"),
+    "wd_solution-path-extra-field": ("UNKNOWN_FIELD", "paths[2]"),
     # Recorded after the bulk checks: the kind and the row count are read
     # before any row, so no fallback is involved.
     "wd_instance-wrong-puzzle": ("WRONG_PUZZLE", "puzzle"),
@@ -377,3 +411,46 @@ def test_json_syntax_error_names_its_line_and_column(kind):
         PARSERS[kind]('{\n  "paths": [],\n  oops}')
     assert (err.value.code, err.value.location) == ("MALFORMED_JSON",
                                                     "line 3 column 3")
+
+
+@pytest.mark.parametrize("width,height", [(2, 5), (5, 2), (1, 7), (7, 1)])
+def test_duplicate_circles_on_non_square_boards(width, height):
+    """On boards that are not square, the parser's bulk check refuses two
+    circles exactly when they share a cell, with `validate_instance`'s
+    code and message: two cells (x, y) are one cell exactly when their
+    indices x + width*y are."""
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    regions = [[0] * width for _ in range(height)]
+    for a in cells:
+        for b in cells:
+            doc = {"puzzle": "wataridori", "width": width, "height": height,
+                   "regions": regions,
+                   "circles": [{"x": x, "y": y} for x, y in (a, b)]}
+            if a != b:
+                inst = wd.parse_instance(doc)
+                assert [c[:2] for c in inst.circles] == [a, b]
+                continue
+            inst = wd.WataridoriInstance(region_map_from_rows(regions),
+                                         (wd.Circle(*a), wd.Circle(*b)))
+            with pytest.raises(ValidationError) as want:
+                wd.validate_instance(inst)
+            with pytest.raises(ParseError) as err:
+                wd.parse_instance(doc)
+            assert (err.value.code, err.value.detail,
+                    err.value.location) == (want.value.code,
+                                            want.value.message, "circles")
+
+
+def test_circles_whose_swapped_indices_collide_parse(monkeypatch):
+    """(0, 2) and (1, 0) on a 2x5 board are two cells, although
+    x*width + y is 2 for both: the bulk check accepts them, and
+    `validate_instance`, which names a fault, is not called."""
+    def refuse(inst):
+        raise AssertionError("the per-circle check ran")
+
+    monkeypatch.setattr(wd, "validate_instance", refuse)
+    doc = {"puzzle": "wataridori", "width": 2, "height": 5,
+           "regions": [[0, 0]] * 5,
+           "circles": [{"x": 0, "y": 2}, {"x": 1, "y": 0, "number": 1}]}
+    inst = wd.parse_instance(doc)
+    assert inst.circles == (wd.Circle(0, 2, None), wd.Circle(1, 0, 1))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import oracles
+from conftest import MALFORMED_PATHS
 from watarilink import grid
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
@@ -63,6 +64,14 @@ class TestSimplePath:
         # A coordinate is an integer under `documents.as_int`'s rule: a
         # float is not one, whatever its value, and neither is a bool.
         assert not is_simple_orthogonal_path(cells, 2, 2)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PATHS))
+    def test_cells_that_are_not_pairs_refused(self, name):
+        # A cell with too many or too few values, a cell that is not a
+        # sequence, and a string cell are refused, not raised on.
+        cells, _ = MALFORMED_PATHS[name]
+        assert not is_simple_orthogonal_path(cells, 6, 6)
+        assert not is_simple_orthogonal_path(list(cells), 6, 6)
 
     def test_int_subclass_cells_accepted(self):
         # `documents.as_int` accepts an int subclass other than bool.

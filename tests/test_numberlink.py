@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+from conftest import MALFORMED_PATHS
 from watarilink import errors
 from watarilink import numberlink as nl
 from watarilink.errors import ParseError, ValidationError
@@ -176,6 +177,19 @@ class TestVerify:
         assert nl.verify_solution(inst, sol) == errors.reject(
             errors.BAD_PATH, path_index=0, cell=(0, 0),
             detail="not a simple orthogonal path")
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PATHS))
+    def test_malformed_cells_rejected(self, name, sample_numberlink,
+                                      sample_numberlink_solution):
+        cells, cell = MALFORMED_PATHS[name]
+        paths = sample_numberlink_solution.paths
+        sol = nl.NumberlinkSolution(paths[:2] + ((paths[2][0], cells),)
+                                    + paths[3:])
+        verdict = nl.verify_solution(sample_numberlink, sol)
+        assert verdict == errors.reject(
+            errors.BAD_PATH, path_index=2, cell=cell,
+            detail="not a simple orthogonal path")
+        assert str(verdict).startswith("REJECT BAD_PATH path=2 cell=")
 
     def test_list_cells_judged_as_tuple_cells(self, sample_numberlink,
                                               sample_numberlink_solution):

@@ -1,11 +1,15 @@
 import json
+import random
 from itertools import combinations, product
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import oracles
+from conftest import MALFORMED_PATHS
 from watarilink import errors
+from watarilink import lifting as lf
+from watarilink import reduction as rd
 from watarilink import wataridori as wd
 from watarilink.errors import ParseError, ValidationError
 from watarilink.grid import (VERTICAL, RegionMap, Wall, region_map_from_rows,
@@ -317,6 +321,18 @@ class TestVerify:
             errors.BAD_PATH, path_index=index, cell=paths[index][0],
             detail="not a simple orthogonal path")
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PATHS))
+    def test_malformed_cells_rejected(self, name, sample_wataridori,
+                                      sample_wataridori_solution):
+        cells, cell = MALFORMED_PATHS[name]
+        paths = sample_wataridori_solution.paths
+        sol = wd.WataridoriSolution(paths[:2] + (cells,) + paths[3:])
+        verdict = wd.verify_solution(sample_wataridori, sol)
+        assert verdict == errors.reject(
+            errors.BAD_PATH, path_index=2, cell=cell,
+            detail="not a simple orthogonal path")
+        assert str(verdict).startswith("REJECT BAD_PATH path=2 cell=")
+
     def test_shared_cell_named_when_no_path_is_bad(self):
         inst = make(self.OPEN, [(0, 2, None), (1, 2, None), (2, 0, None),
                                 (3, 0, None), (3, 2, None), (2, 1, None)])
@@ -600,3 +616,147 @@ def test_writers_equal_json_of_the_dict_form(data):
     assert wd.serialize_instance(inst) == _dumped(_instance_dict(inst))
     assert wd.serialize_solution(sol) == _dumped(
         {"paths": [{"cells": [list(c) for c in path]} for path in paths]})
+
+
+def _planted_board(rng, width, height):
+    """Regions grown from random seed cells, and walks that never re-enter
+    a region they have left, each end a circle that carries its walk's
+    run count or is a wildcard.  Returns (ids rows, circles, walks)."""
+    cells = [(x, y) for y in range(height) for x in range(width)]
+
+    def steps_from(x, y):
+        return [(nx, ny) for nx, ny in ((x, y + 1), (x, y - 1), (x - 1, y),
+                                        (x + 1, y))
+                if 0 <= nx < width and 0 <= ny < height]
+
+    regions = rng.randint(1, min(len(cells), 9))
+    owner = {c: rid for rid, c in enumerate(rng.sample(cells, regions))}
+    while len(owner) < len(cells):
+        nxt = rng.choice(steps_from(*rng.choice(list(owner))))
+        owner.setdefault(nxt, owner[rng.choice(
+            [c for c in steps_from(*nxt) if c in owner])])
+    rmap = region_map_from_rows([[owner[x, y] for x in range(width)]
+                                 for y in range(height)])
+    used, walks, circles = set(), [], []
+    for _ in range(rng.randint(1, 5)):
+        free = [c for c in cells if c not in used]
+        if not free:
+            break
+        path = [rng.choice(free)]
+        runs = [rmap.id_at(path[0])]
+        for _ in range(rng.randint(1, 2 * width)):
+            options = [c for c in steps_from(*path[-1])
+                       if c not in used and c not in path
+                       and (rmap.id_at(c) == runs[-1]
+                            or rmap.id_at(c) not in runs)]
+            if not options:
+                break
+            path.append(rng.choice(options))
+            if rmap.id_at(path[-1]) != runs[-1]:
+                runs.append(rmap.id_at(path[-1]))
+        if len(path) < 2:
+            continue
+        used.update(path)
+        walks.append(tuple(path))
+        circles += [wd.Circle(*end, None if rng.random() < 0.3
+                              else len(runs))
+                    for end in (path[0], path[-1])]
+    return [list(row) for row in rmap.ids], circles, walks
+
+
+def _mutate(kind, rng, ids, circles, paths):
+    """Apply one mutation in place to a board's ids rows, circles and
+    paths."""
+    j = rng.randrange(len(paths)) if paths else None
+    if kind == "drop" and paths:
+        del paths[j]
+    elif kind == "duplicate" and paths:
+        paths.insert(rng.randrange(len(paths) + 1), paths[j])
+    elif kind == "reverse" and paths:
+        paths[j] = paths[j][::-1]
+    elif kind == "end-swap" and len(paths) >= 2:
+        a, b = rng.sample(range(len(paths)), 2)
+        pa, pb = paths[a], paths[b]
+        paths[a], paths[b] = pa[:-1] + pb[-1:], pb[:-1] + pa[-1:]
+    elif kind == "end-off" and paths:
+        (x, y), path = paths[j][-1], paths[j]
+        free = [c for c in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                if 0 <= c[0] < len(ids[0]) and 0 <= c[1] < len(ids)
+                and c not in path]
+        paths[j] = path + (rng.choice(free),) if free else path[:-1]
+    elif kind == "re-entry" and any(len(p) >= 3 for p in paths):
+        j = rng.choice([i for i, p in enumerate(paths) if len(p) >= 3])
+        (x0, y0), (x1, y1), (x2, y2) = paths[j][:3]
+        home = ids[y0][x0]
+        ids[y2][x2] = home
+        if ids[y1][x1] == home:
+            ids[y1][x1] = max(map(max, ids)) + 1 if home == 0 else 0
+    elif kind == "run-count" and circles:
+        i = rng.randrange(len(circles))
+        circles[i] = circles[i]._replace(
+            number=(circles[i].number or 1) + rng.choice((-1, 1)))
+    elif kind == "list-cells" and paths:
+        paths[j] = tuple(map(list, paths[j]))
+    elif kind == "odd-cell" and paths:
+        i = rng.randrange(len(paths[j]))
+        x, y = paths[j][i]
+        odd = bool(x) if x in (0, 1) and rng.random() < 0.5 else float(x)
+        paths[j] = paths[j][:i] + ((odd, y),) + paths[j][i + 1:]
+    elif kind == "two-circles" and circles:
+        x, y, _ = rng.choice(circles)
+        circles.insert(rng.randrange(len(circles) + 1),
+                       wd.Circle(x, y, rng.choice((None, 1, 2, 3))))
+
+
+MUTATIONS = ("drop", "duplicate", "reverse", "end-swap", "end-off",
+             "re-entry", "run-count", "list-cells", "odd-cell", "two-circles")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_verdict_equals_the_reference_on_mutated_planted_boards(data):
+    """The full verdict, rule, path, cell and detail, is the one the
+    reference verifier (a degree per circle, a region set per path) gives,
+    on planted boards from 2x2 to 7x7 with at most two mutations each."""
+    width = data.draw(st.integers(2, 7), label="width")
+    height = data.draw(st.integers(2, 7), label="height")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    ids, circles, paths = _planted_board(rng, width, height)
+    kinds = data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1,
+                               max_size=2),
+                      label="mutations")
+    for kind in kinds:
+        _mutate(kind, rng, ids, circles, paths)
+    rmap = RegionMap(width, height, tuple(map(tuple, ids)),
+                     1 + max(map(max, ids)))
+    inst = wd.WataridoriInstance(rmap, tuple(circles))
+    sol = wd.WataridoriSolution(tuple(paths))
+    verdict = wd.verify_solution(inst, sol)
+    event(f"rule: {verdict.rule}")
+    assert verdict == oracles.wataridori_verify_reference(inst, sol)
+
+
+def test_verdict_equals_the_reference_on_a_lifted_reduction(
+        sample_numberlink, sample_numberlink_solution):
+    """On the reduction of the 6x6 Numberlink sample, where most paths are
+    two-cell filler paths: the lifted solution, and that solution with a
+    path dropped, duplicated, reversed or with its end swapped with
+    another path's."""
+    h, rmap = rd.reduce_instance(sample_numberlink)
+    paths = lf.lift(sample_numberlink, sample_numberlink_solution,
+                         rmap).paths
+    last, mid = len(paths) - 1, len(paths) // 2
+    cases = {
+        "lifted": paths,
+        "drop-last": paths[:-1],
+        "drop-first": paths[1:],
+        "duplicate-last": paths + paths[-1:],
+        "duplicate-first": paths[:1] + paths,
+        "reverse": paths[:mid] + (paths[mid][::-1],) + paths[mid + 1:],
+        "end-swap": paths[:mid] + (paths[mid][:-1] + paths[last][-1:],)
+        + paths[mid + 1:last] + (paths[last][:-1] + paths[mid][-1:],),
+    }
+    for name, case in cases.items():
+        sol = wd.WataridoriSolution(case)
+        assert wd.verify_solution(h, sol) == \
+            oracles.wataridori_verify_reference(h, sol), name
