@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import reprlib
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import Cell, ParseError, ValidationError
@@ -112,6 +113,21 @@ def _objects_sized(entries: Sequence[Any], sizes: Set[int]) -> bool:
     `sizes`."""
     return set(map(type, entries)) <= _DICT \
         and set(map(len, entries)) <= sizes
+
+
+def _columns(entries: Sequence[Any], fields: Sequence[str]
+             ) -> Optional[List[list]]:
+    """The entries' values of each of `fields`, one list per field, when
+    every entry is an object with exactly those fields, else None."""
+    if not _objects_sized(entries, {len(fields)}):
+        return None
+    columns = []
+    for key in fields:
+        try:
+            columns.append(list(map(itemgetter(key), entries)))
+        except KeyError:
+            return None
+    return columns
 
 
 def _int_rows(rows: Sequence[Any], width: int) -> bool:

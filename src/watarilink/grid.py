@@ -6,7 +6,7 @@ bottom-left cell of a grid is (0, 0).  All values are immutable.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat
 from operator import eq, ne
 from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -15,6 +15,11 @@ from . import documents
 from .errors import Cell, ParseError, ValidationError
 
 Path = Tuple[Cell, ...]
+
+# The cell types a path may hold: a tuple is taken as it is, and a list
+# or a subclass of either is read as the equal tuple.
+_TUPLE = {tuple}
+_PAIR = (tuple, list)
 
 HORIZONTAL = "h"
 VERTICAL = "v"
@@ -71,10 +76,12 @@ def _check_paths(paths: Sequence[Sequence[Cell]], width: int, height: int
     unit orthogonal steps between integer cells, or None, and when it is
     None, `shared` is `first_shared_cell(paths)`.  A coordinate is an
     integer under `documents.as_int`'s rule, so a bool is not one, and a
-    cell that is not a pair, or a path that is not a sequence, makes its
-    path the bad one.  List cells are judged as the equal tuple cells:
-    when the paths before `bad` hold one, they come back with tuple cells,
-    and `first_cell` names the bad path's first cell as a tuple."""
+    cell that is not a pair, a cell that is neither a tuple nor a list
+    (nor a subclass of one), or a path that is not a sequence, makes its
+    path the bad one.  Other cells are judged as the equal tuple cells:
+    when the paths before `bad` hold a cell that is not a tuple, they come
+    back with tuple cells, and `first_cell` names the bad path's first
+    cell as a tuple."""
     bad = None
     for idx, path in enumerate(paths):
         # The type test comes first, so the compares below see only ints.
@@ -93,21 +100,23 @@ def _check_paths(paths: Sequence[Sequence[Cell]], width: int, height: int
             pass
         bad = idx
         break
-    # Cells are hashed only once bounds and steps hold; a zero step repeats
-    # a cell.  One set over the paths before `bad` settles both that no
-    # path repeats a cell and that the paths are disjoint, so the paths are
-    # searched one by one only when a cell repeats.
     good = paths[:bad]
-    try:
-        repeats = len(set(chain.from_iterable(good))) != sum(map(len, good))
-    except TypeError:
-        # List cells do not hash; any other unhashable cell raises.
-        if list not in set(map(type, chain.from_iterable(good))):
-            raise
-        return _check_paths([tuple(tuple(c) if type(c) is list else c
-                                   for c in path) for path in good]
-                            + list(paths[len(good):]), width, height)
-    if not repeats:
+    cells = list(chain.from_iterable(good))
+    if not set(map(type, cells)) <= _TUPLE:
+        # A cell that unpacked to two ints but is neither a tuple nor a
+        # list, such as a frozenset or a dict, does not hash as the equal
+        # tuple, if at all, so the first path holding one is the bad one;
+        # the cells before it are judged as the equal tuples.
+        bad = next((idx for idx, path in enumerate(good)
+                    if not all(map(isinstance, path, repeat(_PAIR)))), bad)
+        good = [tuple(map(tuple, path)) for path in paths[:bad]]
+        paths = good + list(paths[len(good):])
+        cells = list(chain.from_iterable(good))
+    # Cells are hashed only once bounds, steps and types hold; a zero step
+    # repeats a cell.  One set over the paths before `bad` settles both
+    # that no path repeats a cell and that the paths are disjoint, so the
+    # paths are searched one by one only when a cell repeats.
+    if len(set(cells)) == len(cells):
         return paths, bad, None
     bad = next((idx for idx, path in enumerate(good)
                 if len(set(path)) != len(path)), bad)

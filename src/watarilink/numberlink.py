@@ -69,7 +69,8 @@ def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
                 raise ValidationError("DUPLICATE_TERMINAL",
                                       f"cell {cell} holds two terminals")
             seen_cells.add(cell)
-        a, b = sorted((a, b), key=lambda c: (c[1], c[0]))
+        if (b[1], b[0]) < (a[1], a[0]):
+            a, b = b, a
         normalized.append((label, a, b))
     return NumberlinkInstance(inst.width, inst.height, tuple(normalized))
 
@@ -334,8 +335,18 @@ def parse_instance(text: Any) -> NumberlinkInstance:
     width = docs.as_int(doc["width"], "width")
     height = docs.as_int(doc["height"], "height")
     check_size(width, height, "width")
+    entries = docs.as_list(doc["terminals"], "terminals")
+    columns = docs._columns(entries, ("label", "cells"))
+    if columns is not None:
+        labels, cells = columns
+        pairs = docs._cell_lists(cells)
+        if pairs is not None and docs._all_ints(labels) \
+                and set(map(len, pairs)) <= {2}:
+            return NumberlinkInstance(width, height, tuple(
+                [(label, a, b) for label, (a, b) in zip(labels, pairs)]))
+    # The per-entry path, which names the first fault.
     terminals = []
-    for i, entry in enumerate(docs.as_list(doc["terminals"], "terminals")):
+    for i, entry in enumerate(entries):
         loc = f"terminals[{i}]"
         entry = docs.require_object(entry, loc)
         docs.check_fields(entry, ["label", "cells"], [], loc)
@@ -369,8 +380,16 @@ def parse_solution(text: Any) -> NumberlinkSolution:
     """Parse a solution document, given as JSON text or already decoded."""
     doc = docs._document(text)
     docs.check_fields(doc, ["paths"], [], "document")
+    entries = docs.as_list(doc["paths"], "paths")
+    columns = docs._columns(entries, ("label", "cells"))
+    if columns is not None:
+        labels, cells = columns
+        paths = docs._cell_lists(cells)
+        if paths is not None and docs._all_ints(labels):
+            return NumberlinkSolution(tuple(zip(labels, paths)))
+    # The per-entry path, which names the first fault.
     paths = []
-    for i, entry in enumerate(docs.as_list(doc["paths"], "paths")):
+    for i, entry in enumerate(entries):
         loc = f"paths[{i}]"
         entry = docs.require_object(entry, loc)
         docs.check_fields(entry, ["label", "cells"], [], loc)

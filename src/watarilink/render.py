@@ -25,10 +25,6 @@ from .wataridori import WataridoriInstance, WataridoriSolution
 
 _SVG_UNIT = 40
 
-# hwalls[y][x] marks the unit wall along the bottom of cell (x, y), so
-# y == height is the top edge; vwalls[y][x] marks the wall along the left
-# of cell (x, y), so x == width is the right edge.
-WallFlags = Tuple[List[List[bool]], List[List[bool]]]
 _Mark = Tuple[int, int, str, bool]
 # width, height, region ids per row (bottom row first), paths, marks
 _Board = Tuple[int, int, Sequence[Sequence[int]], Sequence[Sequence[Cell]],
@@ -38,21 +34,8 @@ _Frame = Tuple[str, Tuple[str, ...], Tuple[str, ...], str, str,
                Tuple[str, ...], Tuple[str, ...]]
 
 
-def _walls(ids: Sequence[Sequence[int]], width: int,
-           height: int) -> WallFlags:
-    """Walls of a board whose cells carry region ids: the outer boundary
-    plus every unit segment between cells with different ids."""
-    edge = [True] * width
-    hwalls = [edge]
-    hwalls += [list(map(ne, ids[y - 1], ids[y])) for y in range(1, height)]
-    hwalls.append(edge)
-    vwalls = [[True, *map(ne, row, row[1:]), True] for row in ids]
-    return hwalls, vwalls
-
-
 def _ascii(width: int, height: int, ids: Sequence[Sequence[int]],
            paths: Sequence[Sequence[Cell]], marks: List[_Mark]) -> str:
-    hwalls, vwalls = _walls(ids, width, height)
     cell_w = max(3, max((len(m[2]) for m in marks), default=1) + 2)
     dash, blank, star = "-" * cell_w, " " * cell_w, "*".center(cell_w)
     # cells[y][x] is the text of cell (x, y); off-grid cells are not drawn.
@@ -65,14 +48,19 @@ def _ascii(width: int, height: int, ids: Sequence[Sequence[int]],
         if 0 <= x < width and 0 <= y < height:
             shown = f"({text or ' '})" if circled else text
             cells[y][x] = centred.setdefault(shown, shown.center(cell_w))
-    lines = []
-    for y in range(height, -1, -1):
-        lines.append("+" + "+".join([dash if w else blank
-                                     for w in hwalls[y]]) + "+")
-        if y:
-            bars = ["|" if w else " " for w in vwalls[y - 1]]
-            lines.append(("".join(map(add, bars, cells[y - 1]))
-                          + bars[width]).rstrip())
+    # A wall is drawn between two cells with different ids, and all
+    # around the board; in a cell row, each cell is followed by the bar
+    # on its right.
+    edge = "+" + "+".join([dash] * width) + "+"
+    lines = [edge]
+    for y in range(height - 1, -1, -1):
+        row = ids[y]
+        bars = ["|" if w else " " for w in map(ne, row, row[1:])]
+        bars.append("|")
+        lines.append("|" + "".join(map(add, cells[y], bars)))
+        lines.append("+" + "+".join([dash if w else blank for w in
+                                     map(ne, ids[y - 1], row)]) + "+"
+                     if y else edge)
     return "\n".join(lines) + "\n"
 
 

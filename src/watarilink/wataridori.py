@@ -573,12 +573,8 @@ def parse_solution(text: Any) -> WataridoriSolution:
     doc = docs._document(text)
     docs.check_fields(doc, ["paths"], [], "document")
     entries = docs.as_list(doc["paths"], "paths")
-    paths = None
-    if docs._objects_sized(entries, {1}):
-        try:
-            paths = docs._cell_lists(list(map(itemgetter("cells"), entries)))
-        except KeyError:
-            pass
+    columns = docs._columns(entries, ("cells",))
+    paths = None if columns is None else docs._cell_lists(columns[0])
     if paths is None:
         paths = []
         for i, entry in enumerate(entries):

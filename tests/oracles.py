@@ -9,14 +9,16 @@ candidates.
 import json
 from collections import deque
 from itertools import chain, combinations
+from operator import add, ne
 
+from watarilink import documents as docs
 from watarilink import errors
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
 from watarilink import wataridori as wd
-from watarilink.errors import ValidationError
+from watarilink.errors import ParseError, ValidationError
 from watarilink.grid import (HORIZONTAL, VERTICAL, RegionMap, Wall,
-                             first_shared_cell)
+                             check_size, first_shared_cell)
 from watarilink.search import (DEFAULT_BUDGET, FOUND, UNSAT, OutOfBudget,
                                SolveResult, node_limit, run)
 
@@ -727,6 +729,50 @@ def wataridori_solve_reference(inst, budget=DEFAULT_BUDGET):
                lambda: wd.WataridoriSolution(tuple(paths)))
 
 
+def numberlink_parse_instance_reference(text):
+    """Reference `numberlink.parse_instance`: the parser as it was when it
+    read its terminal entries one by one."""
+    doc = docs._document(text)
+    docs.check_fields(doc, ["puzzle", "width", "height", "terminals"], [],
+                      "document")
+    if doc["puzzle"] != "numberlink":
+        raise ParseError("WRONG_PUZZLE",
+                         "expected puzzle 'numberlink', got "
+                         f"{docs._shown(doc['puzzle'])}", "puzzle")
+    width = docs.as_int(doc["width"], "width")
+    height = docs.as_int(doc["height"], "height")
+    check_size(width, height, "width")
+    terminals = []
+    for i, entry in enumerate(docs.as_list(doc["terminals"], "terminals")):
+        loc = f"terminals[{i}]"
+        entry = docs.require_object(entry, loc)
+        docs.check_fields(entry, ["label", "cells"], [], loc)
+        label = docs.as_int(entry["label"], loc + ".label")
+        cells = docs.as_cells(entry["cells"], loc + ".cells")
+        if len(cells) != 2:
+            raise ParseError("BAD_TERMINAL",
+                             "a terminal entry needs exactly two cells",
+                             loc + ".cells")
+        terminals.append((label, cells[0], cells[1]))
+    return nl.NumberlinkInstance(width, height, tuple(terminals))
+
+
+def numberlink_parse_solution_reference(text):
+    """Reference `numberlink.parse_solution`: the parser as it was when it
+    read its path entries one by one."""
+    doc = docs._document(text)
+    docs.check_fields(doc, ["paths"], [], "document")
+    paths = []
+    for i, entry in enumerate(docs.as_list(doc["paths"], "paths")):
+        loc = f"paths[{i}]"
+        entry = docs.require_object(entry, loc)
+        docs.check_fields(entry, ["label", "cells"], [], loc)
+        label = docs.as_int(entry["label"], loc + ".label")
+        cells = docs.as_cells(entry["cells"], loc + ".cells")
+        paths.append((label, tuple(cells)))
+    return nl.NumberlinkSolution(tuple(paths))
+
+
 def svg_reference(width, height, ids, paths, marks):
     """Reference `render._svg`: the SVG drawer as it was before it kept a
     frame per board shape, walls and all formatted on every call.  The
@@ -776,3 +822,35 @@ def svg_reference(width, height, ids, paths, marks):
                          f'{text}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def ascii_reference(width, height, ids, paths, marks):
+    """Reference `render._ascii`: the ASCII drawer as it was when it built
+    wall tables first, `hwalls[y][x]` for the wall along the bottom of
+    cell (x, y) and `vwalls[y][x]` for the one along its left, and then
+    read each entry of them once.  The tests require the library's ASCII
+    renders to equal it byte for byte."""
+    edge = [True] * width
+    hwalls = [edge]
+    hwalls += [list(map(ne, ids[y - 1], ids[y])) for y in range(1, height)]
+    hwalls.append(edge)
+    vwalls = [[True, *map(ne, row, row[1:]), True] for row in ids]
+    cell_w = max(3, max((len(m[2]) for m in marks), default=1) + 2)
+    dash, blank, star = "-" * cell_w, " " * cell_w, "*".center(cell_w)
+    cells = [[blank] * width for _ in range(height)]
+    for x, y in chain.from_iterable(paths):
+        if 0 <= x < width and 0 <= y < height:
+            cells[y][x] = star
+    for x, y, text, circled in marks:
+        if 0 <= x < width and 0 <= y < height:
+            shown = f"({text or ' '})" if circled else text
+            cells[y][x] = shown.center(cell_w)
+    lines = []
+    for y in range(height, -1, -1):
+        lines.append("+" + "+".join([dash if w else blank
+                                     for w in hwalls[y]]) + "+")
+        if y:
+            bars = ["|" if w else " " for w in vwalls[y - 1]]
+            lines.append(("".join(map(add, bars, cells[y - 1]))
+                          + bars[width]).rstrip())
+    return "\n".join(lines) + "\n"

@@ -14,10 +14,13 @@ when the map took this form.
 """
 
 import copy
+import enum
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import INT_MAX_STR_DIGITS, fixture_json
 from watarilink import numberlink as nl
 from watarilink import reduction as rd
@@ -186,6 +189,37 @@ def _cases():
          [(("paths", 2), {"cell": [[0, 0], [0, 1]]})]),
         ("wd_solution-path-extra-field", "wd_solution",
          [(("paths", 2), {"cells": [[0, 0], [0, 1]], "x": 1})]),
+        # Numberlink entries that the bulk paths hand to the per-entry
+        # path.
+        ("nl_instance-terminal-one-cell", "nl_instance",
+         [(("terminals", 2, "cells"), [[0, 3]])]),
+        ("nl_instance-terminal-three-cells", "nl_instance",
+         [(("terminals", 2, "cells"), [[0, 3], [4, 2], [1, 0]])]),
+        ("nl_instance-last-terminal-one-cell", "nl_instance",
+         [(("terminals", 4, "cells"), [[1, 1]])]),
+        ("nl_instance-label-float", "nl_instance",
+         [(("terminals", 2, "label"), 3.0)]),
+        ("nl_instance-terminal-extra-field", "nl_instance",
+         [(("terminals", 2, "x"), 1)]),
+        ("nl_instance-terminal-cell-field", "nl_instance",
+         [(("terminals", 2), {"label": 3, "cell": [[0, 3], [4, 2]]})]),
+        ("nl_instance-terminal-not-an-object", "nl_instance",
+         [(("terminals", 2), [[0, 3], [4, 2]])]),
+        ("nl_solution-label-bool", "nl_solution",
+         [(("paths", 2, "label"), True)]),
+        ("nl_solution-label-float", "nl_solution",
+         [(("paths", 2, "label"), 3.0)]),
+        ("nl_solution-path-extra-field", "nl_solution",
+         [(("paths", 2, "x"), 1)]),
+        ("nl_solution-path-cell-field", "nl_solution",
+         [(("paths", 2), {"label": 3, "cell": [[0, 3], [1, 3]]})]),
+        ("nl_solution-path-not-an-object", "nl_solution",
+         [(("paths", 2), [[0, 3], [1, 3]])]),
+        ("nl_instance-first-of-two-terminal-errors", "nl_instance",
+         [(("terminals", 3, "label"), 4.0),
+          (("terminals", 1, "cells"), [[0, 4]])]),
+        ("nl_solution-first-of-two-path-errors", "nl_solution",
+         [(("paths", 3, "label"), None), (("paths", 1, "cells", 0), [0])]),
         ("wd_instance-wrong-puzzle", "wd_instance",
          [(("puzzle",), "numberlink")]),
         ("wd_instance-region-rows-too-few", "wd_instance",
@@ -314,6 +348,26 @@ EXPECTED = {
     "wd_solution-path-empty-object": ("MISSING_FIELD", "paths[2]"),
     "wd_solution-path-cell-field": ("MISSING_FIELD", "paths[2]"),
     "wd_solution-path-extra-field": ("UNKNOWN_FIELD", "paths[2]"),
+    # Recorded on the per-entry Numberlink parsers, before their bulk
+    # paths.
+    "nl_instance-terminal-one-cell": ("BAD_TERMINAL", "terminals[2].cells"),
+    "nl_instance-terminal-three-cells":
+        ("BAD_TERMINAL", "terminals[2].cells"),
+    "nl_instance-last-terminal-one-cell":
+        ("BAD_TERMINAL", "terminals[4].cells"),
+    "nl_instance-label-float": ("NOT_AN_INTEGER", "terminals[2].label"),
+    "nl_instance-terminal-extra-field": ("UNKNOWN_FIELD", "terminals[2]"),
+    "nl_instance-terminal-cell-field": ("MISSING_FIELD", "terminals[2]"),
+    "nl_instance-terminal-not-an-object": ("NOT_AN_OBJECT", "terminals[2]"),
+    "nl_solution-label-bool": ("NOT_AN_INTEGER", "paths[2].label"),
+    "nl_solution-label-float": ("NOT_AN_INTEGER", "paths[2].label"),
+    "nl_solution-path-extra-field": ("UNKNOWN_FIELD", "paths[2]"),
+    "nl_solution-path-cell-field": ("MISSING_FIELD", "paths[2]"),
+    "nl_solution-path-not-an-object": ("NOT_AN_OBJECT", "paths[2]"),
+    "nl_instance-first-of-two-terminal-errors":
+        ("BAD_TERMINAL", "terminals[1].cells"),
+    "nl_solution-first-of-two-path-errors":
+        ("NOT_A_CELL", "paths[1].cells[0]"),
     # Recorded after the bulk checks: the kind and the row count are read
     # before any row, so no fallback is involved.
     "wd_instance-wrong-puzzle": ("WRONG_PUZZLE", "puzzle"),
@@ -377,6 +431,59 @@ def test_circle_fault_is_the_one_validate_instance_names(name):
 def test_unedited_documents_parse(kind):
     doc = BASES[kind]()
     assert PARSERS[kind](json.dumps(doc)) == PARSERS[kind](doc)
+
+
+# Labels and coordinates of any size, negative ones and ones past 2**31
+# among them.
+ANY_INT = st.integers() | st.integers(-2 ** 70, 2 ** 70)
+CELL = st.lists(ANY_INT, min_size=2, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_numberlink_documents_parse_as_per_entry(data):
+    """Valid Numberlink documents of 0 to 8 entries parse, as text and
+    decoded, to the value the per-entry parsers gave."""
+    entries = data.draw(st.lists(st.fixed_dictionaries({
+        "label": ANY_INT, "cells": st.lists(CELL, min_size=2, max_size=2)}),
+        max_size=8), label="terminals")
+    width, height = data.draw(st.tuples(st.integers(1, 8),
+                                        st.integers(1, 8)), label="size")
+    inst = {"puzzle": "numberlink", "width": width, "height": height,
+            "terminals": entries}
+    sol = {"paths": data.draw(st.lists(st.fixed_dictionaries({
+        "label": ANY_INT, "cells": st.lists(CELL, max_size=6)}),
+        max_size=8), label="paths")}
+    for parse, reference, doc in (
+            (nl.parse_instance, oracles.numberlink_parse_instance_reference,
+             inst),
+            (nl.parse_solution, oracles.numberlink_parse_solution_reference,
+             sol)):
+        want = reference(doc)
+        for source in (json.dumps(doc), doc):
+            got = parse(source)
+            assert got == want and type(got) is type(want)
+
+
+class Label(int):
+    pass
+
+
+@pytest.mark.parametrize("label", [Label(3), enum.IntEnum("L", "A B C").C],
+                         ids=["int-subclass", "int-enum"])
+def test_numberlink_int_subclass_labels_parse(label):
+    # `documents.as_int` takes an int subclass other than bool; the bulk
+    # paths take exact ints alone and leave the rest to the per-entry path.
+    for kind, key, reference in (
+            ("nl_instance", "terminals",
+             oracles.numberlink_parse_instance_reference),
+            ("nl_solution", "paths",
+             oracles.numberlink_parse_solution_reference)):
+        doc = _edited(kind, [((key, 2, "label"), label)])
+        got = PARSERS[kind](doc)
+        assert got == reference(doc)
+        entries = got.terminals if kind == "nl_instance" else got.paths
+        assert entries[2][0] is label
 
 
 # Text the decoder refuses although each bracket and digit is well formed:

@@ -1,3 +1,4 @@
+import collections
 import enum
 import tracemalloc
 
@@ -78,11 +79,31 @@ class TestSimplePath:
         one = enum.IntEnum("One", "ONE")(1)
         assert is_simple_orthogonal_path([(0, 0), (one, 0), (one, one)], 2, 2)
 
-    def test_other_unhashable_cells_raise(self):
-        # Only list cells are read as the equal tuples.  A dict cell
-        # unpacks to its keys, (0, 1) here, and then cannot be hashed.
-        with pytest.raises(TypeError):
-            is_simple_orthogonal_path([{0: "a", 1: "b"}, (1, 1)], 2, 2)
+    @pytest.mark.parametrize("cell", [
+        {0: "a", 1: "b"}, frozenset({0, 1}), b"\x00\x01", range(2),
+    ], ids=["dict", "frozenset", "bytes", "range"])
+    def test_other_cell_types_refused(self, cell):
+        # Each unpacks to (0, 1), a step from (1, 1), but only tuple and
+        # list cells are read as the equal tuples: the dict does not hash
+        # and the others hash apart from (0, 1).
+        assert not is_simple_orthogonal_path([cell, (1, 1)], 2, 2)
+        assert not is_simple_orthogonal_path([(1, 1), cell], 2, 2)
+        assert not is_simple_orthogonal_path([[1, 1], cell, (0, 0)], 2, 2)
+
+    def test_frozenset_cell_does_not_hide_a_repeat(self):
+        # Read as the tuple (0, 1), this path would repeat that cell.
+        assert not is_simple_orthogonal_path(
+            [(0, 1), frozenset({0, 1}), (1, 1)], 2, 2)
+
+    def test_sequence_subclass_cells_accepted(self):
+        # A tuple or list subclass, as `documents.as_cell` takes a list
+        # subclass, is read as the equal tuple.
+        class Pair(list):
+            pass
+        point = collections.namedtuple("Point", "x y")
+        assert is_simple_orthogonal_path([point(0, 0), Pair([0, 1])], 2, 2)
+        assert not is_simple_orthogonal_path(
+            [point(0, 0), Pair([0, 1]), (0, 0)], 2, 2)
 
 
 # Steps that are not unit orthogonal ones: zero, diagonal and long.

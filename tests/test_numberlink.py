@@ -226,6 +226,25 @@ class TestVerify:
                         sample_numberlink, nl.NumberlinkSolution(case),
                         require_full_coverage=True)
 
+    @pytest.mark.parametrize("cell, rule", [
+        ((0, 1), errors.TERMINAL_CROSSED),
+        ([0, 1], errors.TERMINAL_CROSSED),
+        (frozenset({0, 1}), errors.BAD_PATH),
+        ({0: 1, 1: 1}, errors.BAD_PATH),
+    ], ids=["tuple", "list", "frozenset", "dict"])
+    def test_cells_that_are_not_tuples_or_lists_rejected(self, cell, rule):
+        # Path 1 crosses terminal (0, 1), which a frozenset cell hid: it
+        # unpacks to (0, 1) but hashes apart from it.  A dict cell does
+        # not hash.  Either makes its path the bad one.
+        inst = nl.validate_instance(make(2, 3, [(1, (0, 0), (0, 2)),
+                                                (2, (1, 0), (0, 1))]))
+        sol = nl.NumberlinkSolution(((1, ((0, 0), cell, (0, 2))),
+                                     (2, ((1, 0), (1, 1), (0, 1)))))
+        verdict = nl.verify_solution(inst, sol)
+        assert verdict.rule == rule
+        if rule == errors.BAD_PATH:
+            assert str(verdict) == "REJECT BAD_PATH path=0 cell=0,0"
+
     def test_missing_path(self, sample_numberlink,
                           sample_numberlink_solution):
         paths = sample_numberlink_solution.paths[:-1]

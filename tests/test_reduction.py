@@ -629,18 +629,20 @@ class TestRenderPins:
             self.DIGESTS[f"{board}-{fmt}"]
 
 
-def _svg_case(data, kind, width, height):
+def _render_case(data, kind, fmt, width, height):
     """A board of one kind and shape, drawn with unvalidated marks and
-    paths, as (render, instance, solution, the reference's SVG).  Cells
-    may lie off the grid, and on some boards their coordinates may be
-    floats or bools."""
-    odd = data.draw(st.booleans(), label="non-integers")
+    paths, as (render, instance, solution, the reference's text in
+    `fmt`).  Cells may lie off the grid, and on some SVG boards their
+    coordinates may be floats or bools; the ASCII drawer indexes its rows
+    by them, so it gets ints alone."""
+    odd = fmt == "svg" and data.draw(st.booleans(), label="non-integers")
     column, row = (st.integers(-2, side + 1)
                    | st.sampled_from([0.5, 1.0, True]) if odd
                    else st.integers(-2, side + 1) for side in (width, height))
     cell = st.tuples(column, row)
     paths = data.draw(st.lists(st.lists(cell, max_size=5).map(tuple),
                                max_size=3), label="paths")
+    reference = getattr(oracles, f"{fmt}_reference")
     # Texts of one to three digits.
     number = st.integers(0, 999)
     if kind == "numberlink":
@@ -651,9 +653,13 @@ def _svg_case(data, kind, width, height):
             tuple(enumerate(paths)))
         marks = [(x, y, str(label), False)
                  for label, a, b in terminals for x, y in (a, b)]
-        return (render.render_numberlink_svg, inst, sol,
-                oracles.svg_reference(width, height, [[0] * width] * height,
-                                      paths, marks))
+        # In ASCII each cell is a region of its own; in SVG the board is
+        # one region.
+        ids = ([list(range(y * width, y * width + width))
+                for y in range(height)] if fmt == "ascii"
+               else [[0] * width] * height)
+        return (getattr(render, f"render_numberlink_{fmt}"), inst, sol,
+                reference(width, height, ids, paths, marks))
     ids = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=width,
                                       max_size=width),
                              min_size=height, max_size=height), label="ids")
@@ -664,10 +670,12 @@ def _svg_case(data, kind, width, height):
     inst = wd.WataridoriInstance(
         RegionMap(width, height, tuple(map(tuple, ids)), 4), tuple(circles))
     sol = None if not paths else wd.WataridoriSolution(tuple(paths))
-    marks = sorted(((x, y, "" if n is None else str(n), True)
-                    for x, y, n in circles), key=itemgetter(1, 0))
-    return (render.render_wataridori_svg, inst, sol,
-            oracles.svg_reference(width, height, ids, paths, marks))
+    marks = [(x, y, "" if n is None else str(n), True)
+             for x, y, n in circles]
+    if fmt == "svg":
+        marks.sort(key=itemgetter(1, 0))
+    return (getattr(render, f"render_wataridori_{fmt}"), inst, sol,
+            reference(width, height, ids, paths, marks))
 
 
 @settings(max_examples=100, deadline=None)
@@ -678,13 +686,42 @@ def test_svg_renders_equal_the_reference(data):
     rendered again in reverse order, so that a frame cached for one shape
     is reused after another's and can never stand in for it."""
     side = st.integers(1, 9)
-    cases = [_svg_case(data, data.draw(st.sampled_from(["numberlink",
-                                                        "wataridori"])),
-                       data.draw(side, label="width"),
-                       data.draw(side, label="height"))
+    cases = [_render_case(data, data.draw(st.sampled_from(["numberlink",
+                                                           "wataridori"])),
+                          "svg", data.draw(side, label="width"),
+                          data.draw(side, label="height"))
              for _ in range(data.draw(st.integers(1, 3), label="boards"))]
     for draw, inst, sol, want in cases + cases[::-1]:
         assert draw(inst, sol) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ascii_renders_equal_the_reference(data):
+    """Both ASCII renders equal the reference drawer, which builds wall
+    tables first, byte for byte, on boards from 1x1 to 8x8, some of them
+    forced to one row or one column."""
+    line = data.draw(st.sampled_from([None, "row", "column"]), label="line")
+    width, height = (data.draw(st.integers(1, 8), label=side)
+                     for side in ("width", "height"))
+    width = 1 if line == "column" else width
+    height = 1 if line == "row" else height
+    draw, inst, sol, want = _render_case(
+        data, data.draw(st.sampled_from(["numberlink", "wataridori"])),
+        "ascii", width, height)
+    assert draw(inst, sol) == want
+
+
+def test_ascii_of_the_reduced_fixture_equals_the_reference(
+        sample_numberlink, sample_numberlink_solution):
+    h, rmap = rd.reduce_instance(sample_numberlink)
+    h_sol = lifting.lift(sample_numberlink, sample_numberlink_solution, rmap)
+    marks = [(x, y, "" if n is None else str(n), True)
+             for x, y, n in h.circles]
+    for sol in (None, h_sol):
+        assert render.render_wataridori_ascii(h, sol) == \
+            oracles.ascii_reference(h.width, h.height, h.regions.ids,
+                                    () if sol is None else sol.paths, marks)
 
 
 def test_frame_cache_keeps_eight_shapes():

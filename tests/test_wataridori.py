@@ -342,6 +342,23 @@ class TestVerify:
         assert verdict == errors.reject(errors.CELL_SHARED, path_index=2,
                                         cell=(3, 0))
 
+    @pytest.mark.parametrize("cell, verdict", [
+        ((1, 2), "REJECT CELL_SHARED path=1 cell=1,2"),
+        ([1, 2], "REJECT CELL_SHARED path=1 cell=1,2"),
+        (frozenset({1, 2}), "REJECT BAD_PATH path=0 cell=1,1"),
+        ({1: 0, 2: 0}, "REJECT BAD_PATH path=0 cell=1,1"),
+    ], ids=["tuple", "list", "frozenset", "dict"])
+    def test_cells_that_are_not_tuples_or_lists_rejected(self, cell,
+                                                         verdict):
+        # The paths cross at (1, 2), which a frozenset cell hid: it
+        # unpacks to (1, 2) but hashes apart from it.  A dict cell does
+        # not hash.  Either makes its path the bad one.
+        inst = make([[0] * 4] * 4, [(1, 1, None), (1, 3, None),
+                                    (0, 2, None), (2, 2, None)])
+        paths = (((1, 1), cell, (1, 3)), ((0, 2), (1, 2), (2, 2)))
+        assert str(wd.verify_solution(inst, wd.WataridoriSolution(paths))) \
+            == verdict
+
     def test_list_cells_judged_as_tuple_cells(self, sample_wataridori,
                                               sample_wataridori_solution):
         paths = sample_wataridori_solution.paths
