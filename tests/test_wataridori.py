@@ -703,7 +703,9 @@ def _mutate(kind, rng, ids, circles, paths):
         paths[j] = path + (rng.choice(free),) if free else path[:-1]
     elif kind == "re-entry" and any(len(p) >= 3 for p in paths):
         j = rng.choice([i for i, p in enumerate(paths) if len(p) >= 3])
-        (x0, y0), (x1, y1), (x2, y2) = paths[j][:3]
+        # An earlier odd-cell mutation may have made a coordinate a float
+        # or a bool equal to an int; index the region rows by that int.
+        (x0, y0), (x1, y1), (x2, y2) = (map(int, c) for c in paths[j][:3])
         home = ids[y0][x0]
         ids[y2][x2] = home
         if ids[y1][x1] == home:
