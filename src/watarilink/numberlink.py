@@ -16,8 +16,8 @@ from .errors import ParseError, ValidationError, Verdict, accept, reject
 from .grid import Cell, Path, _check_paths, check_size, first_cell
 # The statuses are read through this module as nl.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
-                     OutOfBudget, SolveResult, node_limit, run, steps,
-                     toward, toward_keys)
+                     OutOfBudget, SolveResult, cell_table, node_limit, run,
+                     steps, toward, toward_keys)
 
 
 class NumberlinkInstance(NamedTuple):
@@ -260,7 +260,7 @@ def solve(inst: NumberlinkInstance, budget: int = DEFAULT_BUDGET) -> SolveResult
                 path.pop()
 
     result = run(route(0), lambda: nodes, lambda: NumberlinkSolution(tuple(
-        (label, tuple((i % width, i // width) for i in path))
+        (label, tuple(map(cell_table(width, height).__getitem__, path)))
         for (label, _, _), path in zip(pairs, paths))))
     # `route` and `extend` refer to each other; break the cycle so this
     # solve's tables are freed on return, not by the cyclic collector.

@@ -19,6 +19,7 @@ from itertools import chain, compress, count
 from operator import add, itemgetter, ne
 from typing import List, Optional, Sequence, Tuple
 
+from .documents import check_ints
 from .grid import Cell, check_size
 from .numberlink import NumberlinkInstance, NumberlinkSolution
 from .wataridori import WataridoriInstance, WataridoriSolution
@@ -40,14 +41,21 @@ def _ascii(width: int, height: int, ids: Sequence[Sequence[int]],
     dash, blank, star = "-" * cell_w, " " * cell_w, "*".center(cell_w)
     # cells[y][x] is the text of cell (x, y); off-grid cells are not drawn.
     cells = [[blank] * width for _ in range(height)]
-    for x, y in chain.from_iterable(paths):
-        if 0 <= x < width and 0 <= y < height:
-            cells[y][x] = star
     centred = {}  # one string per distinct mark, shared by its cells
-    for x, y, text, circled in marks:
-        if 0 <= x < width and 0 <= y < height:
-            shown = f"({text or ' '})" if circled else text
-            cells[y][x] = centred.setdefault(shown, shown.center(cell_w))
+    try:
+        for x, y in chain.from_iterable(paths):
+            if 0 <= x < width and 0 <= y < height:
+                cells[y][x] = star
+        for x, y, text, circled in marks:
+            if 0 <= x < width and 0 <= y < height:
+                shown = f"({text or ' '})" if circled else text
+                cells[y][x] = centred.setdefault(shown, shown.center(cell_w))
+    except TypeError:
+        # A coordinate that is not an integer indexes no row: it is
+        # refused as the parsers refuse it, with the value named.
+        for cell in chain(chain.from_iterable(paths), marks):
+            check_ints(cell[:2], "a cell coordinate")
+        raise
     # A wall is drawn between two cells with different ids, and all
     # around the board; in a cell row, each cell is followed by the bar
     # on its right.

@@ -12,10 +12,11 @@ Both solvers search on flat cell indices i = y*width + x: a path grows
 by the offsets `toward` lists for its head and goal, `steps` gives each
 index its neighbor indices for the floods and touch checks, occupancy
 and region ids are flat arrays, and paths are kept as indices, turned
-back into (x, y) cells only when `run` reads the solution.  The guarantee is node for node: each
-solver makes every move and every cut at the same node as a plain search
-over (x, y) tuple cells, so status, solution and node count all equal that
-search's.  The test suite keeps such searches as references and compares.
+back into (x, y) cells through `cell_table` only when `run` reads the
+solution.  The guarantee is node for node: each solver makes every move
+and every cut at the same node as a plain search over (x, y) tuple cells,
+so status, solution and node count all equal that search's.  The test
+suite keeps such searches as references and compares.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ def steps(width: int, height: int) -> Tuple[Tuple[int, ...], ...]:
             row.append(i + 1)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+@lru_cache(maxsize=8)
+def cell_table(width: int, height: int) -> Tuple[Tuple[int, int], ...]:
+    """The (x, y) cell of every cell index i = y*width + x, by which a
+    solver reads its paths back.  Cached per shape as `steps` is."""
+    return tuple([(x, y) for y in range(height) for x in range(width)])
 
 
 @lru_cache(maxsize=64)

@@ -8,9 +8,8 @@ number on its endpoint circles (wildcard circles accept any total).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from operator import add, attrgetter, itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -21,8 +20,8 @@ from .grid import (Cell, Path, RegionMap, _check_paths, check_size,
                    first_cell, region_map_from_rows)
 # The statuses are read through this module as wd.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
-                     OutOfBudget, SolveResult, node_limit, run, steps,
-                     toward, toward_keys)
+                     OutOfBudget, SolveResult, cell_table, node_limit, run,
+                     steps, toward, toward_keys)
 
 
 class Circle(NamedTuple):
@@ -174,8 +173,11 @@ def solve(inst: WataridoriInstance,
     partial path is also cut when it re-enters a region, and when it steps
     next to one of its own earlier cells, in the same region for a
     numbered pair: the path through such a touch keeps the run count, so
-    a solution with the fewest path cells has none.  Designed for boards
-    up to about 7x7 with up to about 16 circles.
+    a solution with the fewest path cells has none.
+
+    The search is exponential in the worst case.  The test suite decides
+    7x7 boards and reductions of up to 648 circles on 26x52 grids, and
+    `tests/hard_direction.py` those of 810 circles on 26x65 grids.
     """
     inst = validate_instance(inst)
     rmap = inst.regions
@@ -184,8 +186,13 @@ def solve(inst: WataridoriInstance,
     n_cells = width * height
     budget = node_limit(budget)
     nodes = 0
-    circles = sorted(inst.circles, key=lambda c: (
-        c.number is None, -(c.number or 0), c.y, c.x))
+    # Numbers are positive, so a circle's number is true unless it is a
+    # wildcard.  Both sorts are stable, so ties stay in (y, x) order.
+    number = itemgetter(2)
+    by_cell = sorted(inst.circles, key=itemgetter(1, 0))
+    circles = sorted(filter(number, by_cell), key=number, reverse=True)
+    numbered = len(circles)
+    circles += filterfalse(number, by_cell)
     n = len(circles)
     if n % 2 == 1:
         return SolveResult(UNSAT, nodes=0)
@@ -218,11 +225,12 @@ def solve(inst: WataridoriInstance,
     touching = set(zip(region, region[width:]))
     for row in rmap.ids:
         touching.update(zip(row, row[1:]))
-    adjacent: List[set] = [set() for _ in range(rmap.region_count)]
+    # A pair of regions may be listed twice; the BFS skips the second.
+    adjacent: List[List[int]] = [[] for _ in range(rmap.region_count)]
     for a, b in touching:
         if a != b:
-            adjacent[a].add(b)
-            adjacent[b].add(a)
+            adjacent[a].append(b)
+            adjacent[b].append(a)
     # A wildcard pair has no target: it reads zero distances, and its limit
     # `n_cells` never cuts, since a path has at most `n_cells` runs.  A
     # pair numbered 1 reads them too: with limit 1 it enters no region.
@@ -247,35 +255,45 @@ def solve(inst: WataridoriInstance,
 
     # Partner lists in index order.  Wildcards sort last, so a wildcard
     # pairs with the later circles.  The circles numbered t in one region
-    # share one list: the circles numbered t or wildcards in the regions
-    # within t - 1 steps.  For t > 1 that excludes their own region, since
-    # a path with two or more runs that ends where it starts re-enters it;
-    # for t = 1 it is their own region, themselves included, which pairing
-    # skips as paired.  Numbered circles list each other symmetrically, so
-    # the numbered part of a circle's list also names the circles that list
-    # it.  `count[i]` is how many of numbered circle i's partners are
-    # unpaired, and `watch[j]` lists the numbered circles that list j.
-    numbers = [c.number for c in circles]
+    # form a group and share one list: the circles numbered t or wildcards
+    # in the regions within t - 1 steps.  For t > 1 that excludes their own
+    # region, since a path with two or more runs that ends where it starts
+    # re-enters it; for t = 1 it is their own region, the group itself
+    # included, which pairing skips as paired.  Numbered circles list each
+    # other symmetrically, so the numbered part of a circle's list also
+    # names the circles that list it.  `count[i]` is how many of numbered
+    # circle i's partners are unpaired, and `watch[j]` lists the numbered
+    # circles that list j.
+    numbers = list(map(number, circles))
     rids = [region[i] for i in cells]
-    bucket: List[List[int]] = [[] for _ in range(rmap.region_count)]
-    for j, rid in enumerate(rids):
-        bucket[rid].append(j)
-    numbered = n - numbers.count(None)
-    partners: List[Sequence[int]] = [range(i + 1, n) for i in range(n)]
-    watch: List[List[int]] = [[] for _ in range(n)]
-    groups: Dict[Tuple[int, int], Tuple[List[int], ...]] = {}
+    wildcards = range(numbered, n)
+    groups: Dict[Tuple[int, int], List[int]] = {}
     for i in range(numbered):
-        t, rid = numbers[i], rids[i]
-        if (rid, t) not in groups:
-            dist = distances(rid) if t > 1 else None
-            near = bucket[rid] if dist is None else [
-                j for j, r in enumerate(rids) if 0 < dist[r] < t]
-            mates = [j for j in near if numbers[j] in (None, t)]
-            k = bisect_left(mates, numbered)
-            groups[rid, t] = mates, mates[:k], mates[k:]
-        partners[i], watch[i], wild = groups[rid, t]
+        groups.setdefault((numbers[i], rids[i]), []).append(i)
+    # Numbers fall with the index: those numbered t end before `upto[t]`.
+    upto = dict(zip(numbers, range(1, numbered + 1)))
+    wild_in: Dict[int, List[int]] = {}
+    for j in wildcards:
+        wild_in.setdefault(rids[j], []).append(j)
+    # Every numbered circle's entries are set from its group below.
+    partners: List[Sequence[int]] = [()] * numbered
+    partners += [range(j + 1, n) for j in wildcards]
+    watch: List[Sequence[int]] = [()] * numbered
+    watch += [[] for _ in wildcards]
+    for (t, rid), members in groups.items():
+        if t > 1:
+            dist = distances(rid)
+            own = [j for j in range(numbers.index(t), upto[t])
+                   if 0 < dist[rids[j]] < t]
+            wild = [j for j in wildcards if 0 < dist[rids[j]] < t]
+        else:
+            own, wild = members, wild_in.get(rid, [])
+        mates = own + wild
+        for i in members:
+            partners[i] = mates
+            watch[i] = own
         for j in wild:
-            watch[j].append(i)
+            watch[j] += members
     count = [len(p) - (t == 1) for p, t in zip(partners, numbers)]
     # A numbered circle with no partner at all refutes the board; during
     # the search no unpaired one is left without a partner.
@@ -440,8 +458,7 @@ def solve(inst: WataridoriInstance,
             end = came[end]
             path.append(end)
         path.reverse()
-        return tuple(zip(map(width.__rmod__, path),
-                         map(width.__rfloordiv__, path)))
+        return tuple(map(cell_table(width, height).__getitem__, path))
 
     result = run(pair_next(0), lambda: nodes, lambda: WataridoriSolution(tuple(
         map(path_cells, ends))))

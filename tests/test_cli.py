@@ -681,6 +681,28 @@ def test_wataridori_renders_refuse_a_bad_size(draw):
         assert err.value.code == code
 
 
+def test_wataridori_ascii_refuses_a_float_path_cell():
+    """An unvalidated solution's float coordinate is refused by name, as
+    the parsers refuse it; the SVG renderer still draws it."""
+    inst = wd.WataridoriInstance(grid.region_map_from_rows([[0, 1]]), (
+        wd.Circle(0, 0, 2), wd.Circle(1, 0, 2)))
+    sol = wd.WataridoriSolution((((0, 0), (1.0, 0)),))
+    with pytest.raises(ValidationError) as err:
+        render.render_wataridori_ascii(inst, sol)
+    assert (err.value.code, err.value.message) == (
+        "NOT_AN_INTEGER", "a cell coordinate must be an integer, got 1.0")
+    assert "<polyline" in render.render_wataridori_svg(inst, sol)
+
+
+def test_numberlink_ascii_refuses_a_float_terminal():
+    inst = nl.NumberlinkInstance(2, 1, ((1, (0, 0), (1.0, 0)),))
+    with pytest.raises(ValidationError) as err:
+        render.render_numberlink_ascii(inst)
+    assert (err.value.code, err.value.message) == (
+        "NOT_AN_INTEGER", "a cell coordinate must be an integer, got 1.0")
+    assert "<text" in render.render_numberlink_svg(inst)
+
+
 def test_numberlink_renders_draw_a_board_without_terminals():
     inst = nl.NumberlinkInstance(2, 1, ())
     assert render.render_numberlink_ascii(inst) == \

@@ -437,6 +437,62 @@ def test_wataridori_solve_equals_reference_where_least_is_restored():
     assert result == oracles.wataridori_solve_reference(LEAST_RESTORED)
 
 
+def partner_group_boards():
+    """Twenty 6x6 boards whose circles `wd.solve` groups many ways, walls
+    drawn from a fixed seed.  One region holds two circles numbered 1 and a
+    wildcard; four circles numbered 2 and three more wildcards go anywhere.
+    A board is kept when its 2s lie in two or more regions and one of its
+    wildcards is listed by two or more groups: the group of 1s in its own
+    region, or a group of 2s in a region next to its own."""
+    rng = random.Random(30)
+    candidates = [Wall(VERTICAL, x, y) for x in range(1, 6) for y in range(6)]
+    candidates += [Wall(HORIZONTAL, x, y)
+                   for x in range(6) for y in range(1, 6)]
+    cells = [(x, y) for y in range(6) for x in range(6)]
+    kept = 0
+    while kept < 20:
+        rmap = regions_from_walls(
+            [wall for wall in candidates if rng.random() < 0.4], 6, 6)
+        ones = rmap.id_at(rng.choice(cells))
+        home = [c for c in cells if rmap.id_at(c) == ones]
+        if len(home) < 3:
+            continue
+        placed = rng.sample(home, 3)
+        placed += rng.sample([c for c in cells if c not in placed], 7)
+        numbers = [1, 1, None, 2, 2, 2, 2, None, None, None]
+        # near[r]: region r and the regions next to it.
+        near = {rid: {rid} for rid in range(rmap.region_count)}
+        for x, y in cells:
+            for other in ((x + 1, y), (x, y + 1)):
+                if max(other) < 6:
+                    a, b = rmap.id_at((x, y)), rmap.id_at(other)
+                    near[a].add(b)
+                    near[b].add(a)
+        twos = {rmap.id_at(c) for c, t in zip(placed, numbers) if t == 2}
+        listed = [(rid == ones) + len((near[rid] - {rid}) & twos)
+                  for rid in (rmap.id_at(c)
+                              for c, t in zip(placed, numbers) if t is None)]
+        if len(twos) >= 2 and max(listed) >= 2:
+            kept += 1
+            yield wd.WataridoriInstance(rmap, tuple(
+                wd.Circle(x, y, t) for (x, y), t in zip(placed, numbers)))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 40, search.DEFAULT_BUDGET])
+def test_wataridori_solve_equals_reference_on_partner_groups(budget):
+    """Circles that share a number and a region share their partner
+    lists, a wildcard's watch list gathers several groups, and neither
+    may mix the lists of two regions."""
+    statuses = []
+    for inst in partner_group_boards():
+        result = wd.solve(inst, budget)
+        assert result == oracles.wataridori_solve_reference(inst, budget), \
+            inst
+        statuses.append(result.status)
+    if budget == search.DEFAULT_BUDGET:
+        assert (statuses.count(wd.SOLVED), statuses.count(wd.UNSAT)) == (5, 15)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_wataridori_solve_agrees_with_brute_force(data):
