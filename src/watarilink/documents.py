@@ -79,8 +79,14 @@ def check_fields(obj: dict, required: Sequence[str], optional: Sequence[str],
                              location)
 
 
+def _is_int(value: Any) -> bool:
+    """The integer rule every layer applies to a size, coordinate, label,
+    number or budget: an int or an int subclass, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def as_int(value: Any, location: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ParseError("NOT_AN_INTEGER", f"expected an integer, got "
                          f"{_shown(value)}", location)
     return value
@@ -95,7 +101,7 @@ def as_cell(value: Any, location: str) -> Cell:
 
 
 def _all_ints(values: Iterable[Any]) -> bool:
-    """True iff every value is an integer (not a bool)."""
+    """True iff every value's type is int, which passes `_is_int`."""
     return set(map(type, values)) <= _INT
 
 
@@ -103,7 +109,7 @@ def check_ints(values: Sequence[Any], what: str) -> None:
     """Refuse the first of `values` that `as_int` would, with a
     `NOT_AN_INTEGER` ValidationError; `what` names one of them."""
     for value in values:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ValidationError("NOT_AN_INTEGER", f"{what} must be an "
                                   f"integer, got {_shown(value)}")
 

@@ -75,7 +75,7 @@ def _check_paths(paths: Sequence[Sequence[Cell]], width: int, height: int
     is the index of the first path that is not an in-bounds simple path of
     unit orthogonal steps between integer cells, or None, and when it is
     None, `shared` is `first_shared_cell(paths)`.  A coordinate is an
-    integer under `documents.as_int`'s rule, so a bool is not one, and a
+    integer under `documents._is_int`'s rule, so a bool is not one, and a
     cell that is not a pair, a cell that is neither a tuple nor a list
     (nor a subclass of one), or a path that is not a sequence, makes its
     path the bad one.  Other cells are judged as the equal tuple cells:
@@ -89,7 +89,9 @@ def _check_paths(paths: Sequence[Sequence[Cell]], width: int, height: int
             if len(path) >= 2:
                 px, py = path[0]
                 for x, y in path:
-                    if not (type(x) is int is type(y) or _ints(x, y)) \
+                    if not (type(x) is int is type(y)
+                            or documents._is_int(x)
+                            and documents._is_int(y)) \
                             or not (0 <= x < width and 0 <= y < height) \
                             or abs(x - px) + abs(y - py) > 1:
                         break
@@ -165,19 +167,12 @@ class RegionMap(NamedTuple):
         return self.ids[y][x]
 
 
-def _ints(*values: Any) -> bool:
-    """True iff every value is an integer as `documents.as_int` reads it:
-    an int or an int subclass other than bool."""
-    return all(isinstance(v, int) and not isinstance(v, bool)
-               for v in values)
-
-
 def _check_wall(wall: Wall, width: int, height: int) -> None:
     try:
         kind, x, y = wall
     except (TypeError, ValueError):
         x = y = None
-    if not _ints(x, y):
+    if not (documents._is_int(x) and documents._is_int(y)):
         raise ValidationError("BAD_WALL", f"wall {documents._shown(wall)} "
                               "is not (kind, x, y) with integer x and y")
     if kind == HORIZONTAL:

@@ -140,8 +140,20 @@ def unlift(sol: WataridoriSolution, rmap: ReductionMap) -> NumberlinkSolution:
 
     recovered: Dict[int, Path] = {}
     for path in sol.paths:
-        a_label = center_label.get(path[0])
-        b_label = center_label.get(path[-1])
+        try:
+            first, last = path[0], path[-1]
+        except (TypeError, LookupError):
+            raise ValidationError("UNLIFT_BAD_MAIN", "a path must be a "
+                                  "non-empty sequence of cells")
+        try:
+            a_label = center_label.get(first)
+            b_label = center_label.get(last)
+        except TypeError:
+            # A list cell is read as the equal tuple, as the verifiers
+            # read it; no other unhashable cell is a center.
+            a_label, b_label = [center_label.get(tuple(cell))
+                                if isinstance(cell, list) else None
+                                for cell in (first, last)]
         if a_label is None and b_label is None:
             continue  # filler path
         if a_label is None or b_label is None or a_label != b_label:
@@ -153,10 +165,15 @@ def unlift(sol: WataridoriSolution, rmap: ReductionMap) -> NumberlinkSolution:
             raise ValidationError("UNLIFT_BAD_MAIN",
                                   f"two main paths for label {label}")
         blocks: List[Cell] = []
-        for x, y in path:
-            here = (x // s, y // s)
-            if not blocks or blocks[-1] != here:
-                blocks.append(here)
+        try:
+            for x, y in path:
+                here = (x // s, y // s)
+                if not blocks or blocks[-1] != here:
+                    blocks.append(here)
+        except (TypeError, ValueError):
+            raise ValidationError("UNLIFT_BAD_MAIN",
+                                  f"main path for label {label} has a cell "
+                                  "that is not (x, y)")
         if len(set(blocks)) != len(blocks):
             raise ValidationError("UNLIFT_BLOCK_REVISITED",
                                   f"main path for label {label} re-enters "

@@ -13,7 +13,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 from . import documents as docs
 from . import errors
 from .errors import ParseError, ValidationError, Verdict, accept, reject
-from .grid import Cell, Path, _check_paths, check_size, first_cell
+from .grid import _PAIR, Cell, Path, _check_paths, check_size, first_cell
 # The statuses are read through this module as nl.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
                      OutOfBudget, SolveResult, cell_table, node_limit, run,
@@ -38,10 +38,12 @@ class NumberlinkSolution(NamedTuple):
 def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
     """Check structure and return the normalized form of the instance.
 
-    Labels are kept as written; each pair's two cells are ordered by
-    (y, x), so equal puzzles compare equal no matter which end of a pair
-    was written first.  Sizes, labels and coordinates must be integers,
-    as the parser's are.
+    A terminal is a tuple or list (label, cell, cell) and a cell a tuple
+    or list (x, y); the normalized form holds tuples.  Labels are kept as
+    written; each pair's two cells are ordered by (y, x), so equal
+    puzzles compare equal no matter which end of a pair was written
+    first.  Sizes, labels and coordinates must be integers, as the
+    parser's are.
     """
     if type(inst.width) is not int or type(inst.height) is not int:
         docs.check_ints((inst.width, inst.height), "a grid size")
@@ -51,14 +53,28 @@ def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
     seen_labels = set()
     seen_cells = set()
     normalized = []
-    for label, a, b in inst.terminals:
+    for terminal in inst.terminals:
+        if not isinstance(terminal, _PAIR) or len(terminal) != 3:
+            raise ValidationError("BAD_TERMINAL", "a terminal must be "
+                                  "(label, cell, cell), got "
+                                  f"{docs._shown(terminal)}")
+        label, a, b = terminal
         if type(label) is not int:
             docs.check_ints((label,), "a label")
         if label in seen_labels:
             raise ValidationError("LABEL_MULTIPLICITY",
                                   f"label {label} appears more than twice")
         seen_labels.add(label)
-        for cell in (a, b):
+        ends = []
+        for value in (a, b):
+            # A list cell is read as the equal tuple, as the verifiers
+            # read a path's cells.
+            cell = value
+            if type(cell) is not tuple:
+                cell = tuple(value) if isinstance(value, _PAIR) else ()
+            if len(cell) != 2:
+                raise ValidationError("NOT_A_CELL", "a terminal cell must "
+                                      f"be (x, y), got {docs._shown(value)}")
             x, y = cell
             if type(x) is not int or type(y) is not int:
                 docs.check_ints(cell, "a terminal coordinate")
@@ -69,6 +85,8 @@ def validate_instance(inst: NumberlinkInstance) -> NumberlinkInstance:
                 raise ValidationError("DUPLICATE_TERMINAL",
                                       f"cell {cell} holds two terminals")
             seen_cells.add(cell)
+            ends.append(cell)
+        a, b = ends
         if (b[1], b[0]) < (a[1], a[0]):
             a, b = b, a
         normalized.append((label, a, b))
@@ -86,8 +104,17 @@ def verify_solution(inst: NumberlinkInstance, sol: NumberlinkSolution,
     all_terminal_cells = {c for _, a, b in inst.terminals for c in (a, b)}
 
     seen_labels = set()
-    for idx, (label, _) in enumerate(sol.paths):
-        if label not in terminals:
+    for idx, entry in enumerate(sol.paths):
+        try:
+            label, _ = entry
+        except (TypeError, ValueError):
+            return reject(errors.BAD_PATH, path_index=idx,
+                          detail="not a (label, path) pair")
+        try:
+            known = label in terminals
+        except TypeError:  # an unhashable label
+            known = False
+        if not known:
             return reject(errors.UNKNOWN_LABEL, path_index=idx,
                           detail=f"no terminal pair labeled {label}")
         if label in seen_labels:

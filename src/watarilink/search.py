@@ -25,6 +25,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Tuple
 
+from .documents import _is_int, _shown
+
 SOLVED = "solved"
 UNSAT = "unsat"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -125,9 +127,11 @@ class OutOfBudget(Exception):
 
 
 def node_limit(budget: int) -> int:
-    """The node budget a search may spend; a negative one is refused."""
-    if budget < 0:
-        raise ValueError(f"node budget must be non-negative, got {budget}")
+    """The node budget a search may spend; one that is negative or not an
+    integer under `documents._is_int`'s rule is refused."""
+    if not _is_int(budget) or budget < 0:
+        raise ValueError("node budget must be a non-negative integer, got "
+                         f"{_shown(budget)}")
     return budget
 
 

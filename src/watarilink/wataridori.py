@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, filterfalse, repeat
-from operator import add, attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import documents as docs
@@ -58,13 +58,23 @@ class WataridoriSolution(NamedTuple):
 
 
 def validate_instance(inst: WataridoriInstance) -> WataridoriInstance:
-    """Check the circles and return the instance.  Sizes, coordinates and
-    numbers must be integers, as the parser's are; a number may be None."""
+    """Check the circles and return the instance.  A circle is a tuple
+    (x, y, number), such as a `Circle`, and is read by position.  Sizes,
+    coordinates and numbers must be integers, as the parser's are; a
+    number may be None."""
     width, height = inst.width, inst.height
     if type(width) is not int or type(height) is not int:
         docs.check_ints((width, height), "a grid size")
+    circles = inst.circles
+    # A `Circle` has three fields; the walk runs only on other types.
+    if list(map(type, circles)).count(Circle) != len(circles):
+        for circle in circles:
+            if not isinstance(circle, tuple) or len(circle) != 3:
+                raise ValidationError("BAD_CIRCLE", "a circle must be a "
+                                      "tuple (x, y, number), got "
+                                      f"{docs._shown(circle)}")
     seen = set()
-    for x, y, number in inst.circles:
+    for x, y, number in circles:
         cell = (x, y)
         if type(x) is not int or type(y) is not int:
             docs.check_ints(cell, "a circle coordinate")
@@ -138,14 +148,13 @@ def verify_solution(inst: WataridoriInstance,
                 owner[rid] = idx
                 last = rid
                 r += 1
-        a = circle_at[path[0]]
-        b = circle_at[path[-1]]
-        for circle in (a, b):
-            if circle.number is not None and circle.number != r:
+        for circle in (circle_at[path[0]], circle_at[path[-1]]):
+            number = circle[2]
+            if number is not None and number != r:
                 return reject(errors.COUNT_MISMATCH, path_index=idx,
-                              cell=circle.cell,
+                              cell=circle[:2],
                               detail=f"path has {r} region runs, circle "
-                                     f"wants {circle.number}")
+                                     f"wants {number}")
     return accept()
 
 
@@ -207,7 +216,7 @@ def solve(inst: WataridoriInstance,
     region = list(chain.from_iterable(rmap.ids))
     neighbors = steps(width, height)
     order = toward(width)
-    cells = [c.y * width + c.x for c in circles]
+    cells = [y * width + x for x, y, _ in circles]
     # Each circle's `toward_keys` lists, built when it is first a goal.
     keys: List[Optional[Tuple[List[int], List[int]]]] = [None] * n
     lines: Dict[int, List[int]] = {}
@@ -503,41 +512,27 @@ def parse_instance(text: Any) -> WataridoriInstance:
     except ValidationError as exc:
         raise ParseError(exc.code, exc.message, "regions")
     entries = docs.as_list(doc["circles"], "circles")
-    circles = xs = None
+    # Only the document's shape is checked in bulk: objects with x, y and
+    # at most one more field, whose keys beyond two per entry count the
+    # numbers given, so that a third field that is not a number, or a null
+    # one, which reads as none, is left to the per-entry path to refuse.
+    # The values are `validate_instance`'s to check.  On any fault the
+    # per-entry path runs, which names the entry at fault.
     if docs._objects_sized(entries, {2, 3}):
-        try:
-            xs = list(map(itemgetter("x"), entries))
-            ys = list(map(itemgetter("y"), entries))
-        except KeyError:
-            xs = None
-    if xs is not None:
         numbers = list(map(dict.get, entries, repeat("number")))
-        # Every entry has x, y and at most one more field, so the keys
-        # beyond two per entry count the numbers given, and a third field
-        # that is not a number, or a null one, which reads as none, is
-        # left to the per-entry path, which refuses it.  A bool is not an
-        # int here, as in `as_int`.
-        given = sum(map(len, entries)) - 2 * len(entries)
-        if docs._all_ints(xs) and docs._all_ints(ys) \
-                and set(map(type, numbers)) <= _NUMBER \
-                and len(numbers) - numbers.count(None) == given:
-            circles = tuple(map(_as_circle, zip(xs, ys, numbers)))
-            # `validate_instance`'s checks, by column: it runs only to
-            # name a fault.  Cells within bounds are distinct iff their
-            # indices x + width*y are.
-            if 0 <= min(xs, default=0) and max(xs, default=0) < width \
-                    and 0 <= min(ys, default=0) \
-                    and max(ys, default=0) < height \
-                    and len(set(map(add, xs, map(width.__mul__, ys)))) \
-                    == len(xs) \
-                    and min(set(numbers) - {None}, default=1) >= 1:
-                return WataridoriInstance(rmap, circles)
-    if circles is None:
-        circles = tuple(_parse_circle(entry, f"circles[{i}]")
-                        for i, entry in enumerate(entries))
-    inst = WataridoriInstance(rmap, circles)
+        try:
+            if len(numbers) - numbers.count(None) \
+                    == sum(map(len, entries)) - 2 * len(entries):
+                return validate_instance(WataridoriInstance(rmap, tuple(map(
+                    _as_circle, zip(map(itemgetter("x"), entries),
+                                    map(itemgetter("y"), entries),
+                                    numbers)))))
+        except (KeyError, ValidationError):
+            pass
+    circles = tuple(_parse_circle(entry, f"circles[{i}]")
+                    for i, entry in enumerate(entries))
     try:
-        return validate_instance(inst)
+        return validate_instance(WataridoriInstance(rmap, circles))
     except ValidationError as exc:
         raise ParseError(exc.code, exc.message, "circles")
 
@@ -559,7 +554,7 @@ _CELL = "[%d,%d]"
 
 
 def serialize_instance(inst: WataridoriInstance) -> str:
-    circles = sorted(inst.circles, key=attrgetter("y", "x"))
+    circles = sorted(inst.circles, key=itemgetter(1, 0))
     doc = {
         "puzzle": "wataridori",
         "width": inst.width,
@@ -576,10 +571,10 @@ def serialize_instance(inst: WataridoriInstance) -> str:
         return (docs.dumps_canonical(doc)[:-2] + ',"circles":[' + text
                 + "]}\n")
     circle_docs = []
-    for c in circles:
-        entry = {"x": c.x, "y": c.y}
-        if c.number is not None:
-            entry["number"] = c.number
+    for x, y, number in circles:
+        entry = {"x": x, "y": y}
+        if number is not None:
+            entry["number"] = number
         circle_docs.append(entry)
     doc["circles"] = circle_docs
     return docs.dumps_canonical(doc)

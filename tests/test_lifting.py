@@ -246,6 +246,35 @@ def test_unlift_refuses_bad_main_paths(paths, code, message):
         lf.unlift(wd.WataridoriSolution(tuple(map(tuple, paths))), rmap)
     assert (err.value.code, err.value.message) == (code, message)
 
+
+@pytest.mark.parametrize("path, message", [
+    ((), "a path must be a non-empty sequence of cells"),
+    (None, "a path must be a non-empty sequence of cells"),
+    (((4, 13), None, (22, 13)),
+     "main path for label 1 has a cell that is not (x, y)"),
+    (((4, 13), (5, 13, 0), (22, 13)),
+     "main path for label 1 has a cell that is not (x, y)"),
+    # An end that is neither hashable nor a list is no center, so the
+    # path is taken for a filler path and label 1 has no main path.
+    (({4, 13}, (22, 13)), "missing main paths for labels [1, 2]"),
+], ids=["empty", "none", "none-cell", "triple-cell", "set-end"])
+def test_unlift_refuses_malformed_paths(path, message):
+    _, rmap = rd.reduce_instance(CROSSING)
+    with pytest.raises(ValidationError) as err:
+        lf.unlift(wd.WataridoriSolution((path,)), rmap)
+    assert (err.value.code, err.value.message) == ("UNLIFT_BAD_MAIN",
+                                                   message)
+
+
+def test_unlift_reads_list_cells_as_tuples(sample_numberlink,
+                                           sample_numberlink_solution):
+    _, rmap = rd.reduce_instance(sample_numberlink)
+    h_sol = lf.lift(sample_numberlink, sample_numberlink_solution, rmap)
+    lists = wd.WataridoriSolution(tuple([list(c) for c in path]
+                                        for path in h_sol.paths))
+    assert lf.unlift(lists, rmap) == lf.unlift(h_sol, rmap)
+
+
 def random_small_instances(seed, count):
     rng = random.Random(seed)
     out = []

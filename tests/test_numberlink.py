@@ -6,6 +6,7 @@ import oracles
 from conftest import MALFORMED_PATHS
 from watarilink import errors
 from watarilink import numberlink as nl
+from watarilink import reduction as rd
 from watarilink.errors import ParseError, ValidationError
 
 
@@ -91,7 +92,56 @@ def test_int_subclass_values_accepted_as_the_parser_accepts_them():
     assert nl.solve(inst).status == nl.SOLVED
 
 
+# Terminals that are not (label, cell, cell), and cells that are not
+# (x, y), each with its code.
+BAD_SHAPES = [
+    ((1, (0, 0)), "BAD_TERMINAL"),
+    ((1, (0, 0), (1, 0), (1, 0)), "BAD_TERMINAL"),
+    (None, "BAD_TERMINAL"),
+    ((1, (0, 0), (1,)), "NOT_A_CELL"),
+    ((1, (0, 0, 0), (1, 0)), "NOT_A_CELL"),
+    ((1, (0, 0), None), "NOT_A_CELL"),
+    ((1, (0, 0), frozenset({0, 1})), "NOT_A_CELL"),
+]
+
+
+@pytest.mark.parametrize("terminal, code", BAD_SHAPES)
+@pytest.mark.parametrize("call", [nl.validate_instance, nl.solve,
+                                  rd.reduce_instance])
+def test_terminal_shapes_refused(call, terminal, code):
+    with pytest.raises(ValidationError) as err:
+        call(make(2, 1, [terminal]))
+    assert err.value.code == code
+
+
+def test_list_terminals_and_cells_read_as_tuples(sample_numberlink):
+    """A terminal or cell given as a list is the equal tuple in the
+    normalized instance, so the solver and the reduction read it."""
+    lists = make(sample_numberlink.width, sample_numberlink.height,
+                 [[label, list(b), list(a)]
+                  for label, a, b in sample_numberlink.terminals])
+    assert nl.validate_instance(lists) == sample_numberlink
+    assert nl.solve(lists) == nl.solve(sample_numberlink)
+    assert rd.reduce_instance(lists) == rd.reduce_instance(sample_numberlink)
+
+
 class TestVerify:
+    @pytest.mark.parametrize("entry", [(1,), (2, ((0, 0),), None), None, 7])
+    def test_entry_that_is_not_a_label_and_path(self, entry):
+        inst = nl.validate_instance(make(2, 1, [(1, (0, 0), (1, 0))]))
+        sol = nl.NumberlinkSolution(((1, ((0, 0), (1, 0))), entry))
+        verdict = nl.verify_solution(inst, sol)
+        assert (verdict.rule, verdict.path_index) == (errors.BAD_PATH, 1)
+
+    @pytest.mark.parametrize("label", [[1], {}, {1}])
+    def test_unhashable_label_is_unknown(self, label):
+        inst = nl.validate_instance(make(2, 1, [(1, (0, 0), (1, 0))]))
+        sol = nl.NumberlinkSolution(((1, ((0, 0), (1, 0))),
+                                     (label, ((0, 0), (1, 0)))))
+        verdict = nl.verify_solution(inst, sol)
+        assert (verdict.rule, verdict.path_index) == (errors.UNKNOWN_LABEL,
+                                                      1)
+
     def test_sample_solution_accepted(self, sample_numberlink,
                                       sample_numberlink_solution):
         assert nl.verify_solution(sample_numberlink,

@@ -22,6 +22,7 @@ before any node.
 import hashlib
 import random
 import sys
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -690,6 +691,22 @@ def test_budget_refuses_a_negative_limit(sample_numberlink):
     assert wd.solve(odd, budget=0) == search.SolveResult(search.UNSAT)
     with pytest.raises(ValueError):
         wd.solve(odd, budget=-5)
+
+
+@pytest.mark.parametrize("budget", ["5", 1.5, True, None])
+def test_budget_refuses_a_non_integer_limit(budget, sample_numberlink):
+    """A budget is an integer as the parsers read one, so a string, a
+    float or a bool is refused as a negative budget is."""
+    pair = wd.WataridoriInstance(regions_from_walls([], 2, 1),
+                                 (wd.Circle(0, 0), wd.Circle(1, 0)))
+    for call in (search.node_limit, partial(nl.solve, sample_numberlink),
+                 partial(wd.solve, pair)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            call(budget=budget)
+
+    class Budget(int):
+        pass
+    assert wd.solve(pair, budget=Budget(5)).status == wd.SOLVED
 
 
 # The self-touch cut.  A path never steps next to one of its own earlier

@@ -84,6 +84,37 @@ def test_wildcards_and_integer_numbers_pass_the_type_check():
     assert wd.solve(empty).status == wd.SOLVED
 
 
+@pytest.mark.parametrize("circle", [(0, 0), (0, 0, None, 1), [0, 0, None],
+                                    None, "abc"])
+@pytest.mark.parametrize("call", [wd.validate_instance, wd.solve])
+def test_circles_that_are_not_triples_refused(call, circle):
+    with pytest.raises(ValidationError) as err:
+        call(two_circles(wd.Circle(1, 0), circle))
+    assert err.value.code == "BAD_CIRCLE"
+    assert err.value.message.endswith(f"got {circle!r}")
+
+
+def test_plain_tuple_circles_read_by_position(sample_wataridori,
+                                              sample_wataridori_solution):
+    """Circles given as plain (x, y, number) tuples are read as the equal
+    `Circle`s by the validator, the solver, the verifier and the
+    writer."""
+    plain = sample_wataridori._replace(
+        circles=tuple(map(tuple, sample_wataridori.circles)))
+    assert wd.validate_instance(plain) is plain
+    assert wd.solve(plain) == wd.solve(sample_wataridori)
+    assert wd.verify_solution(plain, sample_wataridori_solution)
+    assert wd.serialize_instance(plain) == \
+        wd.serialize_instance(sample_wataridori)
+    # A count mismatch names the circle's cell.
+    sol = wd.WataridoriSolution((((0, 0), (1, 0)),))
+    for circles in ((wd.Circle(1, 0, 3), wd.Circle(0, 0, 3)),
+                    ((1, 0, 3), (0, 0, 3))):
+        verdict = wd.verify_solution(two_circles(*circles), sol)
+        assert (verdict.rule, verdict.cell) == (errors.COUNT_MISMATCH,
+                                                (0, 0))
+
+
 class TestVerify:
     def test_sample_solution_accepted(self, sample_wataridori,
                                       sample_wataridori_solution):
