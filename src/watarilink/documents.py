@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import json
 import reprlib
-from itertools import chain
-from operator import itemgetter
-from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain, repeat
+from typing import Any, Iterable, List, Sequence, Set, Tuple
 
 from .errors import Cell, ParseError, ValidationError
 
@@ -55,9 +54,16 @@ def _document(source: Any) -> dict:
                           else source, "document")
 
 
+def _unwritable(value: Any) -> Any:
+    raise ValidationError("NOT_SERIALIZABLE", f"cannot write "
+                          f"{_shown(value)} as JSON")
+
+
 def dumps_canonical(obj: Any) -> str:
-    """The canonical byte form: compact separators, insertion key order."""
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    """The canonical byte form: compact separators, insertion key order.
+    A value `json` cannot write, such as a set, is a `NOT_SERIALIZABLE`
+    error naming it."""
+    return json.dumps(obj, separators=(",", ":"), default=_unwritable) + "\n"
 
 
 def require_object(value: Any, location: str) -> dict:
@@ -121,43 +127,61 @@ def _objects_sized(entries: Sequence[Any], sizes: Set[int]) -> bool:
         and set(map(len, entries)) <= sizes
 
 
-def _columns(entries: Sequence[Any], fields: Sequence[str]
-             ) -> Optional[List[list]]:
-    """The entries' values of each of `fields`, one list per field, when
-    every entry is an object with exactly those fields, else None."""
-    if not _objects_sized(entries, {len(fields)}):
-        return None
-    columns = []
-    for key in fields:
-        try:
-            columns.append(list(map(itemgetter(key), entries)))
-        except KeyError:
-            return None
-    return columns
-
-
 def _int_rows(rows: Sequence[Any], width: int) -> bool:
     """True iff every row is a list of `width` integers."""
     return (set(map(type, rows)) <= _LIST and set(map(len, rows)) <= {width}
             and _all_ints(chain.from_iterable(rows)))
 
 
-def _is_cell_list(value: Any) -> bool:
-    return type(value) is list and _int_rows(value, 2)
+def _header(text: Any, puzzle: str, fields: Sequence[str]
+            ) -> Tuple[dict, int, int]:
+    """A `puzzle` instance document, given as JSON text or already decoded,
+    with fields puzzle, width, height and `fields`, as (document, width,
+    height); the caller checks the sizes' range."""
+    doc = _document(text)
+    check_fields(doc, ["puzzle", "width", "height", *fields], [], "document")
+    if doc["puzzle"] != puzzle:
+        raise ParseError("WRONG_PUZZLE", f"expected puzzle {puzzle!r}, got "
+                         f"{_shown(doc['puzzle'])}", "puzzle")
+    return doc, as_int(doc["width"], "width"), as_int(doc["height"], "height")
 
 
-def _cell_lists(values: Sequence[Any]) -> Optional[List[Tuple[Cell, ...]]]:
-    """Each value as a tuple of cells when every value is a list of
-    [x, y] integer lists, else None."""
-    if set(map(type, values)) <= _LIST \
-            and _is_cell_list(list(chain.from_iterable(values))):
-        return [tuple(map(tuple, v)) for v in values]
-    return None
+def _entries(doc: dict, key: str, labelled: bool, pairs: bool = False
+             ) -> Tuple[List[int], List[Tuple[Cell, ...]]]:
+    """The `label`, when `labelled`, and `cells` of each entry listed under
+    `key`, as (labels, cells), each entry's cells a tuple of (x, y) tuples;
+    with `pairs`, two of them (`BAD_TERMINAL`).  The columns are taken
+    whole when every entry is an object with exactly those fields, every
+    label an int and every cell an [x, y] list of ints; else the entries
+    are read one by one, which names the first fault."""
+    entries = as_list(doc[key], key)
+    fields = ("label", "cells") if labelled else ("cells",)
+    if _objects_sized(entries, {len(fields)}):
+        # A field an entry lacks reads as None, which fails the tests.
+        labels = list(map(dict.get, entries, repeat("label"))) if labelled \
+            else []
+        values = list(map(dict.get, entries, repeat("cells")))
+        if set(map(type, values)) <= _LIST \
+                and _int_rows(list(chain.from_iterable(values)), 2) \
+                and _all_ints(labels) \
+                and (not pairs or set(map(len, values)) <= {2}):
+            return labels, [tuple(map(tuple, v)) for v in values]
+    labels, cells = [], []
+    for i, entry in enumerate(entries):
+        loc = f"{key}[{i}]"
+        entry = require_object(entry, loc)
+        check_fields(entry, fields, [], loc)
+        if labelled:
+            labels.append(as_int(entry["label"], loc + ".label"))
+        path = tuple(as_cells(entry["cells"], loc + ".cells"))
+        if pairs and len(path) != 2:
+            raise ParseError("BAD_TERMINAL", "a terminal entry needs exactly "
+                             "two cells", loc + ".cells")
+        cells.append(path)
+    return labels, cells
 
 
 def as_cells(value: Any, location: str) -> List[Cell]:
-    if _is_cell_list(value):
-        return list(map(tuple, value))
     if not isinstance(value, list):
         raise ParseError("NOT_A_LIST", "expected a list of cells", location)
     return [as_cell(v, f"{location}[{i}]") for i, v in enumerate(value)]

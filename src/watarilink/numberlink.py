@@ -12,7 +12,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from . import documents as docs
 from . import errors
-from .errors import ParseError, ValidationError, Verdict, accept, reject
+from .errors import ValidationError, Verdict, accept, reject
 from .grid import _PAIR, Cell, Path, _check_paths, check_size, first_cell
 # The statuses are read through this module as nl.SOLVED and so on.
 from .search import (BUDGET_EXCEEDED, DEFAULT_BUDGET, FOUND, SOLVED, UNSAT,
@@ -100,8 +100,14 @@ def verify_solution(inst: NumberlinkInstance, sol: NumberlinkSolution,
     Checks run in a fixed order: label matching, path structure, endpoints,
     cell-disjointness, terminals not crossed, then (optionally) coverage.
     """
-    terminals = {label: (a, b) for label, a, b in inst.terminals}
-    all_terminal_cells = {c for _, a, b in inst.terminals for c in (a, b)}
+    try:
+        terminals = {label: (a, b) for label, a, b in inst.terminals}
+        all_terminal_cells = {c for _, a, b in inst.terminals for c in (a, b)}
+    except (TypeError, ValueError):
+        # Terminals that do not unpack or hash: the validator refuses them,
+        # or reads their list cells as the equal tuples.
+        return verify_solution(validate_instance(inst), sol,
+                               require_full_coverage)
 
     seen_labels = set()
     for idx, entry in enumerate(sol.paths):
@@ -352,39 +358,11 @@ def normalize_solution(sol: NumberlinkSolution) -> NumberlinkSolution:
 
 def parse_instance(text: Any) -> NumberlinkInstance:
     """Parse an instance document, given as JSON text or already decoded."""
-    doc = docs._document(text)
-    docs.check_fields(doc, ["puzzle", "width", "height", "terminals"], [],
-                      "document")
-    if doc["puzzle"] != "numberlink":
-        raise ParseError("WRONG_PUZZLE",
-                         "expected puzzle 'numberlink', got "
-                         f"{docs._shown(doc['puzzle'])}", "puzzle")
-    width = docs.as_int(doc["width"], "width")
-    height = docs.as_int(doc["height"], "height")
+    doc, width, height = docs._header(text, "numberlink", ["terminals"])
     check_size(width, height, "width")
-    entries = docs.as_list(doc["terminals"], "terminals")
-    columns = docs._columns(entries, ("label", "cells"))
-    if columns is not None:
-        labels, cells = columns
-        pairs = docs._cell_lists(cells)
-        if pairs is not None and docs._all_ints(labels) \
-                and set(map(len, pairs)) <= {2}:
-            return NumberlinkInstance(width, height, tuple(
-                [(label, a, b) for label, (a, b) in zip(labels, pairs)]))
-    # The per-entry path, which names the first fault.
-    terminals = []
-    for i, entry in enumerate(entries):
-        loc = f"terminals[{i}]"
-        entry = docs.require_object(entry, loc)
-        docs.check_fields(entry, ["label", "cells"], [], loc)
-        label = docs.as_int(entry["label"], loc + ".label")
-        cells = docs.as_cells(entry["cells"], loc + ".cells")
-        if len(cells) != 2:
-            raise ParseError("BAD_TERMINAL",
-                             "a terminal entry needs exactly two cells",
-                             loc + ".cells")
-        terminals.append((label, cells[0], cells[1]))
-    return NumberlinkInstance(width, height, tuple(terminals))
+    labels, pairs = docs._entries(doc, "terminals", labelled=True, pairs=True)
+    return NumberlinkInstance(width, height, tuple(
+        [(label, a, b) for label, (a, b) in zip(labels, pairs)]))
 
 
 def _instance_document(inst: NumberlinkInstance) -> dict:
@@ -407,23 +385,8 @@ def parse_solution(text: Any) -> NumberlinkSolution:
     """Parse a solution document, given as JSON text or already decoded."""
     doc = docs._document(text)
     docs.check_fields(doc, ["paths"], [], "document")
-    entries = docs.as_list(doc["paths"], "paths")
-    columns = docs._columns(entries, ("label", "cells"))
-    if columns is not None:
-        labels, cells = columns
-        paths = docs._cell_lists(cells)
-        if paths is not None and docs._all_ints(labels):
-            return NumberlinkSolution(tuple(zip(labels, paths)))
-    # The per-entry path, which names the first fault.
-    paths = []
-    for i, entry in enumerate(entries):
-        loc = f"paths[{i}]"
-        entry = docs.require_object(entry, loc)
-        docs.check_fields(entry, ["label", "cells"], [], loc)
-        label = docs.as_int(entry["label"], loc + ".label")
-        cells = docs.as_cells(entry["cells"], loc + ".cells")
-        paths.append((label, tuple(cells)))
-    return NumberlinkSolution(tuple(paths))
+    labels, paths = docs._entries(doc, "paths", labelled=True)
+    return NumberlinkSolution(tuple(zip(labels, paths)))
 
 
 def serialize_solution(sol: NumberlinkSolution) -> str:

@@ -17,9 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, compress, count
 from operator import add, itemgetter, ne
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .documents import check_ints
+from .documents import _shown, check_ints
+from .errors import BAD_PATH, ValidationError
 from .grid import Cell, check_size
 from .numberlink import NumberlinkInstance, NumberlinkSolution
 from .wataridori import WataridoriInstance, WataridoriSolution
@@ -42,20 +43,13 @@ def _ascii(width: int, height: int, ids: Sequence[Sequence[int]],
     # cells[y][x] is the text of cell (x, y); off-grid cells are not drawn.
     cells = [[blank] * width for _ in range(height)]
     centred = {}  # one string per distinct mark, shared by its cells
-    try:
-        for x, y in chain.from_iterable(paths):
-            if 0 <= x < width and 0 <= y < height:
-                cells[y][x] = star
-        for x, y, text, circled in marks:
-            if 0 <= x < width and 0 <= y < height:
-                shown = f"({text or ' '})" if circled else text
-                cells[y][x] = centred.setdefault(shown, shown.center(cell_w))
-    except TypeError:
-        # A coordinate that is not an integer indexes no row: it is
-        # refused as the parsers refuse it, with the value named.
-        for cell in chain(chain.from_iterable(paths), marks):
-            check_ints(cell[:2], "a cell coordinate")
-        raise
+    for x, y in chain.from_iterable(paths):
+        if 0 <= x < width and 0 <= y < height:
+            cells[y][x] = star
+    for x, y, text, circled in marks:
+        if 0 <= x < width and 0 <= y < height:
+            shown = f"({text or ' '})" if circled else text
+            cells[y][x] = centred.setdefault(shown, shown.center(cell_w))
     # A wall is drawn between two cells with different ids, and all
     # around the board; in a cell row, each cell is followed by the bar
     # on its right.
@@ -151,6 +145,31 @@ def _svg(width: int, height: int, ids: Sequence[Sequence[int]],
     return "\n".join(parts) + "\n"
 
 
+def _drawn(draw: Callable[..., str], board: _Board) -> str:
+    """`draw(*board)`; when that raises on a path or a mark the parsers
+    would refuse, the `ValidationError` naming the first one instead: a
+    path that is not a sequence of (x, y) cells is `BAD_PATH`, and, when
+    every path is one, a coordinate that is not an integer, which indexes
+    no ASCII row, `NOT_AN_INTEGER`.  The check runs only once drawing has
+    raised, so valid boards pay nothing and SVG still draws a float
+    coordinate."""
+    try:
+        return draw(*board)
+    except (TypeError, ValueError):
+        paths, marks = board[3:]
+        coords = []
+        for idx, path in enumerate(paths):
+            try:
+                coords += [v for x, y in path for v in (x, y)]
+            except (TypeError, ValueError):
+                raise ValidationError(BAD_PATH, f"path {idx} must be a "
+                                      "sequence of (x, y) cells, got "
+                                      f"{_shown(path)}")
+        coords += [v for mark in marks for v in mark[:2]]
+        check_ints(coords, "a cell coordinate")
+        raise  # a fault elsewhere, such as in hand-built region ids
+
+
 def _wataridori(inst: WataridoriInstance,
                 sol: Optional[WataridoriSolution]) -> _Board:
     rmap = inst.regions
@@ -176,20 +195,21 @@ def _numberlink(inst: NumberlinkInstance, sol: Optional[NumberlinkSolution],
 
 def render_wataridori_ascii(inst: WataridoriInstance,
                             sol: Optional[WataridoriSolution] = None) -> str:
-    return _ascii(*_wataridori(inst, sol))
+    return _drawn(_ascii, _wataridori(inst, sol))
 
 
 def render_wataridori_svg(inst: WataridoriInstance,
                           sol: Optional[WataridoriSolution] = None) -> str:
     width, height, ids, paths, marks = _wataridori(inst, sol)
-    return _svg(width, height, ids, paths, sorted(marks, key=itemgetter(1, 0)))
+    return _drawn(_svg, (width, height, ids, paths,
+                         sorted(marks, key=itemgetter(1, 0))))
 
 
 def render_numberlink_ascii(inst: NumberlinkInstance,
                             sol: Optional[NumberlinkSolution] = None) -> str:
-    return _ascii(*_numberlink(inst, sol, own_regions=True))
+    return _drawn(_ascii, _numberlink(inst, sol, own_regions=True))
 
 
 def render_numberlink_svg(inst: NumberlinkInstance,
                           sol: Optional[NumberlinkSolution] = None) -> str:
-    return _svg(*_numberlink(inst, sol, own_regions=False))
+    return _drawn(_svg, _numberlink(inst, sol, own_regions=False))

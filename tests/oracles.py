@@ -773,6 +773,22 @@ def numberlink_parse_solution_reference(text):
     return nl.NumberlinkSolution(tuple(paths))
 
 
+def wataridori_parse_solution_reference(text):
+    """Reference `wataridori.parse_solution`: the parser as it was before
+    the puzzles shared one entry reader, kept with its per-entry path
+    alone, which gave every value its bulk path accepted."""
+    doc = docs._document(text)
+    docs.check_fields(doc, ["paths"], [], "document")
+    entries = docs.as_list(doc["paths"], "paths")
+    paths = []
+    for i, entry in enumerate(entries):
+        loc = f"paths[{i}]"
+        entry = docs.require_object(entry, loc)
+        docs.check_fields(entry, ["cells"], [], loc)
+        paths.append(tuple(docs.as_cells(entry["cells"], loc + ".cells")))
+    return wd.WataridoriSolution(tuple(paths))
+
+
 def svg_reference(width, height, ids, paths, marks):
     """Reference `render._svg`: the SVG drawer as it was before it kept a
     frame per board shape, walls and all formatted on every call.  The

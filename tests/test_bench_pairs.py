@@ -5,6 +5,8 @@ import json
 import os
 from itertools import permutations
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 spec = importlib.util.spec_from_file_location(
     "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
@@ -110,3 +112,21 @@ def test_a_failed_run_stops_the_schedule(tmp_path, capsys):
         "--workload", "solve", "--seeds", "1-4", "--seconds", "1"]) == 1
     assert len(logged(tmp_path)) == 1
     assert "change solve seed 1: failed" in capsys.readouterr().err
+
+
+def test_a_claim_run_needs_every_order_equally_often(tmp_path, capsys):
+    """With --pr, a seed range that is not a multiple of the number of side
+    orders, 2 for two sides and 6 for three, is refused before any run."""
+    roots = stub_checkouts(tmp_path, ("parent", "change", "control"))
+    for control, seeds, orders in ((False, "1-3", 2), (True, "1-10", 6)):
+        argv = ["--parent", roots["parent"], "--change", roots["change"],
+                "--workload", "solve", "--seeds", seeds, "--seconds", "1",
+                "--pr", "0", "--out", str(tmp_path / "BENCH_0.json")]
+        if control:
+            argv += ["--control", roots["control"]]
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(argv)
+        assert exc.value.code == 2
+        assert f"multiple of {orders}" in capsys.readouterr().err
+    assert not (tmp_path / "order.log").exists()
+    assert not (tmp_path / "BENCH_0.json").exists()

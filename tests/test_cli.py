@@ -703,6 +703,34 @@ def test_numberlink_ascii_refuses_a_float_terminal():
     assert "<text" in render.render_numberlink_svg(inst)
 
 
+# Paths a renderer cannot draw: a cell that is an int, a cell with three
+# values, and a path that is None.
+UNDRAWABLE = {"int-cell": (5,), "three-values": ((0, 0), (1, 0, 0)),
+              "none": None}
+
+
+@pytest.mark.parametrize("name", sorted(UNDRAWABLE))
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+@pytest.mark.parametrize("puzzle", ["numberlink", "wataridori"])
+def test_renders_refuse_an_undrawable_path(puzzle, fmt, name):
+    """The first path a render cannot draw is named, at its index, as a
+    `BAD_PATH` ValidationError, after a path with a float cell, which SVG
+    draws and ASCII refuses only when every path is made of cells."""
+    good, path = ((0, 0), (1.0, 0)), UNDRAWABLE[name]
+    if puzzle == "numberlink":
+        inst = nl.NumberlinkInstance(2, 1, ((1, (0, 0), (1, 0)),))
+        sol = nl.NumberlinkSolution(((1, good), (2, path)))
+    else:
+        inst = wd.WataridoriInstance(grid.region_map_from_rows([[0, 1]]), (
+            wd.Circle(0, 0, 2), wd.Circle(1, 0, 2)))
+        sol = wd.WataridoriSolution((good, path))
+    draw = getattr(render, f"render_{puzzle}_{fmt}")
+    with pytest.raises(ValidationError) as err:
+        draw(inst, sol)
+    assert (err.value.code, err.value.message) == (
+        "BAD_PATH", f"path 1 must be a sequence of (x, y) cells, got {path!r}")
+
+
 def test_numberlink_renders_draw_a_board_without_terminals():
     inst = nl.NumberlinkInstance(2, 1, ())
     assert render.render_numberlink_ascii(inst) == \

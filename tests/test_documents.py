@@ -465,6 +465,37 @@ def test_numberlink_documents_parse_as_per_entry(data):
             assert got == want and type(got) is type(want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(paths=st.lists(st.fixed_dictionaries({
+    "cells": st.lists(CELL, max_size=6)}), max_size=8))
+def test_wataridori_solution_documents_parse_as_per_entry(paths):
+    """Valid Wataridori solution documents of 0 to 8 paths parse, as text
+    and decoded, to the value and types the per-entry parser gave."""
+    doc = {"paths": paths}
+    want = oracles.wataridori_parse_solution_reference(doc)
+    for source in (json.dumps(doc), doc):
+        got = wd.parse_solution(source)
+        assert got == want and type(got) is type(want)
+        assert [list(map(type, path)) for path in got.paths] == \
+            [list(map(type, path)) for path in want.paths]
+        assert list(map(type, got.paths)) == list(map(type, want.paths))
+
+
+@pytest.mark.parametrize("write,sol", [
+    (nl.serialize_solution, nl.NumberlinkSolution(
+        ((1, ((0, 0), frozenset({0, 1}))),))),
+    (wd.serialize_solution, wd.WataridoriSolution(
+        (((0, 0), frozenset({0, 1})),))),
+], ids=["numberlink", "wataridori"])
+def test_solution_writers_refuse_a_value_json_cannot_write(write, sol):
+    """A cell `json` cannot write is refused by name, in the one place
+    every writer's text is made, never with a traceback."""
+    with pytest.raises(ValidationError) as err:
+        write(sol)
+    assert (err.value.code, err.value.message) == (
+        "NOT_SERIALIZABLE", "cannot write frozenset({0, 1}) as JSON")
+
+
 class Label(int):
     pass
 

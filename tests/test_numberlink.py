@@ -126,6 +126,27 @@ def test_list_terminals_and_cells_read_as_tuples(sample_numberlink):
 
 
 class TestVerify:
+    def test_unvalidated_instance_with_list_cells(self):
+        """List terminal cells, which do not hash, are read as the equal
+        tuples, as the validator normalizes them."""
+        inst = make(2, 1, [(1, [0, 0], [1, 0])])
+        assert nl.verify_solution(inst, nl.NumberlinkSolution(
+            ((1, ((1, 0), (0, 0))),)))
+        inst = make(3, 1, [(1, [0, 0], [2, 0])])
+        ok = nl.NumberlinkSolution(((1, ((0, 0), (1, 0), (2, 0))),))
+        assert nl.verify_solution(inst, ok)
+        bad = nl.NumberlinkSolution(((1, ((0, 0), (1, 0))),))
+        assert nl.verify_solution(inst, bad).rule == errors.ENDPOINT_MISMATCH
+
+    @pytest.mark.parametrize("terminal", [(1, (0, 0)), (1, [0, 0]), None])
+    def test_unvalidated_terminal_that_does_not_unpack(self, terminal):
+        """A terminal that is not (label, cell, cell) ends in the
+        validator's coded refusal, not in a `ValueError` or `TypeError`."""
+        sol = nl.NumberlinkSolution(((1, ((0, 0), (1, 0))),))
+        with pytest.raises(ValidationError) as err:
+            nl.verify_solution(make(2, 1, [terminal]), sol)
+        assert err.value.code == "BAD_TERMINAL"
+
     @pytest.mark.parametrize("entry", [(1,), (2, ((0, 0),), None), None, 7])
     def test_entry_that_is_not_a_label_and_path(self, entry):
         inst = nl.validate_instance(make(2, 1, [(1, (0, 0), (1, 0))]))

@@ -94,6 +94,21 @@ def test_circles_that_are_not_triples_refused(call, circle):
     assert err.value.message.endswith(f"got {circle!r}")
 
 
+@pytest.mark.parametrize("circle, code, shown", [
+    ([0, 0, None], "BAD_CIRCLE", "[0, 0, None]"),
+    (([0], 0, None), "NOT_AN_INTEGER", "[0]"),
+], ids=["list-circle", "list-coordinate"])
+def test_verifier_refuses_unhashable_circles_as_the_validator(circle, code,
+                                                              shown):
+    """An unvalidated instance whose circles do not hash ends in the
+    validator's coded refusal, not in a `TypeError`."""
+    sol = wd.WataridoriSolution((((0, 0), (1, 0)),))
+    with pytest.raises(ValidationError) as err:
+        wd.verify_solution(two_circles(wd.Circle(1, 0), circle), sol)
+    assert err.value.code == code
+    assert err.value.message.endswith(f"got {shown}")
+
+
 def test_plain_tuple_circles_read_by_position(sample_wataridori,
                                               sample_wataridori_solution):
     """Circles given as plain (x, y, number) tuples are read as the equal

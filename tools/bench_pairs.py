@@ -14,9 +14,10 @@ each side runs `perfbench/run.py --workload W --seed S --seconds N
 runs them in the k-th of their orders, both orders for two sides and all
 six for three, so over a multiple of that many seeds each side runs
 first, and last, equally often.  A run that exits non-zero or reports an
-incorrect output stops the schedule.  With --pr, `tools/bench_record.py`
-then folds the sides' `.perfbench/` directories, with --claim and --out
-passed through.  Standard library only.
+incorrect output stops the schedule.  With --pr the seed range must hold
+a multiple of that many seeds, and `tools/bench_record.py` then folds the
+sides' `.perfbench/` directories, with --claim and --out passed through.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +84,11 @@ def main(argv=None):
     roots = {"parent": args.parent, "change": args.change}
     if args.control:
         roots["control"] = args.control
+    orders = math.factorial(len(roots))
+    if args.pr is not None and len(args.seeds) % orders:
+        parser.error(f"--pr needs a number of seeds that is a multiple of "
+                     f"{orders}, so each side runs in each order equally "
+                     f"often; got {len(args.seeds)}")
     for workload, seed, side in schedule(list(roots), args.workload,
                                          args.seeds):
         last = run_one(roots[side], workload, seed, args.seconds)
